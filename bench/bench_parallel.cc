@@ -30,8 +30,6 @@
 #include "hkpr/tea_plus.h"
 #include "hkpr/workspace.h"
 #include "parallel/parallel_for.h"
-#include "parallel/parallel_monte_carlo.h"
-#include "parallel/parallel_tea_plus.h"
 #include "parallel/thread_pool.h"
 
 using namespace hkpr;
@@ -127,8 +125,8 @@ int main(int argc, char** argv) {
     table.AddRow({"seq", FmtMs(base.avg_ms), "1.0x",
                   FmtF(base.avg_conductance)});
     for (uint32_t threads : thread_counts) {
-      ParallelMonteCarloEstimator est(dataset.graph, params, config.rng_seed,
-                                      threads);
+      MonteCarloEstimator est(dataset.graph, params, config.rng_seed, -1.0,
+                              WalkKernelOptions(), threads);
       const Aggregate agg = RunLocalClustering(dataset.graph, est, seeds);
       table.AddRow({std::to_string(threads), FmtMs(agg.avg_ms),
                     FmtF(base.avg_ms / (agg.avg_ms + 1e-9), 1) + "x",
@@ -148,8 +146,8 @@ int main(int argc, char** argv) {
     table.AddRow({"seq", FmtMs(base.avg_ms), "1.0x",
                   FmtF(base.avg_conductance)});
     for (uint32_t threads : thread_counts) {
-      ParallelTeaPlusEstimator est(dataset.graph, params, config.rng_seed,
-                                   threads, options);
+      TeaPlusEstimator est(dataset.graph, params, config.rng_seed, options,
+                           -1.0, threads);
       const Aggregate agg = RunLocalClustering(dataset.graph, est, seeds);
       table.AddRow({std::to_string(threads), FmtMs(agg.avg_ms),
                     FmtF(base.avg_ms / (agg.avg_ms + 1e-9), 1) + "x",
@@ -196,16 +194,16 @@ int main(int argc, char** argv) {
       TablePrinter table(
           {"threads", "spawn q/s", "pool q/s", "batch q/s", "pool gain"});
       for (uint32_t threads : thread_counts) {
-        ParallelTeaPlusEstimator spawning(serve_dataset.graph, serve_params,
-                                          config.rng_seed, threads,
-                                          serve_options);
+        TeaPlusEstimator spawning(serve_dataset.graph, serve_params,
+                                  config.rng_seed, serve_options, -1.0,
+                                  threads);
         const double spawn_s = TimeQueries(
             queries, serve_seeds, [&](NodeId s) { spawning.Estimate(s); });
 
         ThreadPool pool(threads);
-        ParallelTeaPlusEstimator pooled(serve_dataset.graph, serve_params,
-                                        config.rng_seed, threads,
-                                        serve_options, &pool);
+        TeaPlusEstimator pooled(serve_dataset.graph, serve_params,
+                                config.rng_seed, serve_options, -1.0, threads,
+                                &pool);
         QueryWorkspace ws;
         const double pool_s =
             TimeQueries(queries, serve_seeds,

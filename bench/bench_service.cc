@@ -40,15 +40,13 @@
 // datasets; --graph-scale=NAME (small/medium/large, see bench_common.h)
 // adds an R-MAT scaling preset to the backend sweep, so the JSON carries
 // large-graph rows (per-row "graph" field) next to the historical
-// small-graph ones; --walk-kernel=scalar|interleaved and --walk-width=N
-// select the random-walk kernel for every backend in the sweep (default
-// interleaved — A/B the two to isolate the walk-phase speedup end to
-// end); --hedge appends a hedged-vs-unhedged tail-latency
-// comparison (cache disabled so every query computes, served by the
-// pre-trained learned router; phases "hedged"/"unhedged", hedged/
-// hedge_wins counters per row) — kept out of the default smoke run
-// because hedge computes intentionally exceed the query count; --smoke
-// shrinks the router sweep to a seconds-long CI
+// small-graph ones; --walk-width=N sets the walk kernel's interleave
+// width for every backend in the sweep; --hedge appends a
+// hedged-vs-unhedged tail-latency comparison (cache disabled so every
+// query computes, served by the pre-trained learned router; phases
+// "hedged"/"unhedged", hedged/hedge_wins counters per row) — kept out of
+// the default smoke run because hedge computes intentionally exceed the
+// query count; --smoke shrinks the router sweep to a seconds-long CI
 // validation run (tiny query count, one thread count) that still emits
 // every row; --trace-overhead skips the sweep and instead runs alternating
 // traced/untraced reps of the smoke workload, exiting non-zero when stage
@@ -81,8 +79,8 @@ using namespace hkpr::bench;
 
 namespace {
 
-// Walk-kernel selection (--walk-kernel= / --walk-width=), applied to every
-// service constructed by the sweep so an A/B across kernels is one flag.
+// Walk-kernel interleave width (--walk-width=), applied to every service
+// constructed by the sweep so an A/B across widths is one flag.
 WalkKernelOptions g_walk_kernel;
 
 struct ServiceRow {
@@ -611,14 +609,6 @@ int main(int argc, char** argv) {
     }
     if (std::strncmp(argv[i], "--graph-scale=", 14) == 0) {
       graph_scale = argv[i] + 14;
-    }
-    if (std::strncmp(argv[i], "--walk-kernel=", 14) == 0) {
-      if (!ParseWalkKernelType(argv[i] + 14, &g_walk_kernel.type)) {
-        std::fprintf(stderr,
-                     "--walk-kernel expects scalar|interleaved, got \"%s\"\n",
-                     argv[i] + 14);
-        return 1;
-      }
     }
     if (std::strncmp(argv[i], "--walk-width=", 13) == 0) {
       const int width = std::atoi(argv[i] + 13);

@@ -1,15 +1,16 @@
-// Scalar vs interleaved walk-kernel sweep (extension).
+// Walk-kernel sweep against a scalar reference loop (extension).
 //
 // Measures the raw walk phase in isolation: heat-kernel walks from a seed
 // node (the Monte-Carlo workload, which is 100% walk phase) on the
 // --graph-scale presets, from L2-resident (~12.5k nodes / ~213k edges) to
 // DRAM-resident (~592k nodes / ~10.9M edges). For each graph it times the
-// legacy scalar loop (shared sequential Rng + KRandomWalk) and the
-// interleaved kernel (hkpr/walk_kernel.h) at widths 1, 4, 8 and 16,
-// reporting walk-steps/sec. On cache-resident graphs the two are expected
-// to tie (prefetch hints are near-free but useless); past LLC the
-// interleaved kernel overlaps the dependent DRAM loads of W walks and
-// should win big.
+// "scalar" row — the reference KRandomWalk loop (random_walk.h), one walk
+// at a time off a shared sequential Rng, which no estimator runs — and the
+// interleaved kernel (hkpr/walk_kernel.h), the walk phase of every
+// estimator, at widths 1, 4, 8 and 16, reporting walk-steps/sec. On
+// cache-resident graphs the two are expected to tie (prefetch hints are
+// near-free but useless); past LLC the interleaved kernel overlaps the
+// dependent DRAM loads of W walks and should win big.
 //
 // The run also *verifies* the kernel's determinism claim for free: the
 // end-node checksum of every interleaved width must be identical (each
@@ -69,8 +70,8 @@ uint64_t EndsChecksum(const std::vector<NodeId>& ends) {
   return h;
 }
 
-/// Scalar baseline: the pre-kernel walk loop, one walk at a time off a
-/// shared sequential Rng. Returns total steps.
+/// Scalar baseline: the reference KRandomWalk loop, one walk at a time off
+/// a shared sequential Rng. Returns total steps.
 uint64_t RunScalar(const Graph& graph, const HeatKernel& kernel, NodeId seed,
                    uint64_t num_walks, uint64_t rng_seed) {
   Rng rng(rng_seed);

@@ -5,7 +5,6 @@
 //                                 [--nodes=N] [--workers=W] [--cache=CAP]
 //                                 [--seed=S] [--backend=NAME|auto]
 //                                 [--router=rule|learned] [--hedge=on|off]
-//                                 [--walk-kernel=scalar|interleaved]
 //                                 [--walk-width=N]
 //                                 [--listen=PORT] [--net-executors=N]
 //                                 [--no-trace]
@@ -80,6 +79,10 @@
 // log are on by default; --no-trace disables all three (stats then
 // reports only the flat counter block — the pre-telemetry shape).
 //
+// --walk-width=N sets how many walks the walk kernel (hkpr/walk_kernel.h)
+// keeps in flight per worker in every randomized backend. It changes speed
+// only, never results.
+//
 // --router=learned swaps the rule thresholds for a per-graph online cost
 // model trained from the routing event log (a background trainer drains
 // it every 200ms); undertrained graphs route by the rules, so cold
@@ -124,8 +127,7 @@ namespace {
 constexpr const char* kValidFlags =
     "--graphs=name=path,... --graph=PATH --nodes=N --workers=W --cache=CAP "
     "--seed=S --backend=NAME|auto --router=rule|learned --hedge=on|off "
-    "--walk-kernel=scalar|interleaved --walk-width=N "
-    "--listen=PORT --net-executors=N --no-trace";
+    "--walk-width=N --listen=PORT --net-executors=N --no-trace";
 
 /// Parses "name=path,name=path,..." into pairs; returns false on syntax
 /// errors (missing '=' or empty name/path).
@@ -218,11 +220,6 @@ int main(int argc, char** argv) {
       if (!NumericFlag(*v, "--seed", UINT64_MAX, &seed)) return 1;
     } else if ((v = FlagValue(arg, "--backend="))) {
       backend = *v;
-    } else if ((v = FlagValue(arg, "--walk-kernel="))) {
-      if (!ParseWalkKernelType(*v, &walk_kernel.type)) {
-        std::fprintf(stderr, "err --walk-kernel expects scalar|interleaved\n");
-        return 1;
-      }
     } else if ((v = FlagValue(arg, "--walk-width="))) {
       uint64_t width = 0;
       if (!NumericFlag(*v, "--walk-width", kMaxWalkKernelWidth, &width) ||
@@ -348,14 +345,11 @@ int main(int argc, char** argv) {
   {
     const std::vector<GraphInfo> infos = store.List();
     std::printf("ok hkpr_server graphs=%zu(%s) current=%s workers=%u "
-                "cache=%zu backend=%s router=%s hedge=%s "
-                "walk-kernel=%s walk-width=%u",
+                "cache=%zu backend=%s router=%s hedge=%s walk-width=%u",
                 infos.size(), JoinNames(infos).c_str(), current.c_str(),
                 service.resolved_worker_budget(),
                 static_cast<size_t>(cache_capacity), backend.c_str(),
-                router_flag.c_str(), hedge_flag.c_str(),
-                std::string(WalkKernelTypeName(walk_kernel.type)).c_str(),
-                walk_kernel.width);
+                router_flag.c_str(), hedge_flag.c_str(), walk_kernel.width);
     if (socket_server != nullptr) {
       // The resolved port — with --listen=0 this is how clients learn
       // the ephemeral port.

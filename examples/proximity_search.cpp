@@ -2,7 +2,8 @@
 //
 // Shows the higher-level query API: single-seed top-k ranking (who is most
 // heat-kernel-similar to this node?), multi-seed set queries (linearity of
-// HKPR), and the multi-threaded estimator for latency-sensitive use.
+// HKPR), and TEA+ with its walk phase sharded over all hardware threads for
+// latency-sensitive use.
 
 #include <cstdio>
 #include <vector>
@@ -10,7 +11,6 @@
 #include "graph/generators.h"
 #include "hkpr/queries.h"
 #include "hkpr/tea_plus.h"
-#include "parallel/parallel_tea_plus.h"
 
 using namespace hkpr;
 
@@ -32,8 +32,8 @@ int main() {
   params.eps_r = 0.5;
   params.delta = 0.1 / graph.NumNodes();
   params.p_f = 1e-6;
-  ParallelTeaPlusEstimator estimator(graph, params, /*seed=*/31,
-                                     /*num_threads=*/0);
+  TeaPlusEstimator estimator(graph, params, /*seed=*/31, TeaPlusOptions(),
+                             /*pf_prime=*/-1.0, /*walk_threads=*/0);
 
   // Single-seed top-k: the nodes "closest" to the query under heat-kernel
   // proximity. The seed's own community should dominate.

@@ -8,8 +8,6 @@
 #include "common/logging.h"
 #include "hkpr/monte_carlo.h"
 #include "hkpr/push_estimator.h"
-#include "parallel/parallel_monte_carlo.h"
-#include "parallel/parallel_tea_plus.h"
 
 namespace hkpr {
 
@@ -171,10 +169,9 @@ void RegisterBuiltins(EstimatorRegistry* registry) {
                     uint64_t seed, const BackendContext& ctx) {
         TeaPlusOptions options = ctx.tea_plus;
         options.walk_kernel = ctx.walk_kernel;
-        return std::unique_ptr<WorkspaceEstimator>(
-            new ParallelTeaPlusEstimator(graph, params, seed,
-                                         ctx.parallel_threads, options,
-                                         ctx.pool, ctx.pf_prime));
+        return std::unique_ptr<WorkspaceEstimator>(new TeaPlusEstimator(
+            graph, params, seed, options, ctx.pf_prime, ctx.parallel_threads,
+            ctx.pool));
       }});
 
   registry->Register(BackendInfo{
@@ -184,10 +181,9 @@ void RegisterBuiltins(EstimatorRegistry* registry) {
       .randomized = true,
       .factory = [](const Graph& graph, const ApproxParams& params,
                     uint64_t seed, const BackendContext& ctx) {
-        return std::unique_ptr<WorkspaceEstimator>(
-            new ParallelMonteCarloEstimator(graph, params, seed,
-                                            ctx.parallel_threads, ctx.pool,
-                                            ctx.pf_prime, ctx.walk_kernel));
+        return std::unique_ptr<WorkspaceEstimator>(new MonteCarloEstimator(
+            graph, params, seed, ctx.pf_prime, ctx.walk_kernel,
+            ctx.parallel_threads, ctx.pool));
       }});
 }
 

@@ -45,8 +45,8 @@ struct BackendContext {
   TeaPlusOptions tea_plus;
   /// TEA tuning (backend "tea").
   TeaOptions tea;
-  /// Walk-phase kernel for every randomized walk backend (tea+, tea,
-  /// monte-carlo and their parallel variants); the factories copy this over
+  /// Walk-phase interleave width for every randomized walk backend (tea+,
+  /// tea, monte-carlo and the -par backends); the factories copy this over
   /// the per-algorithm options' walk_kernel field so one frontend flag
   /// steers all of them.
   WalkKernelOptions walk_kernel;

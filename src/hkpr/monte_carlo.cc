@@ -3,19 +3,22 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "hkpr/random_walk.h"
+#include "parallel/parallel_for.h"
 
 namespace hkpr {
 
 MonteCarloEstimator::MonteCarloEstimator(const Graph& graph,
                                          const ApproxParams& params,
                                          uint64_t seed, double pf_prime,
-                                         const WalkKernelOptions& walk_kernel)
+                                         const WalkKernelOptions& walk_kernel,
+                                         uint32_t walk_threads,
+                                         ThreadPool* pool)
     : graph_(graph),
       params_(params),
       kernel_(params.t),
       walk_kernel_(walk_kernel),
-      rng_(seed),
+      walk_threads_(walk_threads == 0 ? HardwareThreads() : walk_threads),
+      pool_(pool),
       seed_(seed) {
   if (pf_prime < 0.0) pf_prime = ComputePfPrime(graph, params.p_f);
   num_walks_ = static_cast<uint64_t>(std::ceil(OmegaTea(params, pf_prime)));
@@ -33,34 +36,19 @@ const SparseVector& MonteCarloEstimator::EstimateInto(NodeId seed,
   if (stats != nullptr) stats->Reset();
   const uint64_t epoch = epoch_++;
   ws.result.Clear();
-  SparseVector& rho = ws.result;
-  const double weight = 1.0 / static_cast<double>(num_walks_);
-  uint64_t steps = 0;
-  size_t ends_bytes = 0;
-  if (walk_kernel_.type == WalkKernelType::kScalar) {
-    for (uint64_t i = 0; i < num_walks_; ++i) {
-      const NodeId end = KRandomWalk(graph_, kernel_, seed, 0, rng_, &steps);
-      rho.Add(end, weight);
-    }
-  } else {
-    ws.walk_ends.resize(num_walks_);
-    WalkStartSet start_set;
-    start_set.fixed_node = seed;
-    steps = RunInterleavedWalks(graph_, kernel_, start_set,
-                                WalkStreamSeed(seed_, epoch), 0, num_walks_,
-                                ws.walk_ends.data(),
-                                EffectiveWalkWidth(graph_, walk_kernel_));
-    for (uint64_t i = 0; i < num_walks_; ++i) {
-      rho.Add(ws.walk_ends[i], weight);
-    }
-    ends_bytes = ws.walk_ends.capacity() * sizeof(NodeId);
-  }
+  WalkStartSet start_set;
+  start_set.fixed_node = seed;
+  const uint64_t steps = RunWalkPhase(
+      graph_, kernel_, start_set, WalkStreamSeed(seed_, epoch), num_walks_,
+      1.0 / static_cast<double>(num_walks_), walk_kernel_, walk_threads_,
+      pool_, ws);
   if (stats != nullptr) {
     stats->num_walks = num_walks_;
     stats->walk_steps = steps;
-    stats->peak_bytes = rho.MemoryBytes() + ends_bytes;
+    stats->peak_bytes =
+        ws.result.MemoryBytes() + ws.walk_ends.capacity() * sizeof(NodeId);
   }
-  return rho;
+  return ws.result;
 }
 
 }  // namespace hkpr

@@ -5,7 +5,6 @@
 
 #include <string_view>
 
-#include "common/random.h"
 #include "hkpr/estimator.h"
 #include "hkpr/heat_kernel.h"
 #include "hkpr/params.h"
@@ -16,17 +15,21 @@ namespace hkpr {
 
 /// Estimates rho_s by running omega = 2(1+eps_r/3) ln(1/p'_f) / (eps_r^2
 /// delta) heat-kernel walks from the seed and recording end-point
-/// frequencies. This is the baseline whose walk count TEA/TEA+ reduce.
+/// frequencies. This is the baseline whose walk count TEA/TEA+ reduce. The
+/// walks may be sharded over threads (`walk_threads` > 1); the estimate is
+/// bit-identical at every thread count (RunWalkPhase).
 class MonteCarloEstimator : public HkprEstimator, public WorkspaceEstimator {
  public:
   /// `graph` must outlive the estimator. `pf_prime` is the precomputed
   /// Equation-(6) value for `params.p_f`; negative (the default) computes
   /// it here — pass it so callers building many estimators over one graph
-  /// scan it once (cf. TeaPlusEstimator).
+  /// scan it once (cf. TeaPlusEstimator). `walk_threads` and `pool` shard
+  /// the walks as in TeaPlusEstimator.
   MonteCarloEstimator(const Graph& graph, const ApproxParams& params,
                       uint64_t seed, double pf_prime = -1.0,
                       const WalkKernelOptions& walk_kernel =
-                          WalkKernelOptions());
+                          WalkKernelOptions(),
+                      uint32_t walk_threads = 1, ThreadPool* pool = nullptr);
 
   SparseVector Estimate(NodeId seed, EstimatorStats* stats) override;
   using HkprEstimator::Estimate;
@@ -34,15 +37,13 @@ class MonteCarloEstimator : public HkprEstimator, public WorkspaceEstimator {
   /// Runs the query entirely inside `ws` (end-point counts accumulate into
   /// `ws.result`) and returns a reference to `ws.result`, valid until the
   /// next query on that workspace. Allocation-free once the workspace
-  /// capacities have warmed up.
+  /// capacities have warmed up, unless threads are spawned per query.
   const SparseVector& EstimateInto(NodeId seed, QueryWorkspace& ws,
                                    EstimatorStats* stats = nullptr) override;
 
-  /// Re-seeds the walk randomness (the scalar Rng and the interleaved
-  /// kernel's stream derivation); queries after a Reseed(s) replay the same
-  /// randomness as a freshly constructed estimator with seed `s`.
+  /// Re-seeds the walk stream derivation; queries after a Reseed(s) replay
+  /// the same randomness as a freshly constructed estimator with seed `s`.
   void Reseed(uint64_t seed) override {
-    rng_.Reseed(seed);
     seed_ = seed;
     epoch_ = 0;
   }
@@ -58,8 +59,9 @@ class MonteCarloEstimator : public HkprEstimator, public WorkspaceEstimator {
   HeatKernel kernel_;
   WalkKernelOptions walk_kernel_;
   uint64_t num_walks_;
-  Rng rng_;            // scalar walk path
-  uint64_t seed_;      // stream-family seed for the interleaved kernel
+  uint32_t walk_threads_;
+  ThreadPool* pool_;
+  uint64_t seed_;       // stream-family seed of the walks
   uint64_t epoch_ = 0;  // advances per query so repeated queries differ
 };
 

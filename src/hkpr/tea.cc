@@ -4,7 +4,6 @@
 
 #include "common/logging.h"
 #include "hkpr/push.h"
-#include "hkpr/random_walk.h"
 
 namespace hkpr {
 
@@ -15,7 +14,6 @@ TeaEstimator::TeaEstimator(const Graph& graph, const ApproxParams& params,
       params_(params),
       options_(options),
       kernel_(params.t),
-      rng_(seed),
       seed_(seed) {
   if (pf_prime < 0.0) pf_prime = ComputePfPrime(graph, params.p_f);
   omega_ = OmegaTea(params, pf_prime);
@@ -48,25 +46,13 @@ const SparseVector& TeaEstimator::EstimateInto(NodeId seed, QueryWorkspace& ws,
     alias_bytes = ws.alias.MemoryBytes() +
                   ws.starts.capacity() * sizeof(ws.starts[0]) +
                   ws.weights.capacity() * sizeof(double);
-    const double increment = alpha / static_cast<double>(num_walks);
-    if (options_.walk_kernel.type == WalkKernelType::kScalar) {
-      for (uint64_t i = 0; i < num_walks; ++i) {
-        const auto [u, k] = ws.starts[ws.alias.Sample(rng_)];
-        const NodeId end = KRandomWalk(graph_, kernel_, u, k, rng_, &steps);
-        rho.Add(end, increment);
-      }
-    } else {
-      ws.walk_ends.resize(num_walks);
-      const WalkStartSet start_set{&ws.alias, ws.starts.data(), 0};
-      steps = RunInterleavedWalks(graph_, kernel_, start_set,
-                                  WalkStreamSeed(seed_, epoch), 0, num_walks,
-                                  ws.walk_ends.data(),
-                                  EffectiveWalkWidth(graph_, options_.walk_kernel));
-      for (uint64_t i = 0; i < num_walks; ++i) {
-        rho.Add(ws.walk_ends[i], increment);
-      }
-      alias_bytes += ws.walk_ends.capacity() * sizeof(NodeId);
-    }
+    const WalkStartSet start_set{&ws.alias, ws.starts.data(), 0};
+    steps = RunWalkPhase(graph_, kernel_, start_set,
+                         WalkStreamSeed(seed_, epoch), num_walks,
+                         alpha / static_cast<double>(num_walks),
+                         options_.walk_kernel, /*threads=*/1, /*pool=*/nullptr,
+                         ws);
+    alias_bytes += ws.walk_ends.capacity() * sizeof(NodeId);
   }
 
   if (stats != nullptr) {

@@ -5,7 +5,6 @@
 
 #include <string_view>
 
-#include "common/random.h"
 #include "hkpr/estimator.h"
 #include "hkpr/heat_kernel.h"
 #include "hkpr/params.h"
@@ -20,8 +19,7 @@ struct TeaOptions {
   /// sets r_max = O(1/(omega t)) and tunes the constant per dataset to
   /// balance push and walk cost (Section 7.3). 1.0 is a solid default.
   double r_max_scale = 1.0;
-  /// Walk-phase implementation (hkpr/walk_kernel.h): the interleaved kernel
-  /// by default, the legacy scalar loop for A/B comparison.
+  /// Walk-phase interleave width (hkpr/walk_kernel.h).
   WalkKernelOptions walk_kernel;
 };
 
@@ -50,11 +48,10 @@ class TeaEstimator : public HkprEstimator, public WorkspaceEstimator {
   const SparseVector& EstimateInto(NodeId seed, QueryWorkspace& ws,
                                    EstimatorStats* stats = nullptr) override;
 
-  /// Re-seeds the walk-phase randomness (the scalar Rng and the interleaved
-  /// kernel's stream derivation); queries after a Reseed(s) replay the same
-  /// randomness as a freshly constructed estimator with seed `s`.
+  /// Re-seeds the walk-phase stream derivation; queries after a Reseed(s)
+  /// replay the same randomness as a freshly constructed estimator with
+  /// seed `s`.
   void Reseed(uint64_t seed) override {
-    rng_.Reseed(seed);
     seed_ = seed;
     epoch_ = 0;
   }
@@ -73,8 +70,7 @@ class TeaEstimator : public HkprEstimator, public WorkspaceEstimator {
   HeatKernel kernel_;
   double omega_;
   double r_max_;
-  Rng rng_;            // scalar walk path
-  uint64_t seed_;      // stream-family seed for the interleaved kernel
+  uint64_t seed_;       // stream-family seed of the walk phase
   uint64_t epoch_ = 0;  // advances per query so repeated queries differ
 };
 

@@ -5,7 +5,6 @@
 
 #include <string_view>
 
-#include "common/random.h"
 #include "hkpr/estimator.h"
 #include "hkpr/heat_kernel.h"
 #include "hkpr/params.h"
@@ -37,8 +36,7 @@ struct TeaPlusOptions {
   /// ablation benchmark.
   bool enable_early_exit = true;
   BetaMode beta_mode = BetaMode::kProportionalToHopSum;
-  /// Walk-phase implementation (hkpr/walk_kernel.h): the interleaved kernel
-  /// by default, the legacy scalar loop for A/B comparison.
+  /// Walk-phase interleave width (hkpr/walk_kernel.h).
   WalkKernelOptions walk_kernel;
 };
 
@@ -48,32 +46,40 @@ struct TeaPlusOptions {
 /// returned immediately, otherwise residues are reduced by
 /// beta_k * eps_r * delta * d(u) before the walk phase and the final vector
 /// gets a +eps_r*delta/2 * d(v) offset (stored as a scalar, O(1)).
+///
+/// The walk phase may be sharded over threads (`walk_threads` > 1); HK-Push+
+/// stays sequential, since its frontier is inherently ordered. The estimate
+/// is bit-identical at every thread count (RunWalkPhase).
 class TeaPlusEstimator : public HkprEstimator, public WorkspaceEstimator {
  public:
   /// `pf_prime` is the precomputed Equation-(6) value for `params.p_f`;
   /// negative (the default) computes it here. ComputePfPrime is an O(n)
   /// scan the paper notes is done once when the graph is loaded; pass it to
   /// avoid re-scanning when constructing many estimators over one graph
-  /// (e.g. one per pool thread in BatchQueryEngine).
+  /// (e.g. one per pool thread in BatchQueryEngine). `walk_threads` shards
+  /// the walk phase (0 = hardware threads); `pool`, when non-null, runs the
+  /// shards on its parked workers and must outlive the estimator, and
+  /// without one threads are spawned per query.
   TeaPlusEstimator(const Graph& graph, const ApproxParams& params,
                    uint64_t seed,
                    const TeaPlusOptions& options = TeaPlusOptions(),
-                   double pf_prime = -1.0);
+                   double pf_prime = -1.0, uint32_t walk_threads = 1,
+                   ThreadPool* pool = nullptr);
 
   SparseVector Estimate(NodeId seed, EstimatorStats* stats) override;
   using HkprEstimator::Estimate;
 
   /// Runs the query entirely inside `ws` and returns a reference to
   /// `ws.result` (valid until the next query on that workspace).
-  /// Allocation-free once the workspace capacities have warmed up.
+  /// Allocation-free once the workspace capacities have warmed up, unless
+  /// threads are spawned per query.
   const SparseVector& EstimateInto(NodeId seed, QueryWorkspace& ws,
                                    EstimatorStats* stats = nullptr) override;
 
-  /// Re-seeds the walk-phase randomness (the scalar Rng and the interleaved
-  /// kernel's stream derivation); queries after a Reseed(s) replay the same
-  /// randomness as a freshly constructed estimator with seed `s`.
+  /// Re-seeds the walk-phase stream derivation; queries after a Reseed(s)
+  /// replay the same randomness as a freshly constructed estimator with
+  /// seed `s`.
   void Reseed(uint64_t seed) override {
-    rng_.Reseed(seed);
     seed_ = seed;
     epoch_ = 0;
   }
@@ -92,15 +98,15 @@ class TeaPlusEstimator : public HkprEstimator, public WorkspaceEstimator {
   double omega_;
   uint32_t hop_cap_;
   uint64_t push_budget_;
-  Rng rng_;            // scalar walk path
-  uint64_t seed_;      // stream-family seed for the interleaved kernel
+  uint32_t walk_threads_;
+  ThreadPool* pool_;
+  uint64_t seed_;       // stream-family seed of the walk phase
   uint64_t epoch_ = 0;  // advances per query so repeated queries differ
 };
 
-/// Algorithm 5 Lines 8-11, shared by the sequential and parallel TEA+:
-/// lowers each residue r_k[u] by beta_k * eps_delta * d(u) (beta per
-/// `options.beta_mode`) and recomputes the hop sums. No-op on an empty
-/// table.
+/// Algorithm 5 Lines 8-11: lowers each residue r_k[u] by
+/// beta_k * eps_delta * d(u) (beta per `options.beta_mode`) and recomputes
+/// the hop sums. No-op on an empty table.
 void ReduceResidues(const Graph& graph, const TeaPlusOptions& options,
                     double eps_delta, ResidueTable& residues);
 

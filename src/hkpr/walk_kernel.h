@@ -17,15 +17,15 @@
 // UniformInt). Because every stream is a pure function of the walk index,
 // the end node of walk i never depends on interleave width, walk-range
 // partitioning, or thread scheduling: results are bit-identical across
-// widths and thread counts. This is *stronger* determinism than the legacy
-// scalar path, whose shared sequential Rng makes walk i depend on all walks
-// before it.
+// widths and thread counts.
+//
+// RunWalkPhase wraps the kernel into the one walk phase that TEA, TEA+ and
+// Monte-Carlo share.
 
 #ifndef HKPR_HKPR_WALK_KERNEL_H_
 #define HKPR_HKPR_WALK_KERNEL_H_
 
 #include <cstdint>
-#include <string_view>
 #include <utility>
 
 #include "common/alias_sampler.h"
@@ -35,14 +35,8 @@
 
 namespace hkpr {
 
-/// Which walk-phase implementation an estimator runs.
-enum class WalkKernelType {
-  /// Legacy path: one walk at a time off the estimator's shared sequential
-  /// Rng. Kept for A/B comparison and for replaying pre-kernel results.
-  kScalar,
-  /// Interleaved kernel with per-walk CounterRng streams (this file).
-  kInterleaved,
-};
+class QueryWorkspace;
+class ThreadPool;
 
 /// Hard cap on the interleave width. Past ~16 the line-fill buffers are the
 /// bottleneck; 64 bounds the kernel's stack frame.
@@ -51,7 +45,6 @@ inline constexpr uint32_t kMaxWalkKernelWidth = 64;
 /// Walk-phase configuration, threaded from the serving frontend through
 /// BackendContext into every randomized-walk estimator.
 struct WalkKernelOptions {
-  WalkKernelType type = WalkKernelType::kInterleaved;
   /// In-flight walks per worker; clamped to [1, kMaxWalkKernelWidth].
   /// Width 1 degenerates to a scalar loop over the counter-RNG streams
   /// (same results as any other width, no overlap).
@@ -71,13 +64,6 @@ inline uint32_t EffectiveWalkWidth(const Graph& graph,
                                    const WalkKernelOptions& options) {
   return graph.MemoryBytes() < kInterleaveMinGraphBytes ? 1u : options.width;
 }
-
-/// "scalar" or "interleaved".
-std::string_view WalkKernelTypeName(WalkKernelType type);
-
-/// Parses "scalar" / "interleaved" into `*out`. Returns false (leaving
-/// `*out` untouched) on anything else.
-bool ParseWalkKernelType(std::string_view text, WalkKernelType* out);
 
 /// The stream family for one query: all walks of query number `epoch` on an
 /// engine seeded with `engine_seed` draw from streams of this value. Mixed
@@ -112,6 +98,21 @@ uint64_t RunInterleavedWalks(const Graph& graph, const HeatKernel& kernel,
                              uint64_t first_walk, uint64_t num_walks,
                              NodeId* ends, uint32_t width,
                              uint32_t* per_walk_steps = nullptr);
+
+/// One query's walk phase: runs walks 0 .. num_walks - 1 of `stream_seed`
+/// into `ws.walk_ends` at EffectiveWalkWidth(graph, options), then adds
+/// `increment` to `ws.result` at each end node in walk-index order. With
+/// `threads` <= 1 the walks run inline; otherwise [0, num_walks) is split
+/// into `threads` contiguous ranges (the ParallelChunks partition) that run
+/// on `pool`, or on threads spawned per call when `pool` is null. Each end
+/// node is a function of its walk index alone, so `ws.result` is
+/// bit-identical for every thread count, pool and width. Returns the total
+/// number of traversed edges.
+uint64_t RunWalkPhase(const Graph& graph, const HeatKernel& kernel,
+                      const WalkStartSet& starts, uint64_t stream_seed,
+                      uint64_t num_walks, double increment,
+                      const WalkKernelOptions& options, uint32_t threads,
+                      ThreadPool* pool, QueryWorkspace& ws);
 
 }  // namespace hkpr
 

@@ -21,15 +21,11 @@ size_t QueryWorkspace::CollectWalkStarts() {
 }
 
 size_t QueryWorkspace::MemoryBytes() const {
-  size_t b = result.MemoryBytes() + residues.MemoryBytes() +
-             norm_bound.capacity() * sizeof(double) +
-             starts.capacity() * sizeof(starts[0]) +
-             weights.capacity() * sizeof(double) + alias.MemoryBytes() +
-             walk_ends.capacity() * sizeof(NodeId);
-  for (const auto& scratch : thread_scratch_) {
-    b += scratch.counts.MemoryBytes();
-  }
-  return b;
+  return result.MemoryBytes() + residues.MemoryBytes() +
+         norm_bound.capacity() * sizeof(double) +
+         starts.capacity() * sizeof(starts[0]) +
+         weights.capacity() * sizeof(double) + alias.MemoryBytes() +
+         walk_ends.capacity() * sizeof(NodeId);
 }
 
 }  // namespace hkpr

@@ -2,17 +2,17 @@
 //
 // Every Estimate() call needs the same family of buffers: a reserve/result
 // vector, a multi-hop residue table, the HK-Push+ bound array, flattened
-// walk-start arrays with their alias table, and (for the parallel
-// estimators) per-thread walk accumulators. Allocating these from scratch
-// per query is the dominant fixed cost of small queries; a QueryWorkspace
-// owns all of them and is reset — never reallocated — between queries, so a
-// steady-state query stream performs zero heap allocations (verified by the
-// workspace tests with the AllocCounters hook in common/mem_tracker.h).
+// walk-start arrays with their alias table, and the per-walk end-node
+// buffer. Allocating these from scratch per query is the dominant fixed
+// cost of small queries; a QueryWorkspace owns all of them and is reset —
+// never reallocated — between queries, so a steady-state query stream
+// performs zero heap allocations (verified by the workspace tests with the
+// AllocCounters hook in common/mem_tracker.h).
 //
 // A workspace is not thread-safe; the intended pattern is one workspace per
-// serving thread (see BatchQueryEngine in hkpr/queries.h). The per-thread
-// WalkScratch entries inside one workspace ARE handed to distinct pool
-// threads during a single parallel estimate.
+// serving thread (see BatchQueryEngine in hkpr/queries.h). A sharded walk
+// phase hands disjoint ranges of `walk_ends` to distinct threads during a
+// single estimate.
 
 #ifndef HKPR_HKPR_WORKSPACE_H_
 #define HKPR_HKPR_WORKSPACE_H_
@@ -28,13 +28,6 @@
 #include "hkpr/residue.h"
 
 namespace hkpr {
-
-/// One thread's walk-phase accumulator: end-point counts plus a step
-/// counter. Lives inside a QueryWorkspace, one per participating thread.
-struct WalkScratch {
-  SparseVector counts;
-  uint64_t steps = 0;
-};
 
 /// All scratch state one query needs, reusable across queries.
 class QueryWorkspace {
@@ -76,31 +69,12 @@ class QueryWorkspace {
     weights.clear();
   }
 
-  /// Per-thread walk accumulators, cleared and ready for use. Grows to
-  /// `num_threads` entries on first use and is retained afterwards. Every
-  /// entry is cleared — including ones beyond `num_threads` left over from a
-  /// wider earlier query — so merge loops may safely iterate the whole
-  /// vector.
-  std::vector<WalkScratch>& ThreadScratch(uint32_t num_threads) {
-    if (thread_scratch_.size() < num_threads) {
-      thread_scratch_.resize(num_threads);
-    }
-    for (WalkScratch& scratch : thread_scratch_) {
-      scratch.counts.Clear();
-      scratch.steps = 0;
-    }
-    return thread_scratch_;
-  }
-
   /// Fills `starts`/`weights` from the positive entries of `residues` and
   /// builds the alias table. Returns the number of start entries.
   size_t CollectWalkStarts();
 
   /// Approximate heap bytes held by all buffers (for memory accounting).
   size_t MemoryBytes() const;
-
- private:
-  std::vector<WalkScratch> thread_scratch_;
 };
 
 /// Implements the legacy by-value Estimate() contract on top of an

@@ -2,10 +2,11 @@
 //
 // The paper notes (Section 6, citing Shun et al. VLDB'16) that HKPR
 // estimation parallelizes well; this module provides the substrate the
-// parallel estimators build on. Threads are spawned per call, which is
-// acceptable for one-shot benchmark runs; repeated-query serving should use
-// the persistent ThreadPool (parallel/thread_pool.h) instead, which keeps
-// the same ParallelChunks partition but parks its workers between calls.
+// sharded walk phase (RunWalkPhase) builds on. Threads are spawned per
+// call, which is acceptable for one-shot benchmark runs; repeated-query
+// serving should use the persistent ThreadPool (parallel/thread_pool.h)
+// instead, which keeps the same ParallelChunks partition but parks its
+// workers between calls.
 
 #ifndef HKPR_PARALLEL_PARALLEL_FOR_H_
 #define HKPR_PARALLEL_PARALLEL_FOR_H_

@@ -1,4 +1,5 @@
-// Tests for the parallel estimators and execution helpers.
+// Tests for the execution helpers and for TEA+ and Monte-Carlo with their
+// walk phase sharded over threads.
 
 #include <gtest/gtest.h>
 
@@ -8,10 +9,10 @@
 
 #include "clustering/metrics.h"
 #include "graph/generators.h"
+#include "hkpr/monte_carlo.h"
 #include "hkpr/power_method.h"
+#include "hkpr/tea_plus.h"
 #include "parallel/parallel_for.h"
-#include "parallel/parallel_monte_carlo.h"
-#include "parallel/parallel_tea_plus.h"
 #include "test_util.h"
 
 namespace hkpr {
@@ -65,7 +66,7 @@ TEST(ParallelMonteCarloTest, GuaranteeHoldsAcrossThreadCounts) {
   const ApproxParams params = TestParams(1e-3);
   const std::vector<double> exact = ExactHkpr(g, params.t, 7);
   for (uint32_t threads : {1u, 2u, 4u}) {
-    ParallelMonteCarloEstimator est(g, params, 9, threads);
+    MonteCarloEstimator est(g, params, 9, -1.0, WalkKernelOptions(), threads);
     SparseVector rho = est.Estimate(7);
     EXPECT_EQ(CountApproxViolations(g, rho, exact, params.eps_r, params.delta,
                                     1.2),
@@ -78,8 +79,8 @@ TEST(ParallelMonteCarloTest, GuaranteeHoldsAcrossThreadCounts) {
 TEST(ParallelMonteCarloTest, DeterministicForFixedThreadCount) {
   Graph g = testing::MakeBarbell(6);
   const ApproxParams params = TestParams(1e-2);
-  ParallelMonteCarloEstimator a(g, params, 11, 3);
-  ParallelMonteCarloEstimator b(g, params, 11, 3);
+  MonteCarloEstimator a(g, params, 11, -1.0, WalkKernelOptions(), 3);
+  MonteCarloEstimator b(g, params, 11, -1.0, WalkKernelOptions(), 3);
   SparseVector ra = a.Estimate(0);
   SparseVector rb = b.Estimate(0);
   ASSERT_EQ(ra.nnz(), rb.nnz());
@@ -88,7 +89,8 @@ TEST(ParallelMonteCarloTest, DeterministicForFixedThreadCount) {
 
 TEST(ParallelMonteCarloTest, RepeatedQueriesUseFreshRandomness) {
   Graph g = PowerlawCluster(200, 3, 0.3, 2);
-  ParallelMonteCarloEstimator est(g, TestParams(1e-2), 13, 2);
+  MonteCarloEstimator est(g, TestParams(1e-2), 13, -1.0, WalkKernelOptions(),
+                          2);
   SparseVector first = est.Estimate(5);
   SparseVector second = est.Estimate(5);
   // Different epochs -> (almost surely) different realizations.
@@ -105,7 +107,7 @@ TEST(ParallelMonteCarloTest, RepeatedQueriesUseFreshRandomness) {
 TEST(ParallelMonteCarloTest, SameWalkCountAsSequentialFormula) {
   Graph g = PowerlawCluster(400, 3, 0.3, 3);
   const ApproxParams params = TestParams(1e-3);
-  ParallelMonteCarloEstimator est(g, params, 15, 4);
+  MonteCarloEstimator est(g, params, 15, -1.0, WalkKernelOptions(), 4);
   EstimatorStats stats;
   est.Estimate(3, &stats);
   EXPECT_EQ(stats.num_walks, est.NumWalks());
@@ -117,7 +119,7 @@ TEST(ParallelTeaPlusTest, GuaranteeHolds) {
   const ApproxParams params = TestParams(1e-3);
   const std::vector<double> exact = ExactHkpr(g, params.t, 9);
   for (uint32_t threads : {1u, 2u, 4u}) {
-    ParallelTeaPlusEstimator est(g, params, 17, threads);
+    TeaPlusEstimator est(g, params, 17, TeaPlusOptions(), -1.0, threads);
     SparseVector rho = est.Estimate(9);
     EXPECT_EQ(CountApproxViolations(g, rho, exact, params.eps_r, params.delta,
                                     1.2),
@@ -127,12 +129,12 @@ TEST(ParallelTeaPlusTest, GuaranteeHolds) {
 }
 
 TEST(ParallelTeaPlusTest, MatchesSequentialPushPhase) {
-  // The sequential phase is identical, so the push counters must agree with
-  // the sequential TEA+ configured the same way.
+  // Only the walk phase is sharded, so the push counters must agree with
+  // the single-threaded TEA+ configured the same way.
   Graph g = PowerlawCluster(500, 4, 0.3, 5);
   const ApproxParams params = TestParams(1e-4);
   TeaPlusEstimator sequential(g, params, 19);
-  ParallelTeaPlusEstimator parallel(g, params, 19, 4);
+  TeaPlusEstimator parallel(g, params, 19, TeaPlusOptions(), -1.0, 4);
   EstimatorStats seq_stats, par_stats;
   sequential.Estimate(3, &seq_stats);
   parallel.Estimate(3, &par_stats);
@@ -145,7 +147,7 @@ TEST(ParallelTeaPlusTest, EarlyExitPathIdenticalToSequential) {
   Graph g = testing::MakeBarbell(8);
   const ApproxParams params = TestParams(0.01);  // loose: early exit
   TeaPlusEstimator sequential(g, params, 21);
-  ParallelTeaPlusEstimator parallel(g, params, 21, 4);
+  TeaPlusEstimator parallel(g, params, 21, TeaPlusOptions(), -1.0, 4);
   EstimatorStats par_stats;
   SparseVector seq = sequential.Estimate(0);
   SparseVector par = parallel.Estimate(0, &par_stats);
@@ -159,7 +161,7 @@ TEST(ParallelTeaPlusTest, WalkPhaseRunsWhenForced) {
   const ApproxParams params = TestParams(1e-5);
   TeaPlusOptions options;
   options.c = 1.0;  // small hop cap -> walk phase required
-  ParallelTeaPlusEstimator est(g, params, 23, 4, options);
+  TeaPlusEstimator est(g, params, 23, options, -1.0, 4);
   EstimatorStats stats;
   SparseVector rho = est.Estimate(3, &stats);
   EXPECT_FALSE(stats.early_exit);

@@ -2,7 +2,7 @@
 // determinism contract (results are a pure function of the walk index,
 // independent of interleave width, range partitioning, and thread count),
 // draw-exact agreement with the canonical KRandomWalk semantics, stranded
-// walks, and walk-step accounting.
+// walks, walk-step accounting, and agreement with exact HKPR.
 
 #include <gtest/gtest.h>
 
@@ -16,11 +16,9 @@
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
 #include "hkpr/monte_carlo.h"
-#include "hkpr/random_walk.h"
+#include "hkpr/power_method.h"
 #include "hkpr/tea_plus.h"
 #include "hkpr/walk_kernel.h"
-#include "parallel/parallel_monte_carlo.h"
-#include "parallel/parallel_tea_plus.h"
 #include "test_util.h"
 
 namespace hkpr {
@@ -84,18 +82,6 @@ TEST(CounterRngTest, UniformDrawsAreInRangeAndCentered) {
   EXPECT_NEAR(sum / n, 0.5, 0.005);
 }
 
-TEST(WalkKernelTest, ParseAndNameRoundTrip) {
-  WalkKernelType type = WalkKernelType::kScalar;
-  EXPECT_TRUE(ParseWalkKernelType("interleaved", &type));
-  EXPECT_EQ(type, WalkKernelType::kInterleaved);
-  EXPECT_EQ(WalkKernelTypeName(type), "interleaved");
-  EXPECT_TRUE(ParseWalkKernelType("scalar", &type));
-  EXPECT_EQ(type, WalkKernelType::kScalar);
-  EXPECT_EQ(WalkKernelTypeName(type), "scalar");
-  EXPECT_FALSE(ParseWalkKernelType("vectorized", &type));
-  EXPECT_EQ(type, WalkKernelType::kScalar);  // untouched on failure
-}
-
 TEST(WalkKernelTest, EffectiveWidthDropsToOneOnCacheResidentGraphs) {
   const Graph small = testing::MakeCycle(64);
   ASSERT_LT(small.MemoryBytes(), kInterleaveMinGraphBytes);
@@ -146,7 +132,7 @@ TEST(WalkKernelTest, BitIdenticalAcrossWidths) {
 
 TEST(WalkKernelTest, BitIdenticalAcrossRangePartitions) {
   // Running [0, n) in one call must equal any partition into subranges —
-  // the property the parallel estimators' sharding relies on.
+  // the property a sharded walk phase relies on.
   const StartFixture f;
   const uint64_t n = 4000;
   const uint64_t seed = WalkStreamSeed(31337, 4);
@@ -265,9 +251,9 @@ ApproxParams TestParams(const Graph& graph) {
 }
 
 TEST(WalkKernelTest, TeaPlusBitIdenticalAcrossWidthsAndThreadCounts) {
-  // The serving-level guarantee: sequential TEA+ and parallel TEA+ at any
-  // thread count and any configured width produce the same estimate to the
-  // last bit when the interleaved kernel is on.
+  // The serving-level guarantee: TEA+ with its walk phase inline or sharded
+  // over any thread count, at any configured width, produces the same
+  // estimate to the last bit.
   const Graph graph = PowerlawCluster(1500, 4, 0.3, 4);
   // Serving-grade coarse accuracy with a tight hop cap (as in
   // bench_service): the push phase leaves residue mass behind, so the walk
@@ -280,7 +266,6 @@ TEST(WalkKernelTest, TeaPlusBitIdenticalAcrossWidthsAndThreadCounts) {
 
   TeaPlusOptions base_options;
   base_options.c = 1.0;
-  base_options.walk_kernel.type = WalkKernelType::kInterleaved;
   TeaPlusEstimator sequential(graph, params, seed, base_options);
   EstimatorStats seq_stats;
   const std::map<NodeId, double> expected =
@@ -291,7 +276,7 @@ TEST(WalkKernelTest, TeaPlusBitIdenticalAcrossWidthsAndThreadCounts) {
     for (const uint32_t threads : {1u, 4u, 8u}) {
       TeaPlusOptions options = base_options;
       options.walk_kernel.width = width;
-      ParallelTeaPlusEstimator parallel(graph, params, seed, threads, options);
+      TeaPlusEstimator parallel(graph, params, seed, options, -1.0, threads);
       EstimatorStats stats;
       EXPECT_EQ(ToMap(parallel.Estimate(query, &stats)), expected)
           << "width " << width << " threads " << threads;
@@ -308,16 +293,14 @@ TEST(WalkKernelTest, MonteCarloBitIdenticalAcrossThreadCounts) {
   const uint64_t seed = 7;
   const NodeId query = 42;
 
-  WalkKernelOptions kernel_options;
-  kernel_options.type = WalkKernelType::kInterleaved;
-  MonteCarloEstimator sequential(graph, params, seed, -1.0, kernel_options);
+  MonteCarloEstimator sequential(graph, params, seed);
   EstimatorStats seq_stats;
   const std::map<NodeId, double> expected =
       ToMap(sequential.Estimate(query, &seq_stats));
 
   for (const uint32_t threads : {1u, 4u, 8u}) {
-    ParallelMonteCarloEstimator parallel(graph, params, seed, threads, nullptr,
-                                         -1.0, kernel_options);
+    MonteCarloEstimator parallel(graph, params, seed, -1.0,
+                                 WalkKernelOptions(), threads);
     EstimatorStats stats;
     EXPECT_EQ(ToMap(parallel.Estimate(query, &stats)), expected)
         << "threads " << threads;
@@ -327,69 +310,42 @@ TEST(WalkKernelTest, MonteCarloBitIdenticalAcrossThreadCounts) {
 
 TEST(WalkKernelTest, WalkStepsAccountingMatchesInstrumentedRecount) {
   // EstimatorStats::walk_steps must equal an independent edge-traversal
-  // recount under both kernels (satellite: walk-step accounting).
+  // recount: per-walk streams of WalkStreamSeed(seed, epoch 0), whose
+  // per-walk counters the kernel reports separately.
   const Graph graph = PowerlawCluster(600, 3, 0.2, 21);
   ApproxParams params = TestParams(graph);
   params.p_f = 1e-2;
   const uint64_t seed = 13;
   const NodeId query = 5;
 
-  // Scalar kernel: the estimator consumes its member Rng(seed) walk by
-  // walk; an identical replay recounts the traversed edges.
-  WalkKernelOptions scalar;
-  scalar.type = WalkKernelType::kScalar;
-  MonteCarloEstimator scalar_mc(graph, params, seed, -1.0, scalar);
-  EstimatorStats scalar_stats;
-  scalar_mc.Estimate(query, &scalar_stats);
-  {
-    Rng rng(seed);
-    uint64_t recount = 0;
-    for (uint64_t i = 0; i < scalar_stats.num_walks; ++i) {
-      KRandomWalk(graph, HeatKernel(params.t), query, 0, rng, &recount);
-    }
-    EXPECT_EQ(scalar_stats.walk_steps, recount);
-  }
-
-  // Interleaved kernel: per-walk streams of WalkStreamSeed(seed, epoch 0);
-  // the kernel's own per-walk counters recount the total.
-  WalkKernelOptions interleaved;
-  interleaved.type = WalkKernelType::kInterleaved;
-  MonteCarloEstimator mc(graph, params, seed, -1.0, interleaved);
+  MonteCarloEstimator mc(graph, params, seed);
   EstimatorStats stats;
   mc.Estimate(query, &stats);
-  {
-    std::vector<NodeId> ends(stats.num_walks);
-    std::vector<uint32_t> per_walk(stats.num_walks);
-    WalkStartSet set;
-    set.fixed_node = query;
-    const uint64_t total = RunInterleavedWalks(
-        graph, HeatKernel(params.t), set, WalkStreamSeed(seed, 0), 0,
-        stats.num_walks, ends.data(), 8, per_walk.data());
-    uint64_t recount = 0;
-    for (const uint32_t s : per_walk) recount += s;
-    EXPECT_EQ(total, recount);
-    EXPECT_EQ(stats.walk_steps, recount);
-  }
+  std::vector<NodeId> ends(stats.num_walks);
+  std::vector<uint32_t> per_walk(stats.num_walks);
+  WalkStartSet set;
+  set.fixed_node = query;
+  const uint64_t total = RunInterleavedWalks(
+      graph, HeatKernel(params.t), set, WalkStreamSeed(seed, 0), 0,
+      stats.num_walks, ends.data(), 8, per_walk.data());
+  uint64_t recount = 0;
+  for (const uint32_t s : per_walk) recount += s;
+  EXPECT_EQ(total, recount);
+  EXPECT_EQ(stats.walk_steps, recount);
 }
 
-TEST(WalkKernelTest, ScalarAndInterleavedAgreeInDistribution) {
-  // The two kernels draw from different streams, so they can't be compared
-  // bitwise — but on the same workload their estimates must agree to the
-  // estimator's accuracy. Guards against the interleaved path silently
-  // biasing the walk distribution.
+TEST(WalkKernelTest, MonteCarloEstimateMatchesExactHkpr) {
+  // Guards against the kernel silently biasing the walk distribution: its
+  // Monte-Carlo estimate must agree with the exact HKPR vector to the
+  // estimator's accuracy.
   const Graph graph = testing::MakeBarbell(8);
   ApproxParams params = TestParams(graph);
   params.p_f = 1e-6;
-  WalkKernelOptions scalar;
-  scalar.type = WalkKernelType::kScalar;
-  WalkKernelOptions interleaved;
-  interleaved.type = WalkKernelType::kInterleaved;
-  MonteCarloEstimator a(graph, params, 1, -1.0, scalar);
-  MonteCarloEstimator b(graph, params, 2, -1.0, interleaved);
-  const SparseVector va = a.Estimate(0);
-  const SparseVector vb = b.Estimate(0);
+  MonteCarloEstimator mc(graph, params, 2);
+  const SparseVector estimate = mc.Estimate(0);
+  const std::vector<double> exact = ExactHkpr(graph, params.t, 0);
   for (NodeId v = 0; v < graph.NumNodes(); ++v) {
-    EXPECT_NEAR(va.Get(v), vb.Get(v), 0.02) << v;
+    EXPECT_NEAR(estimate.Get(v), exact[v], 0.02) << v;
   }
 }
 

@@ -21,8 +21,6 @@
 #include "hkpr/tea.h"
 #include "hkpr/tea_plus.h"
 #include "hkpr/workspace.h"
-#include "parallel/parallel_monte_carlo.h"
-#include "parallel/parallel_tea_plus.h"
 #include "parallel/thread_pool.h"
 #include "test_util.h"
 
@@ -49,6 +47,19 @@ void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
 
+// The nothrow forms must come from the same allocator as the replaced
+// deletes: the library's own nothrow new (e.g. std::stable_sort's temporary
+// buffer) would otherwise be freed by the free() below, which a sanitizer
+// reports as an alloc-dealloc mismatch.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  hkpr::AllocCounters::RecordAllocation();
+  return std::malloc(size);
+}
+
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
+
 void operator delete(void* p) noexcept {
   hkpr::AllocCounters::RecordDeallocation();
   std::free(p);
@@ -73,6 +84,14 @@ void operator delete(void* p, std::size_t, std::align_val_t a) noexcept {
 
 void operator delete[](void* p, std::size_t, std::align_val_t a) noexcept {
   ::operator delete(p, a);
+}
+
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  ::operator delete(p);
+}
+
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  ::operator delete(p);
 }
 
 // ---------------------------------------------------------------------------
@@ -209,8 +228,8 @@ TEST(WorkspaceTest, PoolBackedTeaPlusMatchesSpawnPerCall) {
   options.c = 1.0;  // force the walk phase
   ThreadPool pool(4);
   for (uint32_t threads : {1u, 2u, 4u}) {
-    ParallelTeaPlusEstimator spawning(g, params, 17, threads, options);
-    ParallelTeaPlusEstimator pooled(g, params, 17, threads, options, &pool);
+    TeaPlusEstimator spawning(g, params, 17, options, -1.0, threads);
+    TeaPlusEstimator pooled(g, params, 17, options, -1.0, threads, &pool);
     const SparseVector expected = spawning.Estimate(9);
     const SparseVector got = pooled.Estimate(9);
     ExpectSameVector(got, expected);
@@ -222,23 +241,25 @@ TEST(WorkspaceTest, PoolBackedMonteCarloMatchesSpawnPerCall) {
   const ApproxParams params = TestParams(1e-3);
   ThreadPool pool(4);
   for (uint32_t threads : {1u, 2u, 4u}) {
-    ParallelMonteCarloEstimator spawning(g, params, 23, threads);
-    ParallelMonteCarloEstimator pooled(g, params, 23, threads, &pool);
+    MonteCarloEstimator spawning(g, params, 23, -1.0, WalkKernelOptions(),
+                                 threads);
+    MonteCarloEstimator pooled(g, params, 23, -1.0, WalkKernelOptions(),
+                               threads, &pool);
     ExpectSameVector(pooled.Estimate(5), spawning.Estimate(5));
   }
 }
 
 TEST(WorkspaceTest, NarrowPoolMatchesSpawnPerCallAtWiderThreadCount) {
-  // An estimator configured for 8 shards attached to a 2-thread pool must
-  // still produce the 8-shard partition (overflow shards run inline), i.e.
-  // results stay a function of (seed, num_threads) alone.
+  // An estimator configured for 8 shards attached to a 2-thread pool runs
+  // the overflow shards inline and still matches spawn-per-call: results
+  // are a function of the seed alone.
   Graph g = PowerlawCluster(400, 3, 0.3, 11);
   const ApproxParams params = TestParams(1e-5);
   TeaPlusOptions options;
   options.c = 1.0;
   ThreadPool pool(2);
-  ParallelTeaPlusEstimator spawning(g, params, 17, 8, options);
-  ParallelTeaPlusEstimator pooled(g, params, 17, 8, options, &pool);
+  TeaPlusEstimator spawning(g, params, 17, options, -1.0, 8);
+  TeaPlusEstimator pooled(g, params, 17, options, -1.0, 8, &pool);
   ExpectSameVector(pooled.Estimate(9), spawning.Estimate(9));
 }
 
@@ -250,10 +271,11 @@ TEST(WorkspaceTest, DeterministicAcrossRunsAndPoolReuse) {
   const ApproxParams params = TestParams(1e-4);
   ThreadPool fresh_pool(3);
   ThreadPool used_pool(3);
-  ParallelMonteCarloEstimator warm(g, params, 99, 3, &used_pool);
+  MonteCarloEstimator warm(g, params, 99, -1.0, WalkKernelOptions(), 3,
+                           &used_pool);
   warm.Estimate(1);  // dirty the pool with unrelated work
-  ParallelTeaPlusEstimator a(g, params, 31, 3, TeaPlusOptions(), &fresh_pool);
-  ParallelTeaPlusEstimator b(g, params, 31, 3, TeaPlusOptions(), &used_pool);
+  TeaPlusEstimator a(g, params, 31, TeaPlusOptions(), -1.0, 3, &fresh_pool);
+  TeaPlusEstimator b(g, params, 31, TeaPlusOptions(), -1.0, 3, &used_pool);
   ExpectSameVector(b.Estimate(7), a.Estimate(7));
 }
 
@@ -282,14 +304,14 @@ TEST(WorkspaceTest, SequentialTeaPlusSteadyStateIsAllocationFree) {
 
 TEST(WorkspaceTest, PoolBackedTeaPlusSteadyStateIsAllocationFree) {
   // On a complete graph every walk endpoint is one of n nodes, so the
-  // per-thread count buffers saturate during warm-up and the epoch-advanced
-  // randomness of later queries cannot grow them.
+  // result buffer saturates during warm-up and the epoch-advanced
+  // randomness of later queries cannot grow it.
   Graph g = testing::MakeComplete(16);
   const ApproxParams params = TestParams(1e-3);
   TeaPlusOptions options;
   options.c = 1.0;
   ThreadPool pool(4);
-  ParallelTeaPlusEstimator estimator(g, params, 41, 4, options, &pool);
+  TeaPlusEstimator estimator(g, params, 41, options, -1.0, 4, &pool);
   QueryWorkspace ws;
 
   EstimatorStats stats;
@@ -304,7 +326,8 @@ TEST(WorkspaceTest, PoolBackedMonteCarloSteadyStateIsAllocationFree) {
   Graph g = testing::MakeComplete(16);
   const ApproxParams params = TestParams(1e-3);
   ThreadPool pool(4);
-  ParallelMonteCarloEstimator estimator(g, params, 43, 4, &pool);
+  MonteCarloEstimator estimator(g, params, 43, -1.0, WalkKernelOptions(), 4,
+                                &pool);
   QueryWorkspace ws;
 
   for (int i = 0; i < 3; ++i) estimator.EstimateInto(2, ws);
