@@ -4,7 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/flat_map.h"
 #include "common/logging.h"
 
 namespace hkpr {
@@ -49,14 +48,19 @@ const SparseVector& HkRelaxEstimator::EstimateInto(NodeId seed,
   const double exp_neg_t = std::exp(-options_.t);
 
   // Per-level residuals of the Taylor blocks live in the workspace's residue
-  // table (hop k = Taylor level k; the hop sums are not maintained);
-  // ws.result accumulates the unscaled solution (scaled by e^{-t} at the
-  // end). The push queue is FIFO over ws.starts with a moving head — the
-  // vector only grows within a query, so steady-state queries reuse its
-  // capacity instead of allocating a deque.
+  // table (hop k = Taylor level k); ws.result accumulates the unscaled
+  // solution (scaled by e^{-t} at the end). The push queue is FIFO over
+  // ws.starts with a moving head, holding (position in the level's entry
+  // array, level) — the vector only grows within a query, so steady-state
+  // queries reuse its capacity instead of allocating a deque. Levels enter
+  // the queue in nondecreasing order, so once the head reaches level j no
+  // more residual can arrive there: level j is sealed and the frontier moves
+  // on to level j+1.
   ws.PrepareQuery(n_trunc);
+  ResidueTable& residues = ws.residues;
+  const size_t n = graph_.NumNodes();
   SparseVector& x = ws.result;
-  std::vector<std::pair<NodeId, uint32_t>>& queue = ws.starts;
+  std::vector<std::pair<uint32_t, uint32_t>>& queue = ws.starts;
   size_t queue_head = 0;
 
   // Push threshold for an entry (v, j): r >= e^t * eps * d(v) / (2 N psis_j).
@@ -65,19 +69,22 @@ const SparseVector& HkRelaxEstimator::EstimateInto(NodeId seed,
            (2.0 * static_cast<double>(n_trunc) * psis_[j]);
   };
 
-  ws.residues.MutableHop(0)[seed] = 1.0;
+  residues.OpenFrontier(0, n);
+  residues.AddToFrontier(seed, 1.0);
   if (1.0 >= threshold(std::max(graph_.Degree(seed), 1u), 0)) {
-    queue.emplace_back(seed, 0u);
+    queue.emplace_back(0u, 0u);
   }
+  uint32_t frontier_level = 1;
+  residues.OpenFrontier(frontier_level, n);
 
   uint64_t push_ops = 0;
   uint64_t entries = 0;
   while (queue_head < queue.size()) {
-    const auto [v, j] = queue[queue_head++];
-    double& rv = ws.residues.MutableHop(j)[v];
-    const double mass_v = rv;
+    const auto [pos, j] = queue[queue_head++];
+    if (j == frontier_level) residues.OpenFrontier(++frontier_level, n);
+    const auto [v, mass_v] = residues.Hop(j)[pos];
     if (mass_v <= 0.0) continue;  // already consumed by a re-queue
-    rv = 0.0;
+    residues.ZeroEntry(j, pos);
     x.Add(v, mass_v);
     ++entries;
     const uint32_t d = graph_.Degree(v);
@@ -85,23 +92,26 @@ const SparseVector& HkRelaxEstimator::EstimateInto(NodeId seed,
     push_ops += d;
 
     if (j == n_trunc) continue;  // deepest level: mass retired into x
+    if (j + 1 == n_trunc) {
+      // Final level: residual would never be pushed again; retire the
+      // plain random-walk share directly (reference implementation's
+      // truncation rule).
+      for (NodeId u : graph_.Neighbors(v)) {
+        x.Add(u, mass_v / static_cast<double>(d));
+      }
+      continue;
+    }
     const double mass =
         mass_v * options_.t / (static_cast<double>(j + 1) * d);
-    for (NodeId u : graph_.Neighbors(v)) {
-      if (j + 1 == n_trunc) {
-        // Final level: residual would never be pushed again; retire the
-        // plain random-walk share directly (reference implementation's
-        // truncation rule).
-        x.Add(u, mass_v / static_cast<double>(d));
-        continue;
-      }
-      double& ru = ws.residues.MutableHop(j + 1)[u];
-      const double before = ru;
-      ru = before + mass;
-      const double th = threshold(graph_.Degree(u), j + 1);
-      if (before < th && ru >= th) queue.emplace_back(u, j + 1);
-    }
+    residues.SpreadToFrontier(
+        graph_.Neighbors(v), mass, [&](NodeId u, double before, double ru) {
+          const double th = threshold(graph_.Degree(u), j + 1);
+          if (before < th && ru >= th) {
+            queue.emplace_back(residues.FrontierPosition(u), j + 1);
+          }
+        });
   }
+  residues.SealFrontier();
 
   // Scale to the heat kernel: rho = e^{-t} * x, in place.
   x.Scale(exp_neg_t);
@@ -109,7 +119,7 @@ const SparseVector& HkRelaxEstimator::EstimateInto(NodeId seed,
   if (stats != nullptr) {
     stats->push_operations = push_ops;
     stats->entries_processed = entries;
-    stats->peak_bytes = ws.residues.MemoryBytes() + x.MemoryBytes() +
+    stats->peak_bytes = residues.MemoryBytes() + x.MemoryBytes() +
                         queue.capacity() * sizeof(queue[0]);
   }
   return x;

@@ -1,10 +1,13 @@
 // Open-addressing hash containers keyed by 32-bit node ids.
 //
-// The push phase of every HKPR algorithm maintains sparse node->value maps
-// (reserves, per-hop residues) whose keys are dense small integers. These
-// containers use linear probing over a power-of-two table with a strong
-// multiplicative hash, no tombstones (the algorithms never erase single
-// keys), and contiguous storage for cache-friendly iteration over entries.
+// The HKPR estimators keep their reserve/result vectors (SparseVector), and
+// the PPR and local-clustering baselines their sparse node->value state, in
+// these maps; keys are dense small integers. (Per-hop residues are not
+// here: they live in hkpr/residue.h's entry arrays and dense push frontier.)
+// These containers use linear probing over a power-of-two table with a
+// strong multiplicative hash, no tombstones (the algorithms never erase
+// single keys), and contiguous storage for cache-friendly iteration over
+// entries.
 //
 // They deliberately support only the operations the algorithms need:
 // insert-or-accumulate, lookup, iteration, clear.
@@ -80,10 +83,6 @@ class FlatMap {
     size_t idx = FindSlot(key);
     if (slots_[idx] == kEmpty) return nullptr;
     return &entries_[slots_[idx]].value;
-  }
-
-  T* Find(uint32_t key) {
-    return const_cast<T*>(static_cast<const FlatMap*>(this)->Find(key));
   }
 
   /// Returns the value for `key` or `fallback` if absent.

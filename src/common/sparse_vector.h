@@ -1,4 +1,4 @@
-// Sparse node->double vector used for HKPR estimates and residues.
+// Sparse node->double vector used for HKPR estimates and push reserves.
 
 #ifndef HKPR_COMMON_SPARSE_VECTOR_H_
 #define HKPR_COMMON_SPARSE_VECTOR_H_

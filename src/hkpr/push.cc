@@ -13,18 +13,18 @@ PushCounters HkPushInto(const Graph& graph, const HeatKernel& kernel,
   HKPR_CHECK(seed < graph.NumNodes());
   HKPR_CHECK(r_max > 0.0);
   const uint32_t max_hop = kernel.MaxHop();
+  const size_t n = graph.NumNodes();
+  ResidueTable& residues = ws.residues;
   ws.PrepareQuery(max_hop);
-  ws.residues.Add(0, seed, 1.0);
+  residues.OpenFrontier(0, n);
+  residues.AddToFrontier(seed, 1.0);
   PushCounters out;
 
-  // Hop-ordered drain: residues only flow k -> k+1, so after hop k is
-  // processed nothing ever re-enters it.
+  // Hop-ordered drain: residues only flow k -> k+1, so hop k is sealed and
+  // final once the frontier moves on to hop k+1.
   for (uint32_t k = 0; k < max_hop; ++k) {
-    auto& hop = ws.residues.MutableHop(k);
-    // Entries appended during this hop's processing belong to hop k+1, so
-    // iterating by index over the growing entry array is safe; hop k's entry
-    // array itself does not grow while we process it.
-    const auto& entries = hop.entries();
+    residues.OpenFrontier(k + 1, n);
+    const std::vector<ResidueTable::Entry>& entries = residues.Hop(k);
     for (size_t i = 0; i < entries.size(); ++i) {
       const NodeId v = entries[i].key;
       const double r = entries[i].value;
@@ -33,28 +33,27 @@ PushCounters HkPushInto(const Graph& graph, const HeatKernel& kernel,
       const double reserve_frac = kernel.ReserveFraction(k);
       ws.result.Add(v, reserve_frac * r);
       const double share = (1.0 - reserve_frac) * r / d;
-      for (NodeId u : graph.Neighbors(v)) {
-        ws.residues.Add(k + 1, u, share);
-      }
-      ws.residues.Zero(k, v);
+      residues.SpreadToFrontier(graph.Neighbors(v), share,
+                                [](NodeId, double, double) {});
+      residues.ZeroEntry(k, i);
       out.push_operations += d;
       ++out.entries_processed;
     }
   }
+  residues.SealFrontier();
   return out;
 }
 
-PushCounters HkPushPlusInto(const Graph& graph, const HeatKernel& kernel,
-                            NodeId seed, const HkPushPlusOptions& options,
-                            QueryWorkspace& ws) {
-  HKPR_CHECK(seed < graph.NumNodes());
-  HKPR_CHECK(options.eps_r > 0.0 && options.delta > 0.0);
-  HKPR_CHECK(options.hop_cap >= 1);
-  const uint32_t cap = std::min(options.hop_cap, kernel.MaxHop());
-  ws.PrepareQuery(cap);
-  ws.residues.Add(0, seed, 1.0);
-  PushCounters out;
+namespace {
 
+/// HK-Push+'s drain. Leaves the frontier open at whichever hop receives
+/// residue when it stops; HkPushPlusInto seals it.
+PushCounters DrainPlus(const Graph& graph, const HeatKernel& kernel,
+                       NodeId seed, uint32_t cap,
+                       const HkPushPlusOptions& options, QueryWorkspace& ws) {
+  ResidueTable& residues = ws.residues;
+  PushCounters out;
+  const size_t n = graph.NumNodes();
   const double eps_a = options.eps_r * options.delta;
   const double threshold = eps_a / static_cast<double>(cap);
 
@@ -70,8 +69,8 @@ PushCounters HkPushPlusInto(const Graph& graph, const HeatKernel& kernel,
   double bound_total = norm_bound[0];
 
   for (uint32_t k = 0; k < cap; ++k) {
-    auto& hop = ws.residues.MutableHop(k);
-    const auto& entries = hop.entries();
+    residues.OpenFrontier(k + 1, n);
+    const std::vector<ResidueTable::Entry>& entries = residues.Hop(k);
     const double reserve_frac = kernel.ReserveFraction(k);
     for (size_t i = 0; i < entries.size(); ++i) {
       const NodeId v = entries[i].key;
@@ -84,15 +83,17 @@ PushCounters HkPushPlusInto(const Graph& graph, const HeatKernel& kernel,
       }
       ws.result.Add(v, reserve_frac * r);
       const double share = (1.0 - reserve_frac) * r / d;
-      for (NodeId u : graph.Neighbors(v)) {
-        const double new_r = ws.residues.Add(k + 1, u, share);
-        const double norm = new_r / graph.Degree(u);
-        if (norm > norm_bound[k + 1]) {
-          bound_total += norm - norm_bound[k + 1];
-          norm_bound[k + 1] = norm;
-        }
-      }
-      ws.residues.Zero(k, v);
+      double bound = norm_bound[k + 1];
+      residues.SpreadToFrontier(
+          graph.Neighbors(v), share, [&](NodeId u, double, double new_r) {
+            const double norm = new_r / graph.Degree(u);
+            if (norm > bound) {
+              bound_total += norm - bound;
+              bound = norm;
+            }
+          });
+      norm_bound[k + 1] = bound;
+      residues.ZeroEntry(k, i);
       out.push_operations += d;
       ++out.entries_processed;
 
@@ -111,6 +112,24 @@ PushCounters HkPushPlusInto(const Graph& graph, const HeatKernel& kernel,
       return out;
     }
   }
+  return out;
+}
+
+}  // namespace
+
+PushCounters HkPushPlusInto(const Graph& graph, const HeatKernel& kernel,
+                            NodeId seed, const HkPushPlusOptions& options,
+                            QueryWorkspace& ws) {
+  HKPR_CHECK(seed < graph.NumNodes());
+  HKPR_CHECK(options.eps_r > 0.0 && options.delta > 0.0);
+  HKPR_CHECK(options.hop_cap >= 1);
+  const uint32_t cap = std::min(options.hop_cap, kernel.MaxHop());
+  ws.PrepareQuery(cap);
+  ws.residues.OpenFrontier(0, graph.NumNodes());
+  ws.residues.AddToFrontier(seed, 1.0);
+  const PushCounters out = DrainPlus(graph, kernel, seed, cap, options, ws);
+  // Every exit (full drain, early exit, budget) leaves the table sealed.
+  ws.residues.SealFrontier();
   return out;
 }
 

@@ -7,6 +7,12 @@
 // mass only moves forward in hop index, so draining hops in ascending order
 // processes each entry at most once — this is how the "while exists (v,k)
 // above threshold" loops are realized.
+//
+// While hop k drains from its entry array, the neighbor shares go into the
+// residue table's node-indexed frontier, which holds hop k+1 (see
+// hkpr/residue.h). The frontier is sealed into hop k+1's entry array when
+// the drain moves on, and at every exit (full drain, early exit, budget),
+// so the table is complete whenever a push routine returns.
 
 #ifndef HKPR_HKPR_PUSH_H_
 #define HKPR_HKPR_PUSH_H_
@@ -76,8 +82,9 @@ struct PushCounters {
 };
 
 /// Algorithm 1 into a reusable workspace: the reserve is accumulated into
-/// `ws.result` (cleared first) and the residues into `ws.residues`.
-/// Allocation-free once the workspace capacities have warmed up.
+/// `ws.result` (cleared first) and the residues into `ws.residues`, sealed
+/// on return. Allocation-free once the workspace capacities have warmed up
+/// and its frontier covers the graph's nodes.
 PushCounters HkPushInto(const Graph& graph, const HeatKernel& kernel,
                         NodeId seed, double r_max, QueryWorkspace& ws);
 

@@ -19,7 +19,7 @@ void ReduceResidues(const Graph& graph, const TeaPlusOptions& options,
                               : 1.0 / static_cast<double>(num_hops);
     if (beta_k <= 0.0) continue;
     const double cut = beta_k * eps_delta;
-    for (auto& e : residues.MutableHop(k).mutable_entries()) {
+    for (auto& e : residues.MutableHop(k)) {
       if (e.value <= 0.0) continue;
       const double reduced = e.value - cut * graph.Degree(e.key);
       e.value = reduced > 0.0 ? reduced : 0.0;

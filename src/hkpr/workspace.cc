@@ -9,7 +9,7 @@ size_t QueryWorkspace::CollectWalkStarts() {
   starts.reserve(nnz);
   weights.reserve(nnz);
   for (uint32_t k = 0; k <= residues.max_hop(); ++k) {
-    for (const auto& e : residues.Hop(k).entries()) {
+    for (const auto& e : residues.Hop(k)) {
       if (e.value > 0.0) {
         starts.emplace_back(e.key, k);
         weights.push_back(e.value);

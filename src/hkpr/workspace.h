@@ -1,13 +1,16 @@
 // Reusable per-query scratch state for the HKPR estimators.
 //
 // Every Estimate() call needs the same family of buffers: a reserve/result
-// vector, a multi-hop residue table, the HK-Push+ bound array, flattened
-// walk-start arrays with their alias table, and the per-walk end-node
-// buffer. Allocating these from scratch per query is the dominant fixed
-// cost of small queries; a QueryWorkspace owns all of them and is reset —
-// never reallocated — between queries, so a steady-state query stream
-// performs zero heap allocations (verified by the workspace tests with the
-// AllocCounters hook in common/mem_tracker.h).
+// vector, a multi-hop residue table with its node-indexed push frontier,
+// the HK-Push+ bound array, flattened walk-start arrays with their alias
+// table, and the per-walk end-node buffer. Allocating these afresh
+// per query is the dominant fixed cost of small queries; a QueryWorkspace
+// owns all of them and is reset — never reallocated — between queries, so
+// a steady-state query stream performs zero heap allocations (verified by
+// the workspace tests with the AllocCounters hook in common/mem_tracker.h).
+// The frontier is sized to the node count of the largest graph the
+// workspace has served, so one workspace can move between graphs; it only
+// allocates when a larger graph arrives.
 //
 // A workspace is not thread-safe; the intended pattern is one workspace per
 // serving thread (see BatchQueryEngine in hkpr/queries.h). A sharded walk
@@ -39,14 +42,17 @@ class QueryWorkspace {
   /// to it — valid until the next query on this workspace.
   SparseVector result;
 
-  /// Residue table for the push phase; Reset() between queries.
+  /// Residue table for the push phase, including the node-indexed frontier
+  /// (12 bytes per node); Reset() between queries. Sealed whenever a push
+  /// routine returns.
   ResidueTable residues{0};
 
   /// HK-Push+ per-hop normalized-residue upper bounds.
   std::vector<double> norm_bound;
 
   /// Flattened positive residue entries (node, hop) and their weights, the
-  /// alias sampler's input.
+  /// alias sampler's input. hk-relax reuses `starts` as its FIFO queue of
+  /// (entry position, Taylor level).
   std::vector<std::pair<NodeId, uint32_t>> starts;
   std::vector<double> weights;
 

@@ -135,7 +135,7 @@ TEST(PushEdgeTest, IsolatedSeedKeepsUnitResidue) {
   PushResult push = HkPush(g, kernel, 2, 0.001);
   // Degree 0: nothing can be pushed; the mass stays as hop-0 residue.
   EXPECT_EQ(push.entries_processed, 0u);
-  EXPECT_DOUBLE_EQ(push.residues.Get(0, 2), 1.0);
+  EXPECT_DOUBLE_EQ(testing::ResidueAt(push.residues, 0, 2), 1.0);
 }
 
 TEST(TeaEdgeTest, HugeRmaxDegeneratesToMonteCarlo) {

@@ -33,8 +33,10 @@ TEST(PaperExampleTest, Table4FirstPushRound) {
 
   const double e3 = std::exp(kT);
   EXPECT_NEAR(push.reserve.Get(0), 1.0 / e3, 1e-12);
-  EXPECT_NEAR(push.residues.Get(1, 1), (e3 - 1.0) / (2.0 * e3), 1e-12);
-  EXPECT_NEAR(push.residues.Get(1, 2), (e3 - 1.0) / (2.0 * e3), 1e-12);
+  EXPECT_NEAR(testing::ResidueAt(push.residues, 1, 1),
+              (e3 - 1.0) / (2.0 * e3), 1e-12);
+  EXPECT_NEAR(testing::ResidueAt(push.residues, 1, 2),
+              (e3 - 1.0) / (2.0 * e3), 1e-12);
   // Nothing else has moved yet.
   EXPECT_EQ(push.reserve.nnz(), 1u);
   EXPECT_NEAR(push.residues.HopSum(0), 0.0, 1e-15);
@@ -62,7 +64,7 @@ TEST(PaperExampleTest, SecondRoundSpreadsOverNeighbors) {
   for (NodeId v = 0; v < g.NumNodes(); ++v) {
     double held = push.reserve.Get(v);
     for (uint32_t k = 0; k <= push.residues.max_hop(); ++k) {
-      held += push.residues.Get(k, v);
+      held += testing::ResidueAt(push.residues, k, v);
     }
     EXPECT_GT(held, 0.0) << "node " << v;
   }

@@ -24,7 +24,7 @@ double Lemma1Deviation(const Graph& g, const HeatKernel& kernel, NodeId seed,
     reconstructed[v] = push.reserve.Get(v);
   }
   for (uint32_t k = 0; k <= push.residues.max_hop(); ++k) {
-    for (const auto& e : push.residues.Hop(k).entries()) {
+    for (const auto& e : push.residues.Hop(k)) {
       if (e.value <= 0.0) continue;
       const std::vector<double> h = testing::ExactH(g, kernel, e.key, k);
       for (NodeId v = 0; v < g.NumNodes(); ++v) {
@@ -91,7 +91,7 @@ TEST(HkPushTest, ResiduesRespectThreshold) {
   PushResult push = HkPush(g, kernel, 5, r_max);
   // Below the final hop, every remaining residue obeys r <= r_max * d(v).
   for (uint32_t k = 0; k < kernel.MaxHop(); ++k) {
-    for (const auto& e : push.residues.Hop(k).entries()) {
+    for (const auto& e : push.residues.Hop(k)) {
       EXPECT_LE(e.value, r_max * g.Degree(e.key) + 1e-12)
           << "hop " << k << " node " << e.key;
     }
@@ -200,22 +200,30 @@ TEST(HkPushPlusTest, MassConservation) {
 
 TEST(ResidueTableTest, SumsMaintained) {
   ResidueTable table(3);
-  table.Add(0, 5, 0.5);
-  table.Add(0, 6, 0.25);
-  table.Add(2, 5, 0.1);
+  table.OpenFrontier(0, 8);
+  table.AddToFrontier(5, 0.5);
+  table.AddToFrontier(6, 0.25);
+  table.OpenFrontier(2, 8);  // seals hop 0; hop 1 stays empty
+  table.AddToFrontier(5, 0.1);
+  table.SealFrontier();
   EXPECT_DOUBLE_EQ(table.HopSum(0), 0.75);
+  EXPECT_DOUBLE_EQ(table.HopSum(1), 0.0);
   EXPECT_DOUBLE_EQ(table.HopSum(2), 0.1);
   EXPECT_DOUBLE_EQ(table.TotalSum(), 0.85);
-  table.Zero(0, 5);
+  ASSERT_EQ(table.Hop(0)[0].key, 5u);
+  table.ZeroEntry(0, 0);
   EXPECT_DOUBLE_EQ(table.HopSum(0), 0.25);
-  EXPECT_DOUBLE_EQ(table.Get(0, 5), 0.0);
+  EXPECT_DOUBLE_EQ(testing::ResidueAt(table, 0, 5), 0.0);
 }
 
 TEST(ResidueTableTest, RecomputeAfterDirectMutation) {
   ResidueTable table(1);
-  table.Add(0, 1, 0.6);
-  table.Add(1, 2, 0.4);
-  for (auto& e : table.MutableHop(0).mutable_entries()) e.value *= 0.5;
+  table.OpenFrontier(0, 3);
+  table.AddToFrontier(1, 0.6);
+  table.OpenFrontier(1, 3);
+  table.AddToFrontier(2, 0.4);
+  table.SealFrontier();
+  for (auto& e : table.MutableHop(0)) e.value *= 0.5;
   table.RecomputeSums();
   EXPECT_DOUBLE_EQ(table.HopSum(0), 0.3);
   EXPECT_DOUBLE_EQ(table.TotalSum(), 0.7);
@@ -224,19 +232,93 @@ TEST(ResidueTableTest, RecomputeAfterDirectMutation) {
 TEST(ResidueTableTest, MaxNormalizedResidueSum) {
   Graph g = testing::MakeStar(4);  // d(0)=3, d(1..3)=1
   ResidueTable table(1);
-  table.Add(0, 0, 0.9);  // 0.9/3 = 0.3
-  table.Add(1, 1, 0.2);  // 0.2/1 = 0.2
-  table.Add(1, 2, 0.1);  // 0.1
+  table.OpenFrontier(0, g.NumNodes());
+  table.AddToFrontier(0, 0.9);  // 0.9/3 = 0.3
+  table.OpenFrontier(1, g.NumNodes());
+  table.AddToFrontier(1, 0.2);  // 0.2/1 = 0.2
+  table.AddToFrontier(2, 0.1);  // 0.1
+  table.SealFrontier();
   EXPECT_DOUBLE_EQ(table.MaxNormalizedResidueSum(g), 0.3 + 0.2);
 }
 
 TEST(ResidueTableTest, NonZeroCountSkipsZeroedEntries) {
   ResidueTable table(0);
-  table.Add(0, 1, 0.5);
-  table.Add(0, 2, 0.5);
-  table.Zero(0, 1);
+  table.OpenFrontier(0, 3);
+  table.AddToFrontier(1, 0.5);
+  table.AddToFrontier(2, 0.5);
+  table.SealFrontier();
+  table.ZeroEntry(0, 0);
   EXPECT_EQ(table.TotalNonZeros(), 1u);
   EXPECT_EQ(table.TotalEntries(), 2u);
+}
+
+TEST(ResidueTableTest, SealKeepsFirstTouchOrderAndAccumulatedValues) {
+  ResidueTable table(1);
+  table.OpenFrontier(1, 10);
+  const double first = table.AddToFrontier(7, 0.25);
+  table.AddToFrontier(2, 0.5);
+  const double again = table.AddToFrontier(7, 0.125);
+  table.AddToFrontier(9, 1.0);
+  EXPECT_EQ(first, 0.25);
+  EXPECT_EQ(again, 0.375);
+  EXPECT_EQ(table.FrontierPosition(7), 0u);
+  EXPECT_EQ(table.FrontierPosition(2), 1u);
+  EXPECT_EQ(table.FrontierPosition(9), 2u);
+  table.SealFrontier();
+
+  const std::vector<ResidueTable::Entry>& hop = table.Hop(1);
+  ASSERT_EQ(hop.size(), 3u);
+  EXPECT_EQ(hop[0].key, 7u);
+  EXPECT_EQ(hop[0].value, 0.375);
+  EXPECT_EQ(hop[1].key, 2u);
+  EXPECT_EQ(hop[1].value, 0.5);
+  EXPECT_EQ(hop[2].key, 9u);
+  EXPECT_EQ(hop[2].value, 1.0);
+  EXPECT_EQ(table.HopSum(1), 0.25 + 0.5 + 0.125 + 1.0);
+  EXPECT_TRUE(table.Hop(0).empty());
+
+  // Sealing is idempotent and leaves the entries alone.
+  table.SealFrontier();
+  EXPECT_EQ(table.Hop(1).size(), 3u);
+  EXPECT_EQ(table.Hop(1)[0].value, 0.375);
+}
+
+TEST(ResidueTableTest, ResetAfterEarlyExitLeavesNoFrontierState) {
+  // An early exit leaves residue at a hop past the last drained one. The
+  // next query on the same table must see an all-zero, untouched frontier:
+  // first touches are recorded afresh and no value carries over.
+  Graph g = testing::MakeBarbell(8);
+  HeatKernel kernel(5.0);
+  HkPushPlusOptions options;
+  options.eps_r = 0.5;
+  options.delta = 0.01;  // loose: early exit fires
+  options.hop_cap = 20;
+  QueryWorkspace ws;
+  const PushCounters push = HkPushPlusInto(g, kernel, 0, options, ws);
+  ASSERT_TRUE(push.hit_absolute_target);
+  ASSERT_GT(ws.residues.TotalEntries(), 1u);
+
+  ws.residues.Reset(2);
+  EXPECT_EQ(ws.residues.TotalEntries(), 0u);
+  EXPECT_EQ(ws.residues.TotalSum(), 0.0);
+  for (NodeId v = 0; v < g.NumNodes(); ++v) {
+    ws.residues.OpenFrontier(1, g.NumNodes());
+    EXPECT_EQ(ws.residues.AddToFrontier(v, 0.5), 0.5) << "node " << v;
+    EXPECT_EQ(ws.residues.FrontierPosition(v), 0u) << "node " << v;
+    ws.residues.SealFrontier();
+    ASSERT_EQ(ws.residues.Hop(1).size(), 1u);
+    ws.residues.Reset(2);
+  }
+
+  // A Reset with the frontier still open clears it too.
+  ws.residues.OpenFrontier(0, g.NumNodes());
+  ws.residues.AddToFrontier(3, 1.0);
+  ws.residues.Reset(0);
+  ws.residues.OpenFrontier(0, g.NumNodes());
+  EXPECT_EQ(ws.residues.AddToFrontier(3, 0.25), 0.25);
+  EXPECT_EQ(ws.residues.FrontierPosition(3), 0u);
+  ws.residues.SealFrontier();
+  EXPECT_EQ(ws.residues.HopSum(0), 0.25);
 }
 
 }  // namespace

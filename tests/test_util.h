@@ -3,12 +3,17 @@
 #ifndef HKPR_TESTS_TEST_UTIL_H_
 #define HKPR_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
+#include <bit>
 #include <cstdint>
 #include <vector>
 
+#include "common/sparse_vector.h"
 #include "graph/graph.h"
 #include "graph/graph_builder.h"
 #include "hkpr/heat_kernel.h"
+#include "hkpr/residue.h"
 
 namespace hkpr::testing {
 
@@ -122,6 +127,30 @@ inline std::vector<double> ExactH(const Graph& g, const HeatKernel& kernel,
     x.swap(next);
   }
   return acc;
+}
+
+/// Same entries in the same order with the same value bits, and the same
+/// degree offset.
+inline void ExpectBitIdentical(const SparseVector& got,
+                               const SparseVector& want) {
+  ASSERT_EQ(got.nnz(), want.nnz());
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.degree_offset()),
+            std::bit_cast<uint64_t>(want.degree_offset()));
+  for (size_t i = 0; i < want.entries().size(); ++i) {
+    ASSERT_EQ(got.entries()[i].key, want.entries()[i].key) << "entry " << i;
+    ASSERT_EQ(std::bit_cast<uint64_t>(got.entries()[i].value),
+              std::bit_cast<uint64_t>(want.entries()[i].value))
+        << "entry " << i << " node " << want.entries()[i].key;
+  }
+}
+
+/// r_k[v] of a sealed residue table (0 when hop k has no entry for v).
+/// A linear scan of the hop's entries, for assertions only.
+inline double ResidueAt(const ResidueTable& table, uint32_t k, NodeId v) {
+  for (const ResidueTable::Entry& e : table.Hop(k)) {
+    if (e.key == v) return e.value;
+  }
+  return 0.0;
 }
 
 }  // namespace hkpr::testing

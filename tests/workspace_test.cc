@@ -8,14 +8,18 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "baselines/hk_relax.h"
 #include "common/mem_tracker.h"
 #include "graph/generators.h"
 #include "hkpr/monte_carlo.h"
+#include "hkpr/push.h"
 #include "hkpr/push_estimator.h"
 #include "hkpr/queries.h"
 #include "hkpr/tea.h"
@@ -353,6 +357,111 @@ TEST(WorkspaceTest, HkRelaxSteadyStateIsAllocationFree) {
       AllocationsDuring([&] { estimator.EstimateInto(21, ws, &stats); });
   EXPECT_GT(stats.push_operations, 0u);
   EXPECT_EQ(allocs, 0u);
+}
+
+TEST(WorkspaceTest, ReuseAcrossGraphSizesAndExitPathsMatchesFreshWorkspaces) {
+  // One workspace serves tea+, tea, push and hk-relax queries on a ~2k-node
+  // graph, then on a graph with several times more nodes (the push frontier
+  // must grow), then on the small graph again (the oversized frontier must
+  // hold no stale residue). Every answer must equal a fresh workspace's bit
+  // for bit. A budget-exited push is followed by a full drain on the same
+  // workspace.
+  const Graph small = PowerlawCluster(2000, 4, 0.3, 21);
+  const Graph large = PowerlawCluster(9000, 4, 0.3, 22);
+  const ApproxParams params = TestParams(1e-4);
+  QueryWorkspace shared;
+  int walked = 0;
+  int exited_early = 0;
+
+  const Graph* const sequence[] = {&small, &large, &small};
+  for (size_t gi = 0; gi < 3; ++gi) {
+    const Graph& g = *sequence[gi];
+    SCOPED_TRACE("graph " + std::to_string(gi) + " (" +
+                 std::to_string(g.NumNodes()) + " nodes)");
+    TeaPlusOptions walking;
+    walking.c = 1.0;  // forces the walk phase on most seeds
+    HkRelaxOptions relax;
+    relax.t = params.t;
+    relax.eps_a = 1e-4;
+    std::vector<std::pair<std::string, std::unique_ptr<WorkspaceEstimator>>>
+        estimators;
+    estimators.emplace_back("tea+",
+                            std::make_unique<TeaPlusEstimator>(g, params, 7));
+    estimators.emplace_back(
+        "tea+ c=1",
+        std::make_unique<TeaPlusEstimator>(g, params, 7, walking));
+    estimators.emplace_back("tea",
+                            std::make_unique<TeaEstimator>(g, params, 7));
+    estimators.emplace_back("push",
+                            std::make_unique<PushOnlyEstimator>(g, params));
+    estimators.emplace_back("hk-relax",
+                            std::make_unique<HkRelaxEstimator>(g, relax));
+
+    for (NodeId seed : {NodeId{3}, NodeId{g.NumNodes() - 1}}) {
+      for (auto& [name, estimator] : estimators) {
+        SCOPED_TRACE(name + " seed " + std::to_string(seed));
+        QueryWorkspace fresh;
+        EstimatorStats want_stats;
+        estimator->Reseed(7);
+        const SparseVector& want =
+            estimator->EstimateInto(seed, fresh, &want_stats);
+        EstimatorStats got_stats;
+        estimator->Reseed(7);
+        testing::ExpectBitIdentical(
+            estimator->EstimateInto(seed, shared, &got_stats), want);
+        EXPECT_EQ(got_stats.push_operations, want_stats.push_operations);
+        EXPECT_EQ(got_stats.num_walks, want_stats.num_walks);
+        EXPECT_EQ(got_stats.walk_steps, want_stats.walk_steps);
+        EXPECT_EQ(got_stats.early_exit, want_stats.early_exit);
+        walked += want_stats.num_walks > 0;
+        exited_early += want_stats.early_exit;
+      }
+
+      // A budget exit leaves residue spread over unfinished hops; the full
+      // drain that follows on the same workspace must not see any of it.
+      HeatKernel kernel(params.t);
+      HkPushPlusOptions budgeted;
+      budgeted.delta = 1e-6;
+      budgeted.hop_cap = 8;
+      budgeted.push_budget = 500;
+      HkPushPlusOptions draining = budgeted;
+      draining.push_budget = UINT64_MAX;
+      draining.enable_early_exit = false;
+      for (const HkPushPlusOptions& options : {budgeted, draining}) {
+        SCOPED_TRACE("raw push, budget " +
+                     std::to_string(options.push_budget));
+        QueryWorkspace fresh;
+        const PushCounters want =
+            HkPushPlusInto(g, kernel, seed, options, fresh);
+        const PushCounters got =
+            HkPushPlusInto(g, kernel, seed, options, shared);
+        EXPECT_EQ(got.hit_budget, options.push_budget == 500);
+        EXPECT_EQ(got.hit_budget, want.hit_budget);
+        EXPECT_EQ(got.push_operations, want.push_operations);
+        testing::ExpectBitIdentical(shared.result, fresh.result);
+        ASSERT_EQ(shared.residues.max_hop(), fresh.residues.max_hop());
+        for (uint32_t k = 0; k <= fresh.residues.max_hop(); ++k) {
+          const auto& got_hop = shared.residues.Hop(k);
+          const auto& want_hop = fresh.residues.Hop(k);
+          ASSERT_EQ(got_hop.size(), want_hop.size()) << "hop " << k;
+          for (size_t i = 0; i < want_hop.size(); ++i) {
+            ASSERT_EQ(got_hop[i].key, want_hop[i].key);
+            ASSERT_EQ(std::bit_cast<uint64_t>(got_hop[i].value),
+                      std::bit_cast<uint64_t>(want_hop[i].value));
+          }
+          EXPECT_EQ(std::bit_cast<uint64_t>(shared.residues.HopSum(k)),
+                    std::bit_cast<uint64_t>(fresh.residues.HopSum(k)));
+        }
+      }
+    }
+    // The frontier is sized to the largest graph served so far.
+    EXPECT_GE(shared.MemoryBytes(), 12 * static_cast<size_t>(
+                                             gi == 0 ? small.NumNodes()
+                                                     : large.NumNodes()));
+  }
+  // Both TEA+ paths ran: the walk phase and the early exit.
+  EXPECT_GT(walked, 0);
+  EXPECT_GT(exited_early, 0);
 }
 
 TEST(BatchQueryEngineTest, BatchIsIndependentOfThreadCount) {
