@@ -17,10 +17,7 @@
 //
 // The serving backend is selectable by registry name: by default the
 // benchmark is a *router sweep* over "auto" (the adaptive per-query
-// backend router), "learned" (a LearnedRouter pre-trained offline from
-// routing events of one pinned pass per candidate backend — the bench
-// equivalent of the MultiGraphService trainer having watched live
-// traffic), TEA+, HK-Relax, and Monte-Carlo — the paper's central
+// backend router), TEA+, HK-Relax, and Monte-Carlo — the paper's central
 // comparison, now through the production query path, with the router's
 // blended plan measured against every fixed backend on the same
 // mixed-degree Zipfian workload (hot set = half hubs, half tail seeds, so
@@ -41,21 +38,22 @@
 // adds an R-MAT scaling preset to the backend sweep, so the JSON carries
 // large-graph rows (per-row "graph" field) next to the historical
 // small-graph ones; --walk-width=N sets the walk kernel's interleave
-// width for every backend in the sweep; --hedge appends a
-// hedged-vs-unhedged tail-latency comparison (cache disabled so every
-// query computes, served by the pre-trained learned router; phases
-// "hedged"/"unhedged", hedged/hedge_wins counters per row) — kept out of
-// the default smoke run because hedge computes intentionally exceed the
-// query count; --smoke shrinks the router sweep to a seconds-long CI
-// validation run (tiny query count, one thread count) that still emits
-// every row; --trace-overhead skips the sweep and instead runs alternating
-// traced/untraced reps of the smoke workload, exiting non-zero when stage
-// tracing costs >= 2% median QPS (the telemetry hot-path regression gate).
+// width for every backend in the sweep; --smoke shrinks the router sweep
+// to a seconds-long CI validation run (tiny query count, one thread count)
+// that still emits every row; --trace-overhead skips the sweep and instead
+// runs alternating traced/untraced reps of the smoke workload, exiting
+// non-zero when stage tracing costs >= 2% median QPS (the telemetry
+// hot-path regression gate). The shared --full, --seeds=N and --rng=S
+// flags are accepted too; any other argument exits 1 with the flag list.
 //
-// Every JSON row also carries per-stage mean latencies (queue_ms, cache_ms,
+// The JSON records the machine's hardware thread count at the top level.
+// Every row also carries per-stage mean latencies (queue_ms, cache_ms,
 // compute_ms, total_ms) from the service's stage-tracing counters; the
 // stages are disjoint, so their sum is <= total_ms per row (CI asserts
 // this on the smoke run).
+//
+// Regenerate the committed numbers with
+//   ./build/bench_service --json=BENCH_service.json
 
 #include <algorithm>
 #include <cstdio>
@@ -70,7 +68,6 @@
 #include "bench_common.h"
 #include "common/timer.h"
 #include "hkpr/backend.h"
-#include "hkpr/cost_model.h"
 #include "parallel/parallel_for.h"
 #include "service/multi_graph_service.h"
 
@@ -97,36 +94,19 @@ struct ServiceRow {
   double p50_ms;
   double p95_ms;
   double p99_ms;
-  // Hedge counters for this pass (zero outside --hedge rows): fired
-  // runner-up requests and how many of them beat their primary.
-  uint64_t hedged = 0;
-  uint64_t hedge_wins = 0;
-  // Exact compute-stage percentiles over the pass's routing events
-  // (--hedge rows only; zero elsewhere): the winning side's compute time
-  // per query, so a hedge win shows up as the runner-up's fast compute
-  // replacing the primary's slow one — the tail hedging exists to cut.
-  double compute_p95_ms = 0.0;
-  double compute_p99_ms = 0.0;
   // Per-stage mean latencies for this pass, from the service's exact
   // stage-total counters (after - before diffs, so the cumulative service
-  // histogram doesn't smear passes into each other). Zero when tracing is
-  // disabled. The stages are disjoint sub-intervals of each query's
-  // lifetime, so queue_ms + cache_ms + compute_ms <= total_ms per row.
+  // histogram doesn't smear passes into each other), each averaged over
+  // every completed query of the pass — cache hits contribute zero
+  // compute. Zero when tracing is disabled. The stages are disjoint
+  // sub-intervals of each query's lifetime, so queue_ms + cache_ms +
+  // compute_ms <= total_ms per row.
   double queue_ms = 0.0;
   double cache_ms = 0.0;
   double compute_ms = 0.0;
   double total_ms = 0.0;
   double qps() const { return queries / (seconds + 1e-12); }
 };
-
-/// Mean over the pass window [before, after] of one stage, in ms.
-double StageMeanMs(const StageLatencySnapshot& after,
-                   const StageLatencySnapshot& before) {
-  const uint64_t count = after.count - before.count;
-  if (count == 0) return 0.0;
-  return static_cast<double>(after.total_us - before.total_us) /
-         static_cast<double>(count) / 1000.0;
-}
 
 /// Runs one closed-loop pass: `clients` threads split `seeds` contiguously,
 /// each submitting its share one query at a time (submit -> wait -> next).
@@ -208,18 +188,20 @@ ServiceRow MakeRow(const std::string& backend, const std::string& graph,
   row.p50_ms = latencies.PercentileMs(0.50);
   row.p95_ms = latencies.PercentileMs(0.95);
   row.p99_ms = latencies.PercentileMs(0.99);
-  row.hedged = after.hedged - before.hedged;
-  row.hedge_wins = after.hedge_wins - before.hedge_wins;
-  if (after.stage_tracing) {
-    row.queue_ms = StageMeanMs(after.queue_wait, before.queue_wait);
-    row.cache_ms = StageMeanMs(after.cache_lookup, before.cache_lookup);
-    row.compute_ms = StageMeanMs(after.compute, before.compute);
-    const uint64_t traced = after.latency_count - before.latency_count;
-    if (traced > 0) {
-      row.total_ms =
-          static_cast<double>(after.traced_total_us - before.traced_total_us) /
-          static_cast<double>(traced) / 1000.0;
-    }
+  const uint64_t traced = after.latency_count - before.latency_count;
+  if (after.stage_tracing && traced > 0) {
+    // Not the compute stage's own count, which covers computed queries
+    // only: one denominator keeps the columns a decomposition of total_ms.
+    const auto mean_ms = [&](uint64_t after_us, uint64_t before_us) {
+      return static_cast<double>(after_us - before_us) /
+             static_cast<double>(traced) / 1000.0;
+    };
+    row.queue_ms =
+        mean_ms(after.queue_wait.total_us, before.queue_wait.total_us);
+    row.cache_ms =
+        mean_ms(after.cache_lookup.total_us, before.cache_lookup.total_us);
+    row.compute_ms = mean_ms(after.compute.total_us, before.compute.total_us);
+    row.total_ms = mean_ms(after.traced_total_us, before.traced_total_us);
   }
   return row;
 }
@@ -234,6 +216,8 @@ void WriteServiceJson(const std::string& path, const std::string& benchmark,
     return;
   }
   std::fprintf(f, "{\n  \"benchmark\": \"%s\",\n", benchmark.c_str());
+  std::fprintf(f, "  \"hardware_threads\": %u,\n",
+               std::thread::hardware_concurrency());
   std::fprintf(f,
                "  \"dataset\": \"%s\",\n  \"nodes\": %u,\n  \"edges\": %llu,\n",
                dataset_label.c_str(), nodes,
@@ -248,8 +232,6 @@ void WriteServiceJson(const std::string& path, const std::string& benchmark,
         "\"seconds\": %.6f, \"qps\": %.1f, \"cache_hits\": %llu, "
         "\"cache_misses\": %llu, \"coalesced\": %llu, \"computed\": %llu, "
         "\"p50_ms\": %.3f, \"p95_ms\": %.3f, \"p99_ms\": %.3f, "
-        "\"hedged\": %llu, \"hedge_wins\": %llu, "
-        "\"compute_p95_ms\": %.4f, \"compute_p99_ms\": %.4f, "
         "\"queue_ms\": %.4f, \"cache_ms\": %.4f, \"compute_ms\": %.4f, "
         "\"total_ms\": %.4f}%s\n",
         r.backend.c_str(), r.graph.c_str(), r.threads, r.phase.c_str(),
@@ -258,149 +240,11 @@ void WriteServiceJson(const std::string& path, const std::string& benchmark,
         static_cast<unsigned long long>(r.cache_misses),
         static_cast<unsigned long long>(r.coalesced),
         static_cast<unsigned long long>(r.computed), r.p50_ms, r.p95_ms,
-        r.p99_ms, static_cast<unsigned long long>(r.hedged),
-        static_cast<unsigned long long>(r.hedge_wins), r.compute_p95_ms,
-        r.compute_p99_ms, r.queue_ms, r.cache_ms, r.compute_ms, r.total_ms,
+        r.p99_ms, r.queue_ms, r.cache_ms, r.compute_ms, r.total_ms,
         i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   if (f != stdout) std::fclose(f);
-}
-
-/// Trains a LearnedRouter offline for one graph: a pinned pass per
-/// candidate backend over a slice of the workload (cache disabled so
-/// every query computes and logs), with the drained routing events fed
-/// straight into the cost model — the bench-side equivalent of the
-/// MultiGraphService trainer having watched live traffic from every
-/// backend. Exploration is off: the measurement arms should show the
-/// model's argmin choice, not epsilon noise.
-std::shared_ptr<LearnedRouter> TrainRouterOffline(
-    const Graph& graph, const ApproxParams& params, uint64_t rng_seed,
-    const std::vector<NodeId>& seeds, uint32_t priming_queries) {
-  LearnedRouterOptions router_options;
-  router_options.explore_epsilon = 0.0;
-  auto router = std::make_shared<LearnedRouter>(router_options);
-  const size_t take =
-      std::min<size_t>(seeds.size(), priming_queries);
-  for (const std::string& backend : router->options().candidates) {
-    ServiceOptions opts;
-    opts.backend.name = backend;
-    opts.backend.context.tea_plus.c = 1.0;
-    opts.backend.context.walk_kernel = g_walk_kernel;
-    opts.cache_capacity = 0;
-    opts.max_queue_depth = 1u << 20;
-    opts.num_workers = 2;
-    AsyncQueryService service(graph, params, rng_seed, opts);
-    for (size_t i = 0; i < take; ++i) {
-      const QueryResult result = service.Submit(seeds[i]).result.get();
-      if (result.status != QueryStatus::kOk) {
-        std::fprintf(stderr, "priming query failed on %s\n", backend.c_str());
-        std::abort();
-      }
-    }
-    const std::vector<RoutingEvent> events = service.DrainRoutingEvents();
-    router->Observe(events);
-  }
-  if (!router->trained()) {
-    std::fprintf(stderr,
-                 "learned router undertrained after priming (%u queries per "
-                 "backend) — learned rows will show the rule fallback\n",
-                 static_cast<uint32_t>(take));
-  }
-  return router;
-}
-
-/// The --hedge comparison: the same mixed-degree Zipfian workload served
-/// twice by the pre-trained learned router with the cache disabled (tail
-/// latency of *computes*, not hits) — once plain, once with hedged
-/// requests armed — appended as phase "unhedged" / "hedged" rows. Hedge
-/// computes intentionally exceed the query count, which is why these rows
-/// live outside the default smoke sweep CI asserts completeness on.
-void RunHedgeSweep(const BenchConfig& config, uint32_t num_queries, bool smoke,
-                   std::vector<ServiceRow>& rows) {
-  Dataset dataset = MakeDataset("twitter", config.scale, config.rng_seed);
-  ApproxParams params;
-  params.t = 5.0;
-  params.eps_r = 0.5;
-  params.delta = 20.0 * DefaultDelta(dataset.graph);
-  params.p_f = 1e-6;
-  // A distinct stream from the sweep's so the two sections don't share
-  // cache-warming history through the rng. Twice the sweep's query count:
-  // tail percentiles over log2 histogram buckets need the samples.
-  const uint32_t queries = 2 * num_queries;
-  Rng rng(config.rng_seed + 1);
-  const std::vector<NodeId> seeds =
-      MixedDegreeZipfianSeeds(dataset.graph, queries, 256, 1.0, rng);
-  std::shared_ptr<LearnedRouter> router = TrainRouterOffline(
-      dataset.graph, params, config.rng_seed, seeds, smoke ? 100u : 300u);
-
-  // One closed-loop client, two workers: the client's next query waits on
-  // the previous one, so a rescued tail shows up directly in both the
-  // percentiles and the throughput, and the spare worker is the capacity
-  // the hedge runs on (the deployment shape hedging assumes).
-  const uint32_t clients = 1;
-  std::printf("== Hedged vs unhedged tail latency (learned router, "
-              "cache off) ==\n");
-  TablePrinter table({"phase", "threads", "q/s", "p50 ms", "p99 ms",
-                      "cmp p95 ms", "cmp p99 ms", "hedged", "wins"});
-  for (const bool hedged : {false, true}) {
-    ServiceOptions opts;
-    opts.backend.name = std::string(kAutoBackend);
-    opts.backend.context.tea_plus.c = 1.0;
-    opts.backend.context.walk_kernel = g_walk_kernel;
-    opts.cache_capacity = 0;
-    opts.max_queue_depth = 1u << 20;
-    opts.num_workers = 2;
-    opts.router = router;
-    opts.hedge.enabled = hedged;
-    // Floor the trigger at 1ms: only the genuine tail hedges, so the
-    // backup computes cost a percent or two of throughput instead of
-    // racing every moderately slow query for the same cores.
-    opts.hedge.min_trigger_us = 1000;
-    // Room for every event of the pass: the compute percentiles below
-    // want the full distribution, not the ring's last 1024.
-    opts.telemetry.routing_log_capacity = 8192;
-    AsyncQueryService service(dataset.graph, params, config.rng_seed, opts);
-
-    // A short unmeasured warmup so the first arm doesn't pay allocator /
-    // page-cache warming the second arm inherits for free.
-    const std::vector<NodeId> warmup(seeds.begin(),
-                                     seeds.begin() + seeds.size() / 8);
-    LatencyHistogram scratch;
-    RunClosedLoop(service, warmup, clients, scratch);
-    (void)service.DrainRoutingEvents();
-    const ServiceStatsSnapshot before = service.Stats();
-    LatencyHistogram latencies;
-    const double seconds = RunClosedLoop(service, seeds, clients, latencies);
-    const ServiceStatsSnapshot after = service.Stats();
-    ServiceRow row = MakeRow("learned", dataset.name, clients,
-                             hedged ? "hedged" : "unhedged", queries, seconds,
-                             after, before, latencies);
-    // Exact compute percentiles from the pass's routing events: one event
-    // per completed query, stamped with the *winning* side's compute span.
-    std::vector<RoutingEvent> events = service.DrainRoutingEvents();
-    std::vector<uint64_t> compute_us;
-    compute_us.reserve(events.size());
-    for (const RoutingEvent& event : events) {
-      compute_us.push_back(event.compute_end_us - event.compute_begin_us);
-    }
-    std::sort(compute_us.begin(), compute_us.end());
-    const auto pct = [&](double q) -> double {
-      if (compute_us.empty()) return 0.0;
-      const size_t idx = std::min(
-          compute_us.size() - 1,
-          static_cast<size_t>(q * static_cast<double>(compute_us.size())));
-      return static_cast<double>(compute_us[idx]) / 1000.0;
-    };
-    row.compute_p95_ms = pct(0.95);
-    row.compute_p99_ms = pct(0.99);
-    rows.push_back(row);
-    table.AddRow({row.phase, std::to_string(clients), FmtF(row.qps(), 0),
-                  FmtF(row.p50_ms, 2), FmtF(row.p99_ms, 2),
-                  FmtF(row.compute_p95_ms, 2), FmtF(row.compute_p99_ms, 2),
-                  std::to_string(row.hedged), std::to_string(row.hedge_wins)});
-  }
-  table.Print();
 }
 
 /// The multi-graph sweep: N datasets behind one MultiGraphService, the
@@ -582,65 +426,78 @@ int RunTraceOverheadGuard(const BenchConfig& config, uint32_t num_queries) {
   return 0;
 }
 
+constexpr const char* kUsage =
+    "usage: bench_service [--json=PATH] [--queries=N] [--backend=NAME|auto]\n"
+    "                     [--graphs=N] [--graph-scale=small|medium|large]\n"
+    "                     [--walk-width=N] [--smoke] [--trace-overhead]\n"
+    "                     [--full] [--seeds=N] [--rng=S] [--help]\n";
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchConfig config = BenchConfig::FromArgs(argc, argv);
   std::string json_path;
   std::string backend_flag;
   std::string graph_scale;
   uint32_t num_graphs = 0;
   bool smoke = false;
   bool trace_overhead = false;
-  bool hedge = false;
-  uint32_t num_queries = config.full ? 4000 : 1500;
+  uint32_t num_queries = 0;
   bool queries_overridden = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json=", 7) == 0) json_path = argv[i] + 7;
-    if (std::strncmp(argv[i], "--queries=", 10) == 0) {
-      num_queries = static_cast<uint32_t>(std::atoi(argv[i] + 10));
+    const char* arg = argv[i];
+    if (std::strncmp(arg, "--json=", 7) == 0) {
+      json_path = arg + 7;
+    } else if (std::strncmp(arg, "--queries=", 10) == 0) {
+      num_queries = static_cast<uint32_t>(std::atoi(arg + 10));
       queries_overridden = true;
-    }
-    if (std::strncmp(argv[i], "--backend=", 10) == 0) {
-      backend_flag = argv[i] + 10;
-    }
-    if (std::strncmp(argv[i], "--graphs=", 9) == 0) {
-      num_graphs = static_cast<uint32_t>(std::atoi(argv[i] + 9));
-    }
-    if (std::strncmp(argv[i], "--graph-scale=", 14) == 0) {
-      graph_scale = argv[i] + 14;
-    }
-    if (std::strncmp(argv[i], "--walk-width=", 13) == 0) {
-      const int width = std::atoi(argv[i] + 13);
+    } else if (std::strncmp(arg, "--backend=", 10) == 0) {
+      backend_flag = arg + 10;
+    } else if (std::strncmp(arg, "--graphs=", 9) == 0) {
+      num_graphs = static_cast<uint32_t>(std::atoi(arg + 9));
+    } else if (std::strncmp(arg, "--graph-scale=", 14) == 0) {
+      graph_scale = arg + 14;
+    } else if (std::strncmp(arg, "--walk-width=", 13) == 0) {
+      const int width = std::atoi(arg + 13);
       if (width < 1 || width > static_cast<int>(kMaxWalkKernelWidth)) {
         std::fprintf(stderr, "--walk-width must be in [1, %u], got \"%s\"\n",
-                     kMaxWalkKernelWidth, argv[i] + 13);
+                     kMaxWalkKernelWidth, arg + 13);
         return 1;
       }
       g_walk_kernel.width = static_cast<uint32_t>(width);
+    } else if (std::strcmp(arg, "--smoke") == 0) {
+      smoke = true;
+    } else if (std::strcmp(arg, "--trace-overhead") == 0) {
+      trace_overhead = true;
+    } else if (std::strcmp(arg, "--help") == 0) {
+      std::printf("%s", kUsage);
+      return 0;
+    } else if (std::strcmp(arg, "--full") != 0 &&
+               std::strncmp(arg, "--seeds=", 8) != 0 &&
+               std::strncmp(arg, "--rng=", 6) != 0) {
+      // A typo'd or unsupported flag must not quietly run the default
+      // sweep. The shared flags are parsed by BenchConfig::FromArgs below.
+      std::fprintf(stderr, "unknown flag \"%s\"\n%s", arg, kUsage);
+      return 1;
     }
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--trace-overhead") == 0) trace_overhead = true;
-    if (std::strcmp(argv[i], "--hedge") == 0) hedge = true;
   }
-  if (smoke && !queries_overridden) num_queries = 200;
+  const BenchConfig config = BenchConfig::FromArgs(argc, argv);
+  if (!queries_overridden) {
+    num_queries = smoke ? 200 : config.full ? 4000 : 1500;
+  }
 
   if (trace_overhead) {
     std::printf("== Trace overhead guard (traced vs untraced service) ==\n");
     return RunTraceOverheadGuard(config, num_queries);
   }
 
-  // Default sweep: the rule router and the pre-trained learned router
-  // against every fixed backend of the paper's central comparison,
-  // through the serving path.
-  std::vector<std::string> backends = {"auto", "learned", "tea+", "hk-relax",
+  // Default sweep: the rule router against every fixed backend of the
+  // paper's central comparison, through the serving path.
+  std::vector<std::string> backends = {"auto", "tea+", "hk-relax",
                                        "monte-carlo"};
   if (!backend_flag.empty()) backends = {backend_flag};
   for (const std::string& name : backends) {
-    if (name != kAutoBackend && name != "learned" &&
-        !EstimatorRegistry::Global().Contains(name)) {
-      std::fprintf(stderr,
-                   "unknown backend \"%s\" (available: auto, learned, %s)\n",
+    if (name != kAutoBackend && !EstimatorRegistry::Global().Contains(name)) {
+      std::fprintf(stderr, "unknown backend \"%s\" (available: auto, %s)\n",
                    name.c_str(),
                    EstimatorRegistry::Global().JoinedNames(", ").c_str());
       return 1;
@@ -706,28 +563,12 @@ int main(int argc, char** argv) {
     const std::vector<NodeId> seeds =
         MixedDegreeZipfianSeeds(dataset.graph, queries, 256, 1.0, rng);
 
-    // The "learned" arm serves through a cold-start LearnedRouter: with
-    // no observations it falls back per-decision to the rule policy, so
-    // its rows are the guarantee that installing the learned router on a
-    // fresh service never regresses QPS vs "auto" (the cold-start-safety
-    // acceptance comparison). The *trained* model is measured in the
-    // --hedge section, where it serves a cache-off compute workload.
-    std::shared_ptr<LearnedRouter> learned;
-    if (std::find(backends.begin(), backends.end(), "learned") !=
-        backends.end()) {
-      LearnedRouterOptions router_options;
-      router_options.explore_epsilon = 0.0;
-      learned = std::make_shared<LearnedRouter>(router_options);
-    }
-
     TablePrinter table({"backend", "threads", "cold q/s", "warm q/s",
                         "warm gain", "warm hit%", "p50 ms", "p99 ms"});
     for (const std::string& backend : backends) {
       for (uint32_t threads : thread_counts) {
         ServiceOptions opts = options;
-        opts.backend.name =
-            backend == "learned" ? std::string(kAutoBackend) : backend;
-        if (backend == "learned") opts.router = learned;
+        opts.backend.name = backend;
         opts.num_workers = threads;
         AsyncQueryService service(dataset.graph, params, config.rng_seed,
                                   opts);
@@ -761,7 +602,6 @@ int main(int argc, char** argv) {
     }
     table.Print();
   }
-  if (hedge) RunHedgeSweep(config, num_queries, smoke, rows);
   WriteServiceJson(json_path, "async_service_throughput", dataset_label,
                    total_nodes, total_edges,
                    "mixed-degree zipfian s=1.0 (hub/tail hot set)", rows);

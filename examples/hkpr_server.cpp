@@ -4,7 +4,6 @@
 //   $ ./build/example_hkpr_server [--graphs=name=path,...] [--graph=PATH]
 //                                 [--nodes=N] [--workers=W] [--cache=CAP]
 //                                 [--seed=S] [--backend=NAME|auto]
-//                                 [--router=rule|learned] [--hedge=on|off]
 //                                 [--walk-width=N]
 //                                 [--listen=PORT] [--net-executors=N]
 //                                 [--no-trace]
@@ -30,13 +29,6 @@
 //                           a live config update, no drain or rebuild;
 //                           "auto" routes each query by seed degree, t
 //                           and graph scale
-//   router [<graph>]        routing policy introspection: the policy kind
-//                           and, under --router=learned, one line per
-//                           candidate backend with its (decayed)
-//                           observation count, fitted coefficients and
-//                           predicted cost/p95 at the graph's average
-//                           degree, then a final "ok router ..." line
-//                           with the graph's hedge counters
 //   params <graph> [backend=NAME|auto] [t=V] [eps=V] [delta=V]
 //                           per-graph default-plan overrides (re-applied
 //                           across hot-swaps); with no tokens, shows the
@@ -83,14 +75,6 @@
 // keeps in flight per worker in every randomized backend. It changes speed
 // only, never results.
 //
-// --router=learned swaps the rule thresholds for a per-graph online cost
-// model trained from the routing event log (a background trainer drains
-// it every 200ms); undertrained graphs route by the rules, so cold
-// behavior matches --router=rule. --hedge=on additionally fires the
-// runner-up backend when a routed query's compute runs past the model's
-// predicted p95 and serves whichever finishes first — inert under the
-// rule router, which offers no predictions.
-//
 // Responses are single lines starting with "ok" or "err", so the server
 // can sit behind a pipe or a plain TCP client. Query responses carry
 // "backend=<name>" — the plan the query actually ran, which is how a
@@ -126,8 +110,8 @@ namespace {
 
 constexpr const char* kValidFlags =
     "--graphs=name=path,... --graph=PATH --nodes=N --workers=W --cache=CAP "
-    "--seed=S --backend=NAME|auto --router=rule|learned --hedge=on|off "
-    "--walk-width=N --listen=PORT --net-executors=N --no-trace";
+    "--seed=S --backend=NAME|auto --walk-width=N --listen=PORT "
+    "--net-executors=N --no-trace";
 
 /// Parses "name=path,name=path,..." into pairs; returns false on syntax
 /// errors (missing '=' or empty name/path).
@@ -190,8 +174,6 @@ int main(int argc, char** argv) {
   uint64_t cache_capacity = 4096;
   uint64_t seed = 42;
   std::string backend = "tea+";
-  std::string router_flag = "rule";
-  std::string hedge_flag = "off";
   WalkKernelOptions walk_kernel;
   bool trace = true;
   bool listen_set = false;
@@ -202,10 +184,6 @@ int main(int argc, char** argv) {
     std::optional<std::string> v;
     if (std::strcmp(arg, "--no-trace") == 0) {
       trace = false;
-    } else if ((v = FlagValue(arg, "--router="))) {
-      router_flag = *v;
-    } else if ((v = FlagValue(arg, "--hedge="))) {
-      hedge_flag = *v;
     } else if ((v = FlagValue(arg, "--graphs="))) {
       graphs_flag = *v;
     } else if ((v = FlagValue(arg, "--graph="))) {
@@ -259,14 +237,6 @@ int main(int argc, char** argv) {
                  EstimatorRegistry::Global().JoinedNames().c_str());
     return 1;
   }
-  if (router_flag != "rule" && router_flag != "learned") {
-    std::fprintf(stderr, "err --router expects rule|learned\n");
-    return 1;
-  }
-  if (hedge_flag != "on" && hedge_flag != "off") {
-    std::fprintf(stderr, "err --hedge expects on|off\n");
-    return 1;
-  }
 
   // Assemble the initial store: --graphs list, --graph single, or a
   // synthetic default.
@@ -313,13 +283,6 @@ int main(int argc, char** argv) {
   options.service.backend.name = backend;
   options.service.backend.context.walk_kernel = walk_kernel;
   options.service.telemetry.enabled = trace;
-  if (router_flag == "learned") {
-    options.router = RouterKind::kLearned;
-    // Background trainer: fresh routing events reach the cost model a
-    // couple hundred milliseconds after they complete.
-    options.train_interval = std::chrono::milliseconds(200);
-  }
-  options.service.hedge.enabled = hedge_flag == "on";
   MultiGraphService service(store, params, seed, options);
 
   TenantRegistry tenants;
@@ -345,11 +308,11 @@ int main(int argc, char** argv) {
   {
     const std::vector<GraphInfo> infos = store.List();
     std::printf("ok hkpr_server graphs=%zu(%s) current=%s workers=%u "
-                "cache=%zu backend=%s router=%s hedge=%s walk-width=%u",
+                "cache=%zu backend=%s walk-width=%u",
                 infos.size(), JoinNames(infos).c_str(), current.c_str(),
                 service.resolved_worker_budget(),
                 static_cast<size_t>(cache_capacity), backend.c_str(),
-                router_flag.c_str(), hedge_flag.c_str(), walk_kernel.width);
+                walk_kernel.width);
     if (socket_server != nullptr) {
       // The resolved port — with --listen=0 this is how clients learn
       // the ephemeral port.

@@ -55,7 +55,7 @@ std::string_view RuleBasedRouter::Route(const RoutingQuery& query) const {
   return options_.default_backend;
 }
 
-const RoutingPolicy& DefaultRouter() {
+const RuleBasedRouter& DefaultRouter() {
   static const RuleBasedRouter* router = new RuleBasedRouter();
   return *router;
 }
@@ -64,9 +64,9 @@ std::optional<QueryPlan> ResolveQueryPlan(const Graph& graph, NodeId seed,
                                           std::string_view default_backend,
                                           const ApproxParams& default_params,
                                           const PlanOverrides& overrides,
-                                          const RoutingPolicy& policy) {
+                                          const RuleBasedRouter& router) {
   return ResolveQueryPlan(graph, seed, GraphScaleFeatures::Of(graph),
-                          default_backend, default_params, overrides, policy);
+                          default_backend, default_params, overrides, router);
 }
 
 std::optional<QueryPlan> ResolveQueryPlan(const Graph& graph, NodeId seed,
@@ -74,7 +74,7 @@ std::optional<QueryPlan> ResolveQueryPlan(const Graph& graph, NodeId seed,
                                           std::string_view default_backend,
                                           const ApproxParams& default_params,
                                           const PlanOverrides& overrides,
-                                          const RoutingPolicy& policy) {
+                                          const RuleBasedRouter& router) {
   HKPR_CHECK(seed < graph.NumNodes()) << "plan seed out of range";
   QueryPlan plan;
   plan.params = ApplyParamOverrides(default_params, overrides);
@@ -98,19 +98,18 @@ std::optional<QueryPlan> ResolveQueryPlan(const Graph& graph, NodeId seed,
     query.num_edges = scale.num_edges;
     query.avg_degree = scale.avg_degree;
     query.params = plan.params;
-    backend = policy.Route(query);
+    backend = router.Route(query);
   }
 
   const BackendInfo* info = EstimatorRegistry::Global().Find(backend);
   if (info == nullptr) {
     // A request naming an unknown backend is external input: report it.
-    // The policy or the configured default naming one is a wiring bug:
+    // The router or the configured default naming one is a wiring bug:
     // die loudly so it cannot ship.
     HKPR_CHECK(requested && !routed)
-        << "routing policy \"" << policy.name() << "\" / default backend "
-        << "resolved to unregistered backend \"" << backend
-        << "\" (available: " << EstimatorRegistry::Global().JoinedNames()
-        << ")";
+        << "router / default backend resolved to unregistered backend \""
+        << backend << "\" (available: "
+        << EstimatorRegistry::Global().JoinedNames() << ")";
     return std::nullopt;
   }
   plan.backend = std::string(backend);

@@ -17,11 +17,9 @@
 //  - PlanOverrides is what a *request* may say: an explicit backend name,
 //    the reserved name "auto" (route for me), and/or t / eps_r / delta
 //    parameter overrides composed onto the service defaults.
-//  - A RoutingPolicy fills in the backend when the request (or the service
-//    default) says "auto". RuleBasedRouter is the built-in policy — a
-//    threshold rule on seed degree, t and graph scale mirroring the
-//    paper's findings — and the interface is deliberately tiny so a
-//    learned policy can slot in later.
+//  - A RuleBasedRouter fills in the backend when the request (or the
+//    service default) says "auto": a threshold rule on seed degree, t and
+//    graph scale mirroring the paper's findings.
 //
 // Resolution (ResolveQueryPlan) is cheap — no graph scans — so serving
 // frontends run it on every submission.
@@ -93,9 +91,8 @@ bool ServableParams(const ApproxParams& params);
 /// The graph-scale routing features: a pure function of the snapshot, not
 /// of the query. Serving layers compute this once per published snapshot
 /// (AverageDegree and friends are O(1) here, but on the submission path
-/// every load counts — and a learned policy may grow features that are
-/// *not* O(1) to derive) and pass it into ResolveQueryPlan for every
-/// request against that snapshot.
+/// every load counts) and pass it into ResolveQueryPlan for every request
+/// against that snapshot.
 struct GraphScaleFeatures {
   uint32_t num_nodes = 0;
   uint64_t num_edges = 0;
@@ -106,10 +103,9 @@ struct GraphScaleFeatures {
   }
 };
 
-/// Everything a routing policy may look at. Kept plain-old-data (degree and
-/// scale pre-extracted) so policies never need graph access and a logged
-/// RoutingQuery can replay a decision offline — the shape a learned policy
-/// trains on.
+/// Everything the router looks at. Kept plain-old-data (degree and scale
+/// pre-extracted) so routing never needs graph access and a logged
+/// RoutingQuery can replay a decision offline.
 struct RoutingQuery {
   NodeId seed = 0;
   uint32_t seed_degree = 0;
@@ -120,52 +116,8 @@ struct RoutingQuery {
   ApproxParams params;
 };
 
-/// A policy's hedging hint for one routed query: the runner-up backend
-/// to fire if the chosen one runs long, and the chosen backend's
-/// predicted p95 compute time (the trigger threshold). Produced by
-/// RoutingPolicy::Advise; consumed by AsyncQueryService's hedged-request
-/// path.
-struct HedgeAdvice {
-  /// Runner-up registry backend name (never "auto", never the primary).
-  std::string backend;
-  /// StableBackendId(backend).
-  uint32_t backend_id = 0;
-  /// Predicted p95 compute time of the *primary* backend, microseconds.
-  /// The serving layer fires the hedge when the primary's elapsed
-  /// compute exceeds this (subject to its own floor).
-  double primary_p95_us = 0.0;
-};
-
-/// Picks a backend for an "auto" query. Implementations must be
-/// thread-safe and must return names registered in the global
-/// EstimatorRegistry (resolution re-validates and check-fails otherwise —
-/// a policy bug, not an input error).
-class RoutingPolicy {
- public:
-  virtual ~RoutingPolicy() = default;
-
-  /// The registry backend name that should serve `query`. The returned
-  /// view must stay valid for the policy's lifetime (return names stored
-  /// in the policy, not temporaries).
-  virtual std::string_view Route(const RoutingQuery& query) const = 0;
-
-  /// Hedging advice for a query routed to `primary_backend_id`: which
-  /// backend to fire as a backup and past what elapsed compute. The
-  /// default declines — policies without a cost model (RuleBasedRouter)
-  /// cannot predict a p95, so hedging is inert under them.
-  virtual std::optional<HedgeAdvice> Advise(
-      const RoutingQuery& query, uint32_t primary_backend_id) const {
-    (void)query;
-    (void)primary_backend_id;
-    return std::nullopt;
-  }
-
-  /// Policy name for logs and stats ("rule-based", "learned", ...).
-  virtual std::string_view name() const = 0;
-};
-
-/// Thresholds of the built-in rule policy, calibrated against this
-/// codebase's *measured* per-degree-class costs on the serving benchmark
+/// Thresholds of the rule router, calibrated against this codebase's
+/// *measured* per-degree-class costs on the serving benchmark
 /// (bench_service, moderate-accuracy serving params):
 ///
 ///  - TEA+'s cost falls steeply with seed degree: hub seeds spread heat so
@@ -204,14 +156,16 @@ struct RuleBasedRouterOptions {
   std::string default_backend = "tea+";
 };
 
-/// The built-in rule policy: small t, or low-degree seed at moderate t ->
-/// push; tiny graph -> Monte-Carlo; everything else -> TEA+.
-class RuleBasedRouter : public RoutingPolicy {
+/// Picks a backend for an "auto" query: small t, or low-degree seed at
+/// moderate t -> push; tiny graph -> Monte-Carlo; everything else -> TEA+.
+/// Thread-safe (immutable after construction).
+class RuleBasedRouter {
  public:
   explicit RuleBasedRouter(const RuleBasedRouterOptions& options = {});
 
-  std::string_view Route(const RoutingQuery& query) const override;
-  std::string_view name() const override { return "rule-based"; }
+  /// The registry backend name that should serve `query`; the view points
+  /// into the router's options, so it lives as long as the router.
+  std::string_view Route(const RoutingQuery& query) const;
 
   const RuleBasedRouterOptions& options() const { return options_; }
 
@@ -219,18 +173,18 @@ class RuleBasedRouter : public RoutingPolicy {
   RuleBasedRouterOptions options_;
 };
 
-/// The process-wide default policy (a RuleBasedRouter with default
-/// thresholds); what serving layers use when no policy is configured.
-const RoutingPolicy& DefaultRouter();
+/// The process-wide router with default thresholds; what the serving
+/// layers route "auto" plans through.
+const RuleBasedRouter& DefaultRouter();
 
 /// Resolves one request into a concrete QueryPlan:
 ///   1. effective params = `default_params` + overrides (t / eps_r / delta)
 ///   2. backend = overrides.backend, else `default_backend`
-///   3. "auto" is replaced by `policy.Route(...)` on the seed's features
+///   3. "auto" is replaced by `router.Route(...)` on the seed's features
 ///   4. the backend name is looked up in the global EstimatorRegistry
 /// Returns nullopt when the *requested* backend name is unknown or the
 /// effective parameters fail ServableParams (external input — report,
-/// don't abort); check-fails when the policy or the default names an
+/// don't abort); check-fails when the router or the default names an
 /// unregistered backend (a configuration bug; services validate their
 /// default params at construction). `seed` must be a valid node of
 /// `graph`.
@@ -238,7 +192,7 @@ std::optional<QueryPlan> ResolveQueryPlan(const Graph& graph, NodeId seed,
                                           std::string_view default_backend,
                                           const ApproxParams& default_params,
                                           const PlanOverrides& overrides,
-                                          const RoutingPolicy& policy);
+                                          const RuleBasedRouter& router);
 
 /// Same, with the snapshot-level features supplied by the caller (computed
 /// once per snapshot, see GraphScaleFeatures) — the per-submission variant
@@ -248,7 +202,7 @@ std::optional<QueryPlan> ResolveQueryPlan(const Graph& graph, NodeId seed,
                                           std::string_view default_backend,
                                           const ApproxParams& default_params,
                                           const PlanOverrides& overrides,
-                                          const RoutingPolicy& policy);
+                                          const RuleBasedRouter& router);
 
 }  // namespace hkpr
 

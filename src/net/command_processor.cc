@@ -9,7 +9,6 @@
 #include "common/parse.h"
 #include "graph/graph_io.h"
 #include "hkpr/backend.h"
-#include "hkpr/cost_model.h"
 #include "service/telemetry.h"
 
 namespace hkpr {
@@ -81,7 +80,7 @@ void AppendStatsLine(std::string& out, const std::string& scope,
           "ok scope=%s submitted=%llu completed=%llu rejected=%llu "
           "invalid_plans=%llu cancelled=%llu expired=%llu "
           "cache_hits=%llu cache_misses=%llu coalesced=%llu computed=%llu "
-          "stolen=%llu hedged=%llu hedge_wins=%llu queue=%zu "
+          "stolen=%llu queue=%zu "
           "latency_count=%llu",
           scope.c_str(), static_cast<unsigned long long>(s.submitted),
           static_cast<unsigned long long>(s.completed),
@@ -93,9 +92,7 @@ void AppendStatsLine(std::string& out, const std::string& scope,
           static_cast<unsigned long long>(s.cache_misses),
           static_cast<unsigned long long>(s.coalesced),
           static_cast<unsigned long long>(s.computed),
-          static_cast<unsigned long long>(s.stolen),
-          static_cast<unsigned long long>(s.hedged),
-          static_cast<unsigned long long>(s.hedge_wins), s.queue_depth,
+          static_cast<unsigned long long>(s.stolen), s.queue_depth,
           static_cast<unsigned long long>(s.latency_count));
   if (service != nullptr) {
     // Service-wide, not attributable to any one graph.
@@ -170,8 +167,6 @@ std::string StatsJson(const std::string& scope, const ServiceStatsSnapshot& s,
   AppendJsonField(out, "coalesced", u64(s.coalesced));
   AppendJsonField(out, "computed", u64(s.computed));
   AppendJsonField(out, "stolen", u64(s.stolen));
-  AppendJsonField(out, "hedged", u64(s.hedged));
-  AppendJsonField(out, "hedge_wins", u64(s.hedge_wins));
   AppendJsonField(out, "queue_depth", u64(s.queue_depth));
   AppendJsonField(out, "latency_count", u64(s.latency_count));
   if (service != nullptr) {
@@ -219,22 +214,6 @@ void AppendMetricLine(std::string& out, const char* name, const char* label,
     Appendf(out, "%s{%s=\"%s\",%s} %llu\n", name, label, scope.c_str(),
             extra_labels.c_str(), static_cast<unsigned long long>(value));
   }
-}
-
-/// A representative routing query for introspection displays: the
-/// graph's scale features with an average-degree seed and the serving
-/// params — what the cost model predicts for a "typical" query.
-RoutingQuery AverageRoutingQuery(const GraphSnapshot& snapshot,
-                                 const ApproxParams& params) {
-  const GraphScaleFeatures scale = GraphScaleFeatures::Of(*snapshot.graph);
-  RoutingQuery query;
-  query.seed = 0;
-  query.seed_degree = static_cast<uint32_t>(scale.avg_degree + 0.5);
-  query.num_nodes = scale.num_nodes;
-  query.num_edges = scale.num_edges;
-  query.avg_degree = scale.avg_degree;
-  query.params = params;
-  return query;
 }
 
 }  // namespace
@@ -351,8 +330,6 @@ CommandResult CommandProcessor::Execute(ClientSession& session,
     ExecuteTenant(session, in, out);
   } else if (command == "stats") {
     ExecuteStats(in, out);
-  } else if (command == "router") {
-    ExecuteRouter(session, in, out);
   } else if (command == "metrics") {
     ExecuteMetrics(out);
   } else if (command == "invalidate") {
@@ -360,8 +337,8 @@ CommandResult CommandProcessor::Execute(ClientSession& session,
     out += "ok caches invalidated\n";
   } else {
     Appendf(out,
-            "err unknown command \"%s\" (query/topk/graph/backend/router/"
-            "params/tenant/stats/metrics/invalidate/quit)\n",
+            "err unknown command \"%s\" (query/topk/graph/backend/params/"
+            "tenant/stats/metrics/invalidate/quit)\n",
             command.c_str());
   }
   return result;
@@ -750,65 +727,6 @@ void CommandProcessor::ExecuteStats(std::istringstream& in, std::string& out) {
   }
 }
 
-void CommandProcessor::ExecuteRouter(ClientSession& session,
-                                     std::istringstream& in,
-                                     std::string& out) {
-  std::string name;
-  in >> name;
-  if (name.empty()) name = session.current_graph;
-  if (name.empty() || !store_.Contains(name)) {
-    Appendf(out, "err unknown graph \"%s\" (loaded: %s)\n", name.c_str(),
-            JoinNames(store_.List()).c_str());
-    return;
-  }
-  // Force the per-graph service into existence so the graph's learned
-  // router exists, and fold any drained-but-unconsumed events so the
-  // display reflects every completed query, not the trainer's last tick.
-  service_.ServiceFor(name);
-  service_.TrainRouters();
-  const ServiceStatsSnapshot s = service_.StatsFor(name);
-  const std::shared_ptr<const LearnedRouter> router =
-      service_.LearnedRouterFor(name);
-  if (router == nullptr) {
-    Appendf(out,
-            "ok router graph=%s policy=rule-based trained=0 "
-            "hedged=%llu hedge_wins=%llu\n",
-            name.c_str(), static_cast<unsigned long long>(s.hedged),
-            static_cast<unsigned long long>(s.hedge_wins));
-    return;
-  }
-  const CostModelSnapshot model = router->ModelSnapshot();
-  const GraphSnapshot snapshot = store_.Get(name);
-  const std::vector<BackendPrediction> rows =
-      router->Predict(AverageRoutingQuery(snapshot, params_));
-  for (const BackendPrediction& row : rows) {
-    const FittedBackendModel* fit = model.fitted->Find(row.backend_id);
-    Appendf(out, "backend=%s trained=%d observations=%.1f",
-            row.backend.c_str(), row.trained ? 1 : 0, row.observations);
-    if (fit != nullptr) {
-      Appendf(out, " sigma=%.3f coef=[%.3f,%.3f,%.3f,%.3f,%.3f]", fit->sigma,
-              fit->coef[0], fit->coef[1], fit->coef[2], fit->coef[3],
-              fit->coef[4]);
-    }
-    if (row.trained) {
-      Appendf(out, " cost_ms=%.3f p95_ms=%.3f", row.cost_us / 1000.0,
-              row.p95_us / 1000.0);
-    }
-    out += "\n";
-  }
-  Appendf(out,
-          "ok router graph=%s policy=%.*s trained=%d "
-          "events_observed=%llu refits=%llu decays=%llu "
-          "hedged=%llu hedge_wins=%llu\n",
-          name.c_str(), static_cast<int>(router->name().size()),
-          router->name().data(), router->trained() ? 1 : 0,
-          static_cast<unsigned long long>(model.events_observed),
-          static_cast<unsigned long long>(model.refits),
-          static_cast<unsigned long long>(model.decays),
-          static_cast<unsigned long long>(s.hedged),
-          static_cast<unsigned long long>(s.hedge_wins));
-}
-
 size_t CommandProcessor::AppendMetricsForScope(const std::string& scope,
                                                std::string& out) {
   size_t lines = 0;
@@ -828,8 +746,6 @@ size_t CommandProcessor::AppendMetricsForScope(const std::string& scope,
   flat("hkpr_coalesced_total", s.coalesced);
   flat("hkpr_computed_total", s.computed);
   flat("hkpr_stolen_total", s.stolen);
-  flat("hkpr_hedged_total", s.hedged);
-  flat("hkpr_hedge_wins_total", s.hedge_wins);
   flat("hkpr_queue_depth", static_cast<uint64_t>(s.queue_depth));
   const auto quantile = [&](const char* name, const char* q, double value,
                             const char* stage) {
@@ -882,31 +798,6 @@ size_t CommandProcessor::AppendMetricsForScope(const std::string& scope,
   if (telemetry.enabled) {
     flat("hkpr_routing_events_total", telemetry.routing_appended);
     flat("hkpr_routing_events_dropped_total", telemetry.routing_dropped);
-  }
-  // Learned-router model rows: per-candidate observation counts plus, for
-  // trained candidates, the predicted cost at the graph's average degree.
-  const std::shared_ptr<const LearnedRouter> router =
-      service_.LearnedRouterFor(scope);
-  const GraphSnapshot snapshot = store_.Get(scope);
-  if (router != nullptr && snapshot) {
-    const std::vector<BackendPrediction> rows =
-        router->Predict(AverageRoutingQuery(snapshot, params_));
-    for (const BackendPrediction& row : rows) {
-      const std::string backend_label = "backend=\"" + row.backend + "\"";
-      AppendMetricLine(out, "hkpr_router_observations", "graph", scope,
-                       backend_label, row.observations);
-      AppendMetricLine(out, "hkpr_router_trained", "graph", scope,
-                       backend_label,
-                       static_cast<uint64_t>(row.trained ? 1 : 0));
-      lines += 2;
-      if (row.trained) {
-        AppendMetricLine(out, "hkpr_router_predicted_cost_ms", "graph", scope,
-                         backend_label, row.cost_us / 1000.0);
-        AppendMetricLine(out, "hkpr_router_predicted_p95_ms", "graph", scope,
-                         backend_label, row.p95_us / 1000.0);
-        lines += 2;
-      }
-    }
   }
   return lines;
 }

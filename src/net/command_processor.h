@@ -27,7 +27,7 @@
 // hkpr_tenant_*{tenant="..."} samples.
 //
 // Protocol commands: query, topk, graph load/use/drop/list, backend,
-// params, tenant, stats, router, metrics, invalidate, quit/exit — see
+// params, tenant, stats, metrics, invalidate, quit/exit — see
 // examples/hkpr_server.cpp's usage comment for the full grammar.
 
 #ifndef HKPR_NET_COMMAND_PROCESSOR_H_
@@ -57,8 +57,8 @@ struct ClientSession {
 /// One executed command's outcome.
 struct CommandResult {
   /// Complete response text; one or more '\n'-terminated lines (multi-
-  /// line for stats --json-less metrics/router/tenant list blocks).
-  /// Empty for blank input lines.
+  /// line for the metrics and tenant list blocks). Empty for blank input
+  /// lines.
   std::string output;
   /// True when the line was `quit`/`exit`: the transport should end the
   /// session (close the connection; the stdin loop returns).
@@ -82,8 +82,7 @@ class CommandProcessor {
  public:
   /// `store` and `service` (and `tenants`) must outlive the processor.
   /// `initial_graph` seeds NewSession()'s current graph; `params` is the
-  /// service-wide parameter template (metrics/router displays and params
-  /// validation).
+  /// service-wide parameter template (params validation).
   CommandProcessor(GraphStore& store, MultiGraphService& service,
                    TenantRegistry& tenants, const ApproxParams& params,
                    std::string initial_graph);
@@ -112,8 +111,6 @@ class CommandProcessor {
   void ExecuteTenant(ClientSession& session, std::istringstream& in,
                      std::string& out);
   void ExecuteStats(std::istringstream& in, std::string& out);
-  void ExecuteRouter(ClientSession& session, std::istringstream& in,
-                     std::string& out);
   void ExecuteMetrics(std::string& out);
 
   /// The metrics block for one graph scope; returns the sample-line count.

@@ -61,8 +61,6 @@ AsyncQueryService::AsyncQueryService(GraphSnapshot snapshot,
     cache_ = std::make_unique<ResultCache>(options.cache_capacity,
                                            options.cache_shards);
   }
-  router_owner_ = options.router;
-  router_ = router_owner_ ? router_owner_.get() : &DefaultRouter();
 
   // An "auto" default means every unpinned request is routed per query;
   // the executors still need a concrete backend for their eagerly built
@@ -103,9 +101,6 @@ AsyncQueryService::AsyncQueryService(GraphSnapshot snapshot,
   workers_.reserve(num_workers);
   for (uint32_t w = 0; w < num_workers; ++w) {
     workers_.emplace_back([this, w] { WorkerLoop(w); });
-  }
-  if (options_.hedge.enabled) {
-    hedge_monitor_ = std::thread([this] { HedgeMonitorLoop(); });
   }
 }
 
@@ -159,16 +154,6 @@ AsyncQueryService::AsyncQueryService(const Graph& graph,
 void AsyncQueryService::Shutdown() {
   std::call_once(shutdown_once_, [this] {
     stopping_.store(true);  // seq_cst, paired with Enqueue's in-lock check
-    // The hedge monitor goes first: joining it before the worker drain
-    // guarantees any hedge it fired landed while workers were still
-    // running (so it drains like any request), and none fire after.
-    // Board entries left behind are harmless — their primaries are still
-    // queued or computing and fulfill through the shared state.
-    if (hedge_monitor_.joinable()) {
-      { std::lock_guard<std::mutex> lock(hedge_mu_); }
-      hedge_cv_.notify_all();
-      hedge_monitor_.join();
-    }
     for (std::unique_ptr<Shard>& shard : shards_) {
       // Lock/unlock fence: any submitter that passed its in-lock stopping
       // check on this shard has already pushed (a worker will drain it);
@@ -228,8 +213,8 @@ std::optional<QueryHandle> AsyncQueryService::Enqueue(
   // take the pre-resolved plan; everything else (overrides, "auto")
   // resolves through the router/registry.
   const PlanDefaults defaults = GetDefaults();
-  // The routing-event `routed` bit: true when the RoutingPolicy (not a
-  // pinned default or an explicit override) picks the backend.
+  // The routing-event `routed` bit: true when the router (not a pinned
+  // default or an explicit override) picks the backend.
   request.routed = submit.plan.backend == kAutoBackend ||
                    (submit.plan.backend.empty() &&
                     defaults.backend == kAutoBackend);
@@ -239,7 +224,7 @@ std::optional<QueryHandle> AsyncQueryService::Enqueue(
     std::optional<QueryPlan> plan =
         ResolveQueryPlan(*snapshot_.graph, seed, scale_features_,
                          defaults.backend, defaults.params, submit.plan,
-                         *router_);
+                         DefaultRouter());
     if (!plan.has_value()) {
       // The request named an unregistered backend or out-of-range
       // parameter overrides: report, don't abort — and don't consume a
@@ -412,10 +397,6 @@ void AsyncQueryService::Process(QueryExecutor& executor, Request& request,
   const bool traced = telemetry_.enabled();
   if (traced) request.trace.dequeue = Clock::now();
   if (request.cancelled->load(std::memory_order_relaxed)) {
-    // A cancelled hedge request means its primary already won the
-    // arbitration: drop it silently — the query completed normally, so
-    // neither the cancelled counter nor a promise should fire.
-    if (request.is_hedge) return;
     QueryResult result;
     result.status = QueryStatus::kCancelled;
     stats_.RecordCancelled();
@@ -424,9 +405,6 @@ void AsyncQueryService::Process(QueryExecutor& executor, Request& request,
   }
   if (request.deadline != Clock::time_point::max() &&
       Clock::now() >= request.deadline) {
-    // An over-deadline hedge is just a backup that arrived too late;
-    // the primary (which passed this check before computing) answers.
-    if (request.is_hedge) return;
     QueryResult result;
     result.status = QueryStatus::kExpired;
     stats_.RecordExpired();
@@ -458,7 +436,6 @@ void AsyncQueryService::Process(QueryExecutor& executor, Request& request,
       case ResultCache::Outcome::kMiss:
         stats_.RecordCacheMiss();
         request.cache_outcome = CacheOutcome::kMiss;
-        MaybeRegisterHedge(request);
         if (traced) request.trace.compute_begin = Clock::now();
         estimate = std::make_shared<const SparseVector>(
             Compute(executor, request));
@@ -469,7 +446,6 @@ void AsyncQueryService::Process(QueryExecutor& executor, Request& request,
   } else {
     // No cache: the lookup stage is zero-width by definition.
     request.cache_outcome = CacheOutcome::kNone;
-    MaybeRegisterHedge(request);
     if (traced) {
       request.trace.cache_done = request.trace.dequeue;
       request.trace.compute_begin = Clock::now();
@@ -481,154 +457,8 @@ void AsyncQueryService::Process(QueryExecutor& executor, Request& request,
   Fulfill(request, std::move(estimate), from_cache);
 }
 
-void AsyncQueryService::MaybeRegisterHedge(Request& request) {
-  if (!options_.hedge.enabled || request.is_hedge || !request.routed) return;
-  // Only routed computes hedge: a pinned plan expressed an explicit
-  // backend choice, and the policy could not predict its cost anyway.
-  RoutingQuery query;
-  query.seed = request.seed;
-  query.seed_degree = snapshot_.graph->Degree(request.seed);
-  query.num_nodes = scale_features_.num_nodes;
-  query.num_edges = scale_features_.num_edges;
-  query.avg_degree = scale_features_.avg_degree;
-  query.params = request.plan.params;
-  std::optional<HedgeAdvice> advice =
-      router_->Advise(query, request.plan.backend_id);
-  if (!advice.has_value() || advice->backend_id == request.plan.backend_id) {
-    return;
-  }
-  const double p95_us = std::max<double>(
-      static_cast<double>(options_.hedge.min_trigger_us),
-      std::min(advice->primary_p95_us, 1e12));
-  auto state = std::make_shared<HedgeState>();
-  state->hedge_cancelled = std::make_shared<std::atomic<bool>>(false);
-  PendingHedge entry;
-  entry.fire_at =
-      Clock::now() +
-      std::chrono::microseconds(static_cast<int64_t>(p95_us));
-  entry.seed = request.seed;
-  entry.k = request.k;
-  entry.query_index = request.query_index;
-  entry.submit_time = request.submit_time;
-  entry.deadline = request.deadline;
-  entry.plan.backend = std::move(advice->backend);
-  entry.plan.backend_id = advice->backend_id;
-  entry.plan.params = request.plan.params;
-  entry.state = state;
-  bool wake_monitor = false;
-  {
-    std::lock_guard<std::mutex> lock(hedge_mu_);
-    if (stopping_.load(std::memory_order_relaxed) ||
-        hedge_board_.size() >= options_.hedge.max_pending) {
-      return;  // run unhedged; the caller's promise stays on the request
-    }
-    // From here on the caller's future is settled through the state:
-    // whichever side wins the claimed CAS fulfills it exactly once.
-    state->promise = std::move(request.promise);
-    request.hedge = state;
-    wake_monitor = entry.fire_at < hedge_wakeup_at_;
-    hedge_board_.push_back(std::move(entry));
-  }
-  // Waking the monitor on every registration would cost a context switch
-  // per routed compute; it only needs a nudge when it is parked past this
-  // entry's trigger (its own wakeup re-scans the board otherwise).
-  if (wake_monitor) hedge_cv_.notify_one();
-}
-
-void AsyncQueryService::FireHedge(PendingHedge&& entry) {
-  if (entry.state->claimed.load(std::memory_order_acquire)) return;
-  if (stopping_.load()) return;
-  // Hedges respect admission like any request — under overload the
-  // backup work would only make the tail worse.
-  if (pending_.fetch_add(1) >= options_.max_queue_depth) {
-    pending_.fetch_sub(1);
-    return;
-  }
-  Request request;
-  request.seed = entry.seed;
-  request.k = entry.k;
-  // The SAME query index as the primary: the runner-up plan computes
-  // exactly what a direct invocation of that backend at this index
-  // would, so a hedge win is bit-identical to the un-hedged alternative.
-  request.query_index = entry.query_index;
-  request.submit_time = entry.submit_time;
-  request.deadline = entry.deadline;
-  request.cancelled = entry.state->hedge_cancelled;
-  request.plan = std::move(entry.plan);
-  request.key = MakeKey(request.plan, request.seed);
-  request.routed = true;
-  request.is_hedge = true;
-  request.hedge = entry.state;
-  if (telemetry_.enabled()) {
-    request.trace.submit = entry.submit_time;
-    request.trace.plan_resolved = Clock::now();
-  }
-  // `fired` before the enqueue: the winner's RoutingEvent (possibly the
-  // primary, completing concurrently) stamps hedged=1 only when a
-  // runner-up was actually submitted.
-  entry.state->fired.store(true, std::memory_order_release);
-  Shard& shard = *shards_[next_shard_.fetch_add(1, std::memory_order_relaxed) %
-                          shards_.size()];
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (stopping_.load()) {
-      pending_.fetch_sub(1);
-      return;
-    }
-    shard.queue.push_back(std::move(request));
-  }
-  shard.cv.notify_one();
-  stats_.RecordHedged();
-}
-
-void AsyncQueryService::HedgeMonitorLoop() {
-  std::unique_lock<std::mutex> lock(hedge_mu_);
-  std::vector<PendingHedge> due;
-  while (!stopping_.load()) {
-    if (hedge_board_.empty()) {
-      // Parked until a registration (or shutdown) notifies; the timeout
-      // only bounds a lost-wakeup window.
-      hedge_wakeup_at_ = Clock::time_point::max();
-      hedge_cv_.wait_for(lock, std::chrono::milliseconds(50));
-      continue;
-    }
-    const Clock::time_point now = Clock::now();
-    Clock::time_point next_fire = Clock::time_point::max();
-    due.clear();
-    for (auto it = hedge_board_.begin(); it != hedge_board_.end();) {
-      if (it->state->claimed.load(std::memory_order_acquire)) {
-        // The primary settled before the trigger: never fires, and the
-        // board stays bounded by live computes.
-        it = hedge_board_.erase(it);
-      } else if (it->fire_at <= now) {
-        due.push_back(std::move(*it));
-        it = hedge_board_.erase(it);
-      } else {
-        next_fire = std::min(next_fire, it->fire_at);
-        ++it;
-      }
-    }
-    if (!due.empty()) {
-      lock.unlock();
-      for (PendingHedge& entry : due) FireHedge(std::move(entry));
-      lock.lock();
-      continue;
-    }
-    hedge_wakeup_at_ = next_fire;
-    hedge_cv_.wait_until(lock, next_fire);
-  }
-}
-
 void AsyncQueryService::Fulfill(Request& request, CachedEstimate estimate,
                                 bool from_cache) {
-  if (request.hedge != nullptr &&
-      request.hedge->claimed.exchange(true, std::memory_order_acq_rel)) {
-    // Lost the arbitration: the other side already fulfilled the caller
-    // (and recorded the completion), so this result is discarded whole —
-    // no counters, no event, no promise. Its cache Complete (if any)
-    // already happened and is harmless: plan-keyed entries can't collide.
-    return;
-  }
   QueryResult result;
   result.from_cache = from_cache;
   result.graph_version = snapshot_.version;
@@ -642,21 +472,9 @@ void AsyncQueryService::Fulfill(Request& request, CachedEstimate estimate,
   const Clock::time_point complete = Clock::now();
   const double latency_s = SecondsBetween(request.submit_time, complete);
   result.latency_ms = latency_s * 1000.0;
-  if (request.hedge != nullptr) {
-    if (request.is_hedge) {
-      stats_.RecordHedgeWin();
-    } else {
-      // The primary won: cancel the runner-up so a still-queued hedge is
-      // dropped without computing (one already computing finishes and
-      // loses the CAS above).
-      request.hedge->hedge_cancelled->store(true, std::memory_order_relaxed);
-    }
-  }
   stats_.RecordCompleted(latency_s);
   if (telemetry_.enabled()) RecordTrace(request, complete);
-  std::promise<QueryResult>& promise =
-      request.hedge != nullptr ? request.hedge->promise : request.promise;
-  promise.set_value(std::move(result));
+  request.promise.set_value(std::move(result));
 }
 
 void AsyncQueryService::RecordTrace(Request& request,
@@ -687,14 +505,6 @@ void AsyncQueryService::RecordTrace(Request& request,
   event.backend_id = request.plan.backend_id;
   event.routed = request.routed ? 1 : 0;
   event.cache = static_cast<uint8_t>(request.cache_outcome);
-  // Hedge outcome, stamped on the *winning* side's event only (the
-  // loser records nothing): hedged when a runner-up actually fired,
-  // hedge_won when this completion IS the runner-up.
-  if (request.hedge != nullptr &&
-      request.hedge->fired.load(std::memory_order_acquire)) {
-    event.hedged = 1;
-  }
-  event.hedge_won = request.is_hedge ? 1 : 0;
   event.plan_us = offset_us(trace.plan_resolved);
   event.dequeue_us = std::max(event.plan_us, offset_us(trace.dequeue));
   event.cache_us = std::max(event.dequeue_us, offset_us(trace.cache_done));

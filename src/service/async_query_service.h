@@ -28,12 +28,12 @@
 // Every request is resolved into a per-query QueryPlan (hkpr/router.h) at
 // submission time: the service's default backend + params, composed with
 // any request-level PlanOverrides, and — when the request or the default
-// says "auto" — an adaptive RoutingPolicy that picks the backend from the
-// seed's degree, t and the graph scale. Workers execute plans on their
-// plan-aware executors (one lazily built estimator per distinct plan), so
-// switching the default backend or parameters is a config update: no
-// drain, no worker rebuild, in-flight queries finish on the plan they were
-// submitted with.
+// says "auto" — the rule router (DefaultRouter()) that picks the backend
+// from the seed's degree, t and the graph scale. Workers execute plans on
+// their plan-aware executors (one lazily built estimator per distinct
+// plan), so switching the default backend or parameters is a config update:
+// no drain, no worker rebuild, in-flight queries finish on the plan they
+// were submitted with.
 //
 // In front of the workers sits a sharded single-flight ResultCache: repeat
 // queries for a hot (seed, plan) pair are served from the cache without
@@ -91,34 +91,6 @@
 
 namespace hkpr {
 
-/// Hedged-request configuration (ServiceOptions::hedge).
-///
-/// With hedging on, a routed query that is about to compute asks the
-/// routing policy for HedgeAdvice (runner-up backend + the chosen
-/// backend's predicted p95 compute time). If the primary's compute is
-/// still running past that prediction, a monitor thread submits the
-/// runner-up plan for the *same query index* and the caller's future is
-/// fulfilled by whichever side finishes first; the loser is cancelled if
-/// still queued, or its result discarded if it computed (the plan-keyed
-/// cache guarantees the two plans can never collide). Either way the
-/// result is bit-identical to directly invoking the winning backend at
-/// that index — hedging changes tail latency, never answers.
-///
-/// Hedging needs a policy that can predict (LearnedRouter once trained);
-/// under RuleBasedRouter Advise() declines and hedging is inert. Only
-/// routed ("auto") cache-miss computes hedge: pinned plans expressed an
-/// explicit backend choice, and hits/coalesced waits never compute.
-struct HedgeOptions {
-  bool enabled = false;
-  /// Floor under the model's p95 prediction: never fire a hedge before
-  /// this much elapsed compute, however optimistic the model — guards
-  /// against a degenerate fit turning every query into two.
-  uint32_t min_trigger_us = 200;
-  /// Bound on concurrently armed (registered, not yet fired or settled)
-  /// hedges; beyond it new computes simply run unhedged.
-  size_t max_pending = 256;
-};
-
 /// Serving configuration.
 struct ServiceOptions {
   /// Worker threads; 0 uses all hardware threads.
@@ -137,17 +109,11 @@ struct ServiceOptions {
   uint32_t cache_shards = 8;
   /// The default backend requests get when they don't override it — any
   /// EstimatorRegistry name (default "tea+"), or kAutoBackend ("auto") to
-  /// route every unpinned request through the routing policy. The resolved
+  /// route every unpinned request through the rule router. The resolved
   /// plan's stable backend id is folded into every cache key, so distinct
   /// backends never share a cache entry. `backend.context` also supplies
   /// the shared tuning every lazily built plan estimator reads.
   BackendSpec backend;
-  /// Routing policy consulted for "auto" plans; null uses DefaultRouter()
-  /// (the rule-based policy). Must outlive the service when set.
-  std::shared_ptr<const RoutingPolicy> router;
-  /// Tail-latency hedging (see HedgeOptions). Off by default; inert
-  /// unless the routing policy can Advise() (LearnedRouter).
-  HedgeOptions hedge;
   /// Stage tracing, per-backend dimensioned metrics and the routing
   /// event log (service/telemetry.h). Enabled by default; disabling
   /// degrades Stats() to the flat single-histogram snapshot and costs
@@ -303,8 +269,6 @@ class AsyncQueryService {
   std::string default_backend() const;
   /// The current default parameters.
   ApproxParams default_params() const;
-  /// The routing policy "auto" plans resolve through.
-  const RoutingPolicy& router() const { return *router_; }
 
   /// Counter snapshot including the current queue depth; with stage
   /// tracing on (the default) the per-stage queue-wait/cache/compute
@@ -349,22 +313,6 @@ class AsyncQueryService {
   bool stopped() const { return stopping_.load(std::memory_order_acquire); }
 
  private:
-  /// Arbitration state shared between a hedged primary request and its
-  /// runner-up. The caller's promise moves in here when the hedge is
-  /// registered; whichever side wins the `claimed` CAS fulfills it, and
-  /// the loser's Fulfill returns without touching stats or telemetry (a
-  /// query completes exactly once). `hedge_cancelled` doubles as the
-  /// hedge request's cancel flag: the primary sets it on winning, so a
-  /// still-queued hedge is dropped without computing.
-  struct HedgeState {
-    std::atomic<bool> claimed{false};
-    /// Set by the monitor just before the runner-up is enqueued; read
-    /// into the winning RoutingEvent's `hedged` stamp.
-    std::atomic<bool> fired{false};
-    std::promise<QueryResult> promise;
-    std::shared_ptr<std::atomic<bool>> hedge_cancelled;
-  };
-
   struct Request {
     NodeId seed = 0;
     size_t k = 0;  // 0 = full-vector query
@@ -379,29 +327,11 @@ class AsyncQueryService {
     ResultCacheKey key;
     /// Stage timestamps (only stamped when tracing is enabled) plus the
     /// routing-event facts known at submission: whether the plan came
-    /// from the RoutingPolicy ("auto") and, later, how the cache treated
-    /// the query.
+    /// from the router ("auto") and, later, how the cache treated the
+    /// query.
     QueryTrace trace;
     bool routed = false;
     CacheOutcome cache_outcome = CacheOutcome::kNone;
-    /// Non-null once this request entered hedged arbitration; the
-    /// caller's promise then lives in the state, not in `promise`.
-    std::shared_ptr<HedgeState> hedge;
-    /// True for the monitor-submitted runner-up side (its `promise` is a
-    /// dummy and it skips the submission/cancel/expire counters).
-    bool is_hedge = false;
-  };
-
-  /// One armed hedge awaiting its trigger on the monitor's board.
-  struct PendingHedge {
-    std::chrono::steady_clock::time_point fire_at;
-    NodeId seed = 0;
-    size_t k = 0;
-    uint64_t query_index = 0;
-    std::chrono::steady_clock::time_point submit_time;
-    std::chrono::steady_clock::time_point deadline;
-    QueryPlan plan;  ///< the runner-up backend, primary's params
-    std::shared_ptr<HedgeState> state;
   };
 
   /// The service's mutable serving defaults, read on every submission and
@@ -445,18 +375,6 @@ class AsyncQueryService {
   void Process(QueryExecutor& executor, Request& request,
                std::vector<Deferred>& deferred);
   void Fulfill(Request& request, CachedEstimate estimate, bool from_cache);
-  /// Arms a hedge for a routed request about to compute: asks the policy
-  /// for advice, moves the caller's promise into a HedgeState and posts
-  /// the runner-up plan on the monitor's board. No-op (and the request
-  /// stays un-hedged) when hedging is off, the policy declines, the
-  /// board is full, or the service is stopping.
-  void MaybeRegisterHedge(Request& request);
-  /// Monitor-side: turns a due board entry into a runner-up Request and
-  /// enqueues it (same query index — bit-identical to a direct
-  /// invocation of that backend). Skipped when the primary already
-  /// settled, admission is full, or the service is stopping.
-  void FireHedge(PendingHedge&& entry);
-  void HedgeMonitorLoop();
   /// Builds the RoutingEvent for a completed traced request (stage
   /// offsets from the stamped trace, monotone by construction) and
   /// records it into telemetry_. Only called when tracing is enabled.
@@ -474,8 +392,6 @@ class AsyncQueryService {
   /// instead of being re-derived on every submission.
   GraphScaleFeatures scale_features_;
   uint32_t backend_id_ = 0;
-  const RoutingPolicy* router_ = nullptr;
-  std::shared_ptr<const RoutingPolicy> router_owner_;  // keeps options.router
   std::unique_ptr<ResultCache> cache_;  // null when disabled
   ServiceStats stats_;
   /// Stage histograms, per-backend dims and the routing event log; inert
@@ -496,19 +412,6 @@ class AsyncQueryService {
   /// spread round-robin via next_shard_; see the header comment for the
   /// stealing discipline.
   std::vector<std::unique_ptr<Shard>> shards_;
-  /// Armed hedges awaiting their trigger; the monitor thread fires due
-  /// entries and discards ones whose primary already settled. Guarded by
-  /// hedge_mu_; the thread only exists when options.hedge.enabled.
-  std::mutex hedge_mu_;
-  std::condition_variable hedge_cv_;
-  std::vector<PendingHedge> hedge_board_;
-  /// When the monitor's current wait expires (max() while parked on an
-  /// empty board). Guarded by hedge_mu_; registrations only notify when
-  /// their trigger lands before this, so the common fast-compute path
-  /// never pays a wakeup context switch.
-  std::chrono::steady_clock::time_point hedge_wakeup_at_ =
-      std::chrono::steady_clock::time_point::max();
-  std::thread hedge_monitor_;
   /// Admitted-and-waiting requests across all shards: the exact
   /// admission-control count (claimed with fetch_add before the shard
   /// push, released when a worker drains or a raced shutdown rejects) and

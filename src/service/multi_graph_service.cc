@@ -16,33 +16,9 @@ MultiGraphService::MultiGraphService(GraphStore& store,
   HKPR_CHECK(ServableParams(params_))
       << "service ApproxParams out of range (t in (0, 1000], eps_r in "
          "(0, 1), delta > 0, p_f in (0, 1))";
-  if (options_.router == RouterKind::kLearned &&
-      options_.train_interval > std::chrono::milliseconds::zero()) {
-    trainer_ = std::thread([this] {
-      std::unique_lock<std::mutex> lock(trainer_mu_);
-      while (!trainer_stop_) {
-        trainer_cv_.wait_for(lock, options_.train_interval,
-                             [this] { return trainer_stop_; });
-        if (trainer_stop_) return;
-        lock.unlock();
-        TrainRouters();
-        lock.lock();
-      }
-    });
-  }
 }
 
 MultiGraphService::~MultiGraphService() {
-  // Stop the trainer first: it drains event logs and touches routers,
-  // both of which must not race the teardown below.
-  if (trainer_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(trainer_mu_);
-      trainer_stop_ = true;
-    }
-    trainer_cv_.notify_all();
-    trainer_.join();
-  }
   std::map<std::string, std::shared_ptr<AsyncQueryService>, std::less<>>
       services;
   {
@@ -60,22 +36,6 @@ uint32_t MultiGraphService::resolved_worker_budget() const {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
-std::shared_ptr<LearnedRouter> MultiGraphService::LearnedRouterForLocked(
-    std::string_view name) {
-  auto it = routers_.find(name);
-  if (it != routers_.end()) return it->second;
-  auto router = std::make_shared<LearnedRouter>(options_.learned);
-  routers_.emplace(std::string(name), router);
-  return router;
-}
-
-std::shared_ptr<const LearnedRouter> MultiGraphService::LearnedRouterFor(
-    std::string_view name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = routers_.find(name);
-  return it != routers_.end() ? it->second : nullptr;
-}
-
 std::shared_ptr<AsyncQueryService> MultiGraphService::BuildService(
     std::string_view name, GraphSnapshot snapshot) {
   ServiceOptions opts;
@@ -84,12 +44,6 @@ std::shared_ptr<AsyncQueryService> MultiGraphService::BuildService(
     // it under the lock, build outside it.
     std::lock_guard<std::mutex> lock(mu_);
     opts = options_.service;
-    if (options_.router == RouterKind::kLearned && opts.router == nullptr) {
-      // The graph *name*'s learned router — shared by every hot-swap
-      // incarnation, so training survives the swap and the scale-decay
-      // in the cost model (not a reset) handles shape changes.
-      opts.router = LearnedRouterForLocked(name);
-    }
   }
   const uint32_t budget = resolved_worker_budget();
   const size_t graphs = std::max<size_t>(1, store_.Size());
@@ -434,11 +388,6 @@ bool MultiGraphService::Drop(std::string_view name) {
     if (defaults_it != graph_defaults_.end()) {
       graph_defaults_.erase(defaults_it);
     }
-    // So does its learned router: a later graph of the same name is a
-    // new graph and trains from scratch (hot-swap, by contrast, keeps
-    // the router and lets the cost model's scale decay adapt it).
-    auto router_it = routers_.find(name);
-    if (router_it != routers_.end()) routers_.erase(router_it);
   }
   // Graceful drain, synchronously: every future already handed out for
   // this graph resolves — and the final counters are folded — before
@@ -526,9 +475,9 @@ TelemetrySnapshot MultiGraphService::TelemetryFor(
 
 std::vector<RoutingEvent> MultiGraphService::DrainRoutingEvents(
     std::string_view name) {
-  // Serialize against every other drain (per-name or DrainAll): two
-  // concurrent drains would otherwise race on which one observes a
-  // retiring service's parked leftovers.
+  // Serialize against every other drain: two concurrent drains would
+  // otherwise race on which one observes a retiring service's parked
+  // leftovers.
   std::lock_guard<std::mutex> drain_lock(routing_drain_mu_);
   std::vector<RoutingEvent> out;
   std::shared_ptr<AsyncQueryService> live;
@@ -551,65 +500,6 @@ std::vector<RoutingEvent> MultiGraphService::DrainRoutingEvents(
     out.insert(out.end(), fresh.begin(), fresh.end());
   }
   return out;
-}
-
-std::map<std::string, std::vector<RoutingEvent>, std::less<>>
-MultiGraphService::DrainAllRoutingEvents() {
-  std::lock_guard<std::mutex> drain_lock(routing_drain_mu_);
-  std::map<std::string, std::vector<RoutingEvent>, std::less<>> out;
-  std::vector<std::pair<std::string, std::shared_ptr<AsyncQueryService>>>
-      to_drain;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& [name, pending] : pending_events_) {
-      std::vector<RoutingEvent>& sink = out[name];
-      sink.insert(sink.end(), pending.begin(), pending.end());
-    }
-    pending_events_.clear();
-    for (const auto& [name, service] : services_) {
-      to_drain.emplace_back(name, service);
-    }
-    // Retiring services still hold undrained tails of the pre-swap
-    // stream; fold them into the same per-name bucket so a consumer of
-    // the full stream never loses the swap boundary's events.
-    for (const auto& [name, draining] : retiring_) {
-      for (const auto& service : draining) to_drain.emplace_back(name, service);
-    }
-  }
-  // Ring drains run outside mu_ (each takes its ring's drain lock); the
-  // collected shared_ptrs keep the services alive even if one retires
-  // or finishes draining concurrently.
-  for (const auto& [name, service] : to_drain) {
-    std::vector<RoutingEvent> fresh = service->DrainRoutingEvents();
-    if (fresh.empty()) continue;
-    std::vector<RoutingEvent>& sink = out[name];
-    sink.insert(sink.end(), fresh.begin(), fresh.end());
-  }
-  for (auto it = out.begin(); it != out.end();) {
-    it = it->second.empty() ? out.erase(it) : std::next(it);
-  }
-  return out;
-}
-
-size_t MultiGraphService::TrainRouters() {
-  if (options_.router != RouterKind::kLearned) return 0;
-  std::map<std::string, std::vector<RoutingEvent>, std::less<>> drained =
-      DrainAllRoutingEvents();
-  size_t observed = 0;
-  for (const auto& [name, events] : drained) {
-    std::shared_ptr<LearnedRouter> router;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = routers_.find(name);
-      if (it != routers_.end()) router = it->second;
-    }
-    // No router means the graph was dropped (or its service was never
-    // built through us); its tail of events has no model to feed.
-    if (router == nullptr) continue;
-    router->Observe(events);
-    observed += events.size();
-  }
-  return observed;
 }
 
 std::vector<std::string> MultiGraphService::StatsScopes() const {

@@ -49,8 +49,6 @@
 #define HKPR_SERVICE_MULTI_GRAPH_SERVICE_H_
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <functional>
 #include <map>
 #include <memory>
@@ -58,23 +56,13 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
-#include "hkpr/cost_model.h"
 #include "hkpr/params.h"
 #include "service/async_query_service.h"
 #include "service/graph_store.h"
 
 namespace hkpr {
-
-/// Which routing policy "auto" plans resolve through (per graph).
-enum class RouterKind : uint8_t {
-  kRule,     ///< the calibrated RuleBasedRouter (PR 5 behavior)
-  kLearned,  ///< one LearnedRouter per graph name, trained online from
-             ///< the graph's drained RoutingEvents; falls back to the
-             ///< rules per decision while undertrained
-};
 
 /// Multi-graph serving configuration.
 struct MultiGraphOptions {
@@ -88,19 +76,6 @@ struct MultiGraphOptions {
   /// micro-batching). `service.num_workers` is ignored — the budget above
   /// decides worker counts.
   ServiceOptions service;
-  /// Routing policy kind for "auto" plans. kLearned installs one
-  /// LearnedRouter per graph *name* — it survives hot-swaps of that
-  /// graph (the cost model decays and re-fits when the swapped-in
-  /// graph's scale differs; see CostModelOptions) and dies with Drop().
-  /// Ignored when `service.router` is set explicitly.
-  RouterKind router = RouterKind::kRule;
-  /// Candidate set, model thresholds and exploration for kLearned.
-  LearnedRouterOptions learned;
-  /// Background trainer period: every interval, drained routing events
-  /// feed each graph's LearnedRouter (TrainRouters()). Zero disables the
-  /// thread — call TrainRouters() manually (tests, benches). Only
-  /// meaningful with router == kLearned.
-  std::chrono::milliseconds train_interval{0};
 };
 
 /// The sharded frontend. All public methods are thread-safe. The store
@@ -190,34 +165,8 @@ class MultiGraphService {
   /// that outlive a hot-swap are preserved (bounded by the configured
   /// ring capacity; beyond it the oldest are dropped and counted in
   /// TelemetryFor().routing_dropped). Drains consume: two concurrent
-  /// drainers split the stream. Both this and DrainAllRoutingEvents()
-  /// serialize on one drain mutex, so the background trainer and an
-  /// external scraper never race each other mid-drain — but they still
-  /// partition the events between them; point every consumer that needs
-  /// the full stream at DrainAllRoutingEvents() and fan out from there.
+  /// drainers split the stream.
   std::vector<RoutingEvent> DrainRoutingEvents(std::string_view name);
-
-  /// Drains every graph's routing events (live, retiring and pending
-  /// retired leftovers) in one serialized call — the form the background
-  /// trainer uses, so per-name drains can never interleave with it.
-  /// Graphs with no new events are omitted.
-  std::map<std::string, std::vector<RoutingEvent>, std::less<>>
-  DrainAllRoutingEvents();
-
-  /// Feeds every graph's drained routing events to its LearnedRouter.
-  /// Returns the number of events consumed. No-op (0) unless options
-  /// selected RouterKind::kLearned. The background trainer calls this on
-  /// its interval; tests and benches call it directly for deterministic
-  /// training points.
-  size_t TrainRouters();
-
-  /// Graph `name`'s LearnedRouter for introspection (observation counts,
-  /// coefficients, predictions — the server's `router` command). Null
-  /// under RouterKind::kRule or before the graph's service was first
-  /// built. The router is shared with (and outlives) the graph's
-  /// service incarnations.
-  std::shared_ptr<const LearnedRouter> LearnedRouterFor(
-      std::string_view name) const;
 
   /// Every graph name with observable history: currently in the store,
   /// still draining, or with folded retired stats. The scope list the
@@ -326,10 +275,6 @@ class MultiGraphService {
   /// bumps the reject counter).
   QueryHandle ErrorHandle(QueryStatus status);
 
-  /// Graph `name`'s LearnedRouter, creating it on first use (BuildService
-  /// wires it into every incarnation of the graph's service). mu_ held.
-  std::shared_ptr<LearnedRouter> LearnedRouterForLocked(std::string_view name);
-
   GraphStore& store_;
   ApproxParams params_;
   uint64_t seed_;
@@ -337,17 +282,9 @@ class MultiGraphService {
   std::atomic<uint64_t> unknown_graph_rejects_{0};
   std::atomic<uint64_t> invalid_argument_rejects_{0};
 
-  /// Serializes DrainRoutingEvents / DrainAllRoutingEvents against each
-  /// other (never held together with a service's internal locks; ordered
-  /// before mu_).
+  /// Serializes DrainRoutingEvents calls against each other (never held
+  /// together with a service's internal locks; ordered before mu_).
   std::mutex routing_drain_mu_;
-
-  /// Background trainer (TrainRouters every train_interval); only
-  /// started for kLearned with a non-zero interval.
-  std::thread trainer_;
-  std::mutex trainer_mu_;
-  std::condition_variable trainer_cv_;
-  bool trainer_stop_ = false;  // under trainer_mu_
 
   mutable std::mutex mu_;
   std::map<std::string, std::shared_ptr<AsyncQueryService>, std::less<>>
@@ -370,12 +307,6 @@ class MultiGraphService {
   /// counted in retired_telemetry_[name].routing_dropped).
   std::map<std::string, std::vector<RoutingEvent>, std::less<>>
       pending_events_;
-  /// Per-graph-name learned routers (RouterKind::kLearned): created on
-  /// first service build, shared across every hot-swap incarnation of
-  /// the name (the model adapts via scale decay instead of resetting),
-  /// erased by Drop() like graph_defaults_. Guarded by mu_.
-  std::map<std::string, std::shared_ptr<LearnedRouter>, std::less<>>
-      routers_;
 };
 
 }  // namespace hkpr

@@ -80,8 +80,6 @@ void AddSnapshotCounters(ServiceStatsSnapshot& into,
   into.coalesced += from.coalesced;
   into.computed += from.computed;
   into.stolen += from.stolen;
-  into.hedged += from.hedged;
-  into.hedge_wins += from.hedge_wins;
   into.latency_count += from.latency_count;
   for (size_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
     into.latency_buckets[i] += from.latency_buckets[i];
@@ -112,8 +110,6 @@ ServiceStatsSnapshot ServiceStats::TakeSnapshot() const {
   snap.coalesced = coalesced_.load(std::memory_order_relaxed);
   snap.computed = computed_.load(std::memory_order_relaxed);
   snap.stolen = stolen_.load(std::memory_order_relaxed);
-  snap.hedged = hedged_.load(std::memory_order_relaxed);
-  snap.hedge_wins = hedge_wins_.load(std::memory_order_relaxed);
   // Percentiles derive from the same bucket copy that ships in the
   // snapshot, so the two can never disagree.
   snap.latency_buckets = latency_.BucketCounts();

@@ -95,11 +95,6 @@ struct ServiceStatsSnapshot {
                              ///< the cache is enabled)
   uint64_t stolen = 0;       ///< requests executed by a worker other than the
                              ///< submission shard's owner (work stealing)
-  uint64_t hedged = 0;       ///< runner-up hedge requests actually fired
-                             ///< (a registered hedge whose primary finished
-                             ///< before the trigger never counts)
-  uint64_t hedge_wins = 0;   ///< completed queries whose result came from
-                             ///< the hedge (runner-up) side
   size_t queue_depth = 0;    ///< requests waiting at snapshot time
 
   uint64_t latency_count = 0;  ///< completed queries in the histogram
@@ -155,12 +150,6 @@ class ServiceStats {
     if (count > 0) stolen_.fetch_add(count, std::memory_order_relaxed);
   }
 
-  /// A runner-up hedge request was fired (the primary's elapsed compute
-  /// crossed its predicted p95).
-  void RecordHedged() { Bump(hedged_); }
-  /// A hedged query completed from the hedge (runner-up) side.
-  void RecordHedgeWin() { Bump(hedge_wins_); }
-
   /// One query finished with kOk after `latency_seconds` in the pipeline.
   void RecordCompleted(double latency_seconds) {
     Bump(completed_);
@@ -187,8 +176,6 @@ class ServiceStats {
   std::atomic<uint64_t> coalesced_{0};
   std::atomic<uint64_t> computed_{0};
   std::atomic<uint64_t> stolen_{0};
-  std::atomic<uint64_t> hedged_{0};
-  std::atomic<uint64_t> hedge_wins_{0};
   LatencyHistogram latency_;
 };
 

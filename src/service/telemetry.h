@@ -31,9 +31,8 @@
 //     RoutingEvents — one per completed query: the RoutingQuery features
 //     the router saw (seed degree, graph scale, effective params), the
 //     plan it chose, the cache outcome, and the per-stage timings — with
-//     a Drain() snapshot API. This is the exact training/replay input
-//     the learned cost-model router on the ROADMAP needs, landed here as
-//     pure observability.
+//     a Drain() snapshot API, so a routing decision can be replayed
+//     offline against what it cost.
 //
 // Tracing is a construction-time switch (TelemetryOptions::enabled);
 // disabled, the service stamps no clocks, records nothing here, and
@@ -110,11 +109,10 @@ enum class CacheOutcome : uint8_t {
 /// Printable name ("none", "hit", "coalesced", "miss").
 const char* CacheOutcomeName(CacheOutcome outcome);
 
-/// One completed query, as the learned cost-model router will see it:
-/// the routing features, the chosen plan, the cache outcome, and the
-/// per-stage timings as microsecond offsets from submit. Trivially
-/// copyable by construction — the ring buffer publishes events through
-/// atomic 64-bit words.
+/// One completed query: the routing features, the chosen plan, the cache
+/// outcome, and the per-stage timings as microsecond offsets from submit.
+/// Trivially copyable by construction — the ring buffer publishes events
+/// through atomic 64-bit words.
 struct RoutingEvent {
   // --- identity ---
   uint64_t query_index = 0;   ///< deterministic RNG index (submission order)
@@ -130,14 +128,9 @@ struct RoutingEvent {
 
   // --- decision + outcome ---
   uint32_t backend_id = 0;  ///< resolved plan's stable backend id
-  uint8_t routed = 0;       ///< 1 when the RoutingPolicy chose the backend
+  uint8_t routed = 0;       ///< 1 when the router chose the backend
                             ///< ("auto"), 0 for pinned/default plans
   uint8_t cache = 0;        ///< CacheOutcome
-  uint8_t hedged = 0;       ///< 1 when a runner-up hedge was fired for
-                            ///< this query (whichever side won)
-  uint8_t hedge_won = 0;    ///< 1 when the hedge (runner-up) side
-                            ///< produced this completed result; its
-                            ///< backend_id is then the runner-up's
 
   // --- stage timings: offsets from submit, microseconds, monotone
   //     non-decreasing in declaration order ---

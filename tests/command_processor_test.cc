@@ -186,6 +186,7 @@ TEST_F(CommandProcessorTest, QueryAndErrorsMatchProtocolShape) {
   EXPECT_TRUE(StartsWith(Run(session, "query 3 t=1 t=2"),
                          "err duplicate key"));
   EXPECT_TRUE(StartsWith(Run(session, "wibble"), "err unknown command"));
+  EXPECT_TRUE(StartsWith(Run(session, "router"), "err unknown command"));
   EXPECT_TRUE(Run(session, "").empty());
 }
 

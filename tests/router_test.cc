@@ -84,7 +84,7 @@ TEST(QueryPlanTest, OverridesComposeOntoDefaults) {
 TEST(QueryPlanTest, ResolvePicksBackendAndValidatesNames) {
   const Graph g = MakeRoutingGraph();
   const ApproxParams params = TestParams(1e-3);
-  const RoutingPolicy& policy = DefaultRouter();
+  const RuleBasedRouter& policy = DefaultRouter();
 
   // No overrides, concrete default: the default's plan.
   std::optional<QueryPlan> plan =
@@ -284,7 +284,7 @@ TEST(RoutedServiceTest, AutoPlansBitIdenticalToChosenBackends) {
     ASSERT_EQ(result.status, QueryStatus::kOk);
 
     std::optional<QueryPlan> plan = ResolveQueryPlan(
-        g, seeds[i], kAutoBackend, params, submit.plan, service.router());
+        g, seeds[i], kAutoBackend, params, submit.plan, DefaultRouter());
     ASSERT_TRUE(plan.has_value());
     EXPECT_EQ(result.backend, plan->backend);
     EXPECT_EQ(result.backend_id, plan->backend_id);

@@ -355,8 +355,7 @@ TEST(ServerProtocolTest, StatsFieldsJsonShapeAndMetricsExposition) {
   for (const char* field :
        {"submitted=", "completed=", "rejected=", "invalid_plans=",
         "cancelled=", "expired=", "cache_hits=", "cache_misses=",
-        "coalesced=", "computed=", "stolen=", "hedged=", "hedge_wins=",
-        "queue=", "latency_count=",
+        "coalesced=", "computed=", "stolen=", "queue=", "latency_count=",
         "unknown_graph=", "invalid_argument=", "p50_ms=", "p95_ms=",
         "p99_ms=", "queue_wait_mean_ms=", "queue_wait_p50_ms=",
         "queue_wait_p99_ms=", "cache_mean_ms=", "cache_p50_ms=",
@@ -380,8 +379,7 @@ TEST(ServerProtocolTest, StatsFieldsJsonShapeAndMetricsExposition) {
   ASSERT_TRUE(StartsWith(reply, "ok {")) << reply;
   EXPECT_EQ(reply.back(), '}') << reply;
   for (const char* needle :
-       {"\"scope\":\"all\"", "\"submitted\":3", "\"hedged\":",
-        "\"hedge_wins\":", "\"stages\":",
+       {"\"scope\":\"all\"", "\"submitted\":3", "\"stages\":",
         "\"queue_wait\":", "\"cache\":", "\"compute\":", "\"count\":",
         "\"mean_ms\":", "\"p99_ms\":", "\"traced_total_us\":"}) {
     EXPECT_TRUE(Contains(reply, needle)) << "missing " << needle << ": "
@@ -453,61 +451,6 @@ TEST(ServerProtocolTest, StatsFieldsJsonShapeAndMetricsExposition) {
   EXPECT_TRUE(saw_tenant);  // per-tenant rows for the default tenant
 
   EXPECT_EQ(server.Quit(), 0);
-}
-
-TEST(ServerProtocolTest, RouterCommandAndLearnedHedgeFlags) {
-  ServerProcess server;
-  ASSERT_TRUE(server.Start({"--nodes=400", "--workers=2", "--seed=23",
-                            "--router=learned", "--hedge=on"}));
-  const std::string banner = server.ReadLine();
-  ASSERT_TRUE(StartsWith(banner, "ok hkpr_server")) << banner;
-  EXPECT_TRUE(Contains(banner, "router=learned")) << banner;
-  EXPECT_TRUE(Contains(banner, "hedge=on")) << banner;
-
-  // Routed traffic feeds the event log the router command trains from.
-  ASSERT_TRUE(StartsWith(server.Command("query 1 backend=auto"), "ok"));
-  ASSERT_TRUE(StartsWith(server.Command("query 2 backend=auto"), "ok"));
-
-  // router: per-candidate model lines, then the summary protocol line.
-  std::string reply = server.Command("router");
-  std::vector<std::string> lines;
-  while (!StartsWith(reply, "ok ") && !StartsWith(reply, "err")) {
-    lines.push_back(reply);
-    reply = server.ReadLine();
-  }
-  EXPECT_TRUE(StartsWith(reply, "ok router graph=default policy=learned"))
-      << reply;
-  for (const char* field : {"trained=", "events_observed=", "refits=",
-                            "decays=", "hedged=", "hedge_wins="}) {
-    EXPECT_TRUE(Contains(reply, field)) << "missing " << field << ": "
-                                        << reply;
-  }
-  // One model line per candidate (the default trio), each with an
-  // observation count.
-  ASSERT_EQ(lines.size(), 3u);
-  for (const std::string& line : lines) {
-    EXPECT_TRUE(StartsWith(line, "backend=")) << line;
-    EXPECT_TRUE(Contains(line, "observations=")) << line;
-  }
-
-  // Explicit graph scope works; unknown scopes err.
-  reply = server.Command("router default");
-  while (!StartsWith(reply, "ok ") && !StartsWith(reply, "err")) {
-    reply = server.ReadLine();
-  }
-  EXPECT_TRUE(StartsWith(reply, "ok router graph=default")) << reply;
-  reply = server.Command("router nosuch");
-  EXPECT_TRUE(StartsWith(reply, "err unknown graph \"nosuch\"")) << reply;
-
-  // Under the rule router the command still answers, with policy=rule-based.
-  EXPECT_EQ(server.Quit(), 0);
-  ServerProcess rule_server;
-  ASSERT_TRUE(rule_server.Start({"--nodes=400", "--workers=2", "--seed=23"}));
-  ASSERT_TRUE(StartsWith(rule_server.ReadLine(), "ok hkpr_server"));
-  reply = rule_server.Command("router");
-  EXPECT_TRUE(StartsWith(reply, "ok router graph=default policy=rule-based"))
-      << reply;
-  EXPECT_EQ(rule_server.Quit(), 0);
 }
 
 TEST(ServerProtocolTest, NoTraceFlagDisablesStagesButKeepsServing) {
@@ -599,6 +542,10 @@ TEST(ServerProtocolTest, UnknownFlagsAreRejectedNotIgnored) {
   // default worker budget instead of erroring.
   EXPECT_EQ(RunServerExpectExit({"--worker=8"}), 1);
   EXPECT_EQ(RunServerExpectExit({"--nodes=400", "--bogus"}), 1);
+  // The server has no --router or --hedge flag: passing one must fail
+  // loudly, not quietly serve with the defaults.
+  EXPECT_EQ(RunServerExpectExit({"--router=rule"}), 1);
+  EXPECT_EQ(RunServerExpectExit({"--hedge=off"}), 1);
   // Valid flags still start and exit 0 on stdin EOF.
   EXPECT_EQ(RunServerExpectExit({"--nodes=400", "--workers=2"}), 0);
 }
