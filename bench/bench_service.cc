@@ -41,10 +41,11 @@
 // width for every backend in the sweep; --smoke shrinks the router sweep
 // to a seconds-long CI validation run (tiny query count, one thread count)
 // that still emits every row; --trace-overhead skips the sweep and instead
-// runs alternating traced/untraced reps of the smoke workload, exiting
-// non-zero when stage tracing costs >= 2% median QPS (the telemetry
-// hot-path regression gate). The shared --full, --seeds=N and --rng=S
-// flags are accepted too; any other argument exits 1 with the flag list.
+// runs interleaved traced/untraced reps of the smoke workload, exiting
+// non-zero when stage tracing costs >= 2% process CPU time per query (the
+// telemetry hot-path regression gate). The shared --full, --seeds=N and
+// --rng=S flags are accepted too; any other argument exits 1 with the flag
+// list.
 //
 // The JSON records the machine's hardware thread count at the top level.
 // Every row also carries per-stage mean latencies (queue_ms, cache_ms,
@@ -58,6 +59,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <ctime>
 #include <map>
 #include <memory>
 #include <string>
@@ -362,10 +364,22 @@ int RunMultiGraphSweep(const BenchConfig& config, const std::string& json_path,
   return 0;
 }
 
-/// Trace-overhead guard: alternating traced/untraced reps of the smoke
-/// workload (cold pass on a fresh service + warm replay, closed loop), and
-/// the median QPS of each arm compared. Exits non-zero when tracing costs
-/// >= 2% QPS — the regression gate for keeping the telemetry hot path
+/// CPU time of every thread of this process, in seconds.
+double ProcessCpuSeconds() {
+  timespec ts;
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+/// Trace-overhead guard: interleaved traced/untraced reps of the smoke
+/// workload (cold pass on a fresh service + warm replay, closed loop),
+/// compared by process CPU time per query. CPU time leaves out the time a
+/// shared host takes the CPU away, which moves wall-clock QPS by up to 15%
+/// from run to run. The reps run in ABBA order, so a steady drift in the
+/// machine's speed weighs on both arms alike, and each arm's CPU time is
+/// summed over its reps. Exits non-zero when tracing costs >= 2% CPU per
+/// query — the regression gate for keeping the telemetry hot path
 /// wait-free and cheap.
 int RunTraceOverheadGuard(const BenchConfig& config, uint32_t num_queries) {
   Rng rng(config.rng_seed);
@@ -381,12 +395,13 @@ int RunTraceOverheadGuard(const BenchConfig& config, uint32_t num_queries) {
   const std::vector<NodeId> seeds =
       MixedDegreeZipfianSeeds(dataset.graph, num_queries, 256, 1.0, rng);
 
-  // Alternate arms (traced first) so machine drift hits both equally; the
-  // median of 5 reps per arm shrugs off stragglers.
-  constexpr int kReps = 5;
-  std::vector<double> traced_qps, untraced_qps;
-  for (int rep = 0; rep < 2 * kReps; ++rep) {
-    const bool traced = rep % 2 == 0;
+  // One rep is ~30 ms of CPU and its CPU time per query spreads ~7% rep
+  // to rep on a shared host; 100 reps per arm put the noise of the
+  // compared ratio near 1%.
+  constexpr int kRepsPerArm = 100;
+  double traced_s = 0.0, untraced_s = 0.0;
+  for (int rep = 0; rep < 2 * kRepsPerArm; ++rep) {
+    const bool traced = (rep % 2 == 0) == (rep / 2 % 2 == 0);
     ServiceOptions opts;
     opts.backend.name = "tea+";
     opts.backend.context.tea_plus.c = 1.0;
@@ -398,27 +413,23 @@ int RunTraceOverheadGuard(const BenchConfig& config, uint32_t num_queries) {
     AsyncQueryService service(dataset.graph, params, config.rng_seed, opts);
 
     LatencyHistogram cold_lat, warm_lat;
-    WallTimer timer;
+    const double start = ProcessCpuSeconds();
     RunClosedLoop(service, seeds, threads, cold_lat);
     RunClosedLoop(service, seeds, threads, warm_lat);
-    const double seconds = timer.ElapsedSeconds();
-    const double qps = 2.0 * num_queries / (seconds + 1e-12);
-    (traced ? traced_qps : untraced_qps).push_back(qps);
+    (traced ? traced_s : untraced_s) += ProcessCpuSeconds() - start;
   }
-  auto median = [](std::vector<double> v) {
-    std::sort(v.begin(), v.end());
-    return v[v.size() / 2];
-  };
-  const double on = median(traced_qps);
-  const double off = median(untraced_qps);
-  const double overhead = (off - on) / (off + 1e-12);
+  const double queries = 2.0 * num_queries * kRepsPerArm;
+  const double on_us = 1e6 * traced_s / queries;
+  const double off_us = 1e6 * untraced_s / queries;
+  const double overhead = on_us / off_us - 1.0;
   std::printf(
-      "trace overhead guard: traced=%.0f q/s untraced=%.0f q/s "
-      "overhead=%.2f%% (threshold 2%%)\n",
-      on, off, 100.0 * overhead);
+      "trace overhead guard: traced=%.2f us/q untraced=%.2f us/q CPU "
+      "overhead=%.2f%% (threshold 2%%, %d reps per arm)\n",
+      on_us, off_us, 100.0 * overhead, kRepsPerArm);
   if (overhead >= 0.02) {
     std::fprintf(stderr,
-                 "FAIL: tracing costs %.2f%% QPS (>= 2%% threshold)\n",
+                 "FAIL: tracing costs %.2f%% CPU per query (>= 2%% "
+                 "threshold)\n",
                  100.0 * overhead);
     return 1;
   }

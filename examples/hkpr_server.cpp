@@ -282,6 +282,9 @@ int main(int argc, char** argv) {
   options.service.cache_capacity = static_cast<size_t>(cache_capacity);
   options.service.backend.name = backend;
   options.service.backend.context.walk_kernel = walk_kernel;
+  // TEA+ drains past its hop cap until Inequality (11) certifies rather
+  // than falling back to walks; the (d, eps_r, delta) guarantee is the same.
+  options.service.backend.context.tea_plus.drain_past_hop_cap = true;
   options.service.telemetry.enabled = trace;
   MultiGraphService service(store, params, seed, options);
 

@@ -46,8 +46,9 @@ PushCounters HkPushInto(const Graph& graph, const HeatKernel& kernel,
 
 namespace {
 
-/// HK-Push+'s drain. Leaves the frontier open at whichever hop receives
-/// residue when it stops; HkPushPlusInto seals it.
+/// HK-Push+'s drain, over the hops of `ws.residues`: 0..cap, or
+/// 0..MaxHop() when draining past the cap. Leaves the frontier open at
+/// whichever hop receives residue when it stops; HkPushPlusInto seals it.
 PushCounters DrainPlus(const Graph& graph, const HeatKernel& kernel,
                        NodeId seed, uint32_t cap,
                        const HkPushPlusOptions& options, QueryWorkspace& ws) {
@@ -56,6 +57,7 @@ PushCounters DrainPlus(const Graph& graph, const HeatKernel& kernel,
   const size_t n = graph.NumNodes();
   const double eps_a = options.eps_r * options.delta;
   const double threshold = eps_a / static_cast<double>(cap);
+  const uint32_t last_hop = residues.max_hop();
 
   // Increase-only upper bounds on max_v r_k[v]/d(v) per hop. Adding residue
   // raises the bound exactly; zeroing an entry leaves it stale but still an
@@ -63,12 +65,25 @@ PushCounters DrainPlus(const Graph& graph, const HeatKernel& kernel,
   // below `threshold`, so the bound is then clamped to it. The loop may
   // terminate as soon as the bound sum certifies Inequality (11).
   std::vector<double>& norm_bound = ws.norm_bound;
-  norm_bound.assign(static_cast<size_t>(cap) + 1, 0.0);
+  norm_bound.assign(static_cast<size_t>(last_hop) + 1, 0.0);
   const uint32_t seed_degree = graph.Degree(seed);
   norm_bound[0] = seed_degree > 0 ? 1.0 / seed_degree : 0.0;
   double bound_total = norm_bound[0];
 
-  for (uint32_t k = 0; k < cap; ++k) {
+  for (uint32_t k = 0; k < last_hop; ++k) {
+    // Past the cap, hop k is drained only while the exact test (11) on the
+    // sealed table fails. At k == cap this is the test TEA+ runs after a
+    // hard-capped drain, so a seed that passes it stops exactly there. The
+    // test skips zeroed entries, so a drained hop's maintained sum, which
+    // can read a few ulps below zero, never enters the decision. An empty
+    // hop k means hop k-1 pushed nothing, so the table is final.
+    if (k >= cap) {
+      residues.SealFrontier();
+      if (residues.Hop(k).empty() ||
+          residues.MaxNormalizedResidueSum(graph) <= eps_a) {
+        return out;
+      }
+    }
     residues.OpenFrontier(k + 1, n);
     const std::vector<ResidueTable::Entry>& entries = residues.Hop(k);
     const double reserve_frac = kernel.ReserveFraction(k);
@@ -124,7 +139,7 @@ PushCounters HkPushPlusInto(const Graph& graph, const HeatKernel& kernel,
   HKPR_CHECK(options.eps_r > 0.0 && options.delta > 0.0);
   HKPR_CHECK(options.hop_cap >= 1);
   const uint32_t cap = std::min(options.hop_cap, kernel.MaxHop());
-  ws.PrepareQuery(cap);
+  ws.PrepareQuery(options.drain_past_hop_cap ? kernel.MaxHop() : cap);
   ws.residues.OpenFrontier(0, graph.NumNodes());
   ws.residues.AddToFrontier(seed, 1.0);
   const PushCounters out = DrainPlus(graph, kernel, seed, cap, options, ws);

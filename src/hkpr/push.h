@@ -36,8 +36,9 @@ struct PushResult {
   uint64_t push_operations = 0;
   /// (node, hop) entries converted.
   uint64_t entries_processed = 0;
-  /// HK-Push+ only: true when the early-exit test (Inequality 11 with
-  /// eps_a = eps_r * delta) triggered inside the loop.
+  /// HK-Push+ only: true when the increase-only bound certified
+  /// Inequality (11) with eps_a = eps_r * delta inside the loop. The exact
+  /// test that ends a drain past the hop cap does not set it.
   bool hit_absolute_target = false;
   /// HK-Push+ only: true when the push budget n_p was exhausted.
   bool hit_budget = false;
@@ -55,7 +56,8 @@ struct HkPushPlusOptions {
   double eps_r = 0.5;
   /// Significance threshold delta.
   double delta = 1e-6;
-  /// Hop cap K; pushes occur only at hops k < K (see ChooseHopCap).
+  /// Hop cap K; pushes occur only at hops k < K (see ChooseHopCap), unless
+  /// `drain_past_hop_cap`.
   uint32_t hop_cap = 10;
   /// Push-operation budget n_p; the loop stops once this many neighbor
   /// updates have been performed.
@@ -63,12 +65,25 @@ struct HkPushPlusOptions {
   /// Enables the in-loop early-exit test on the residue bound (Line 6).
   /// Disabled only by the ablation benchmark.
   bool enable_early_exit = true;
+  /// Keeps draining past the hop cap while Inequality (11) fails. Off is
+  /// the paper's Algorithm 4, which stops at hop K; see HkPushPlus.
+  bool drain_past_hop_cap = false;
 };
 
 /// Algorithm 4: pushes entries with residue above (eps_r*delta/K) * d(v) at
 /// hops k < K, stopping early when the push budget is exhausted or when an
 /// increase-only upper bound on sum_k max_v r_k[v]/d(v) certifies
 /// Inequality (11) with eps_a = eps_r * delta.
+///
+/// With `drain_past_hop_cap`, a drain that reaches hop K uncertified seals
+/// the table and runs the exact test (11). While it fails, hops K, K+1, ...
+/// are drained one at a time, with the same threshold and in-loop bound,
+/// and the exact test is re-run after each. The drain stops when the test
+/// passes, the budget runs out, hop kernel.MaxHop() is reached or a hop
+/// receives no residue, after which nothing can change. A seed that
+/// certifies at K gets exactly the hard cap's result: the table then only
+/// has more (empty) hops. Extra pushes keep the Lemma 1 invariant, so
+/// whatever residue is left is still a valid input to the walk phase.
 PushResult HkPushPlus(const Graph& graph, const HeatKernel& kernel,
                       NodeId seed, const HkPushPlusOptions& options);
 

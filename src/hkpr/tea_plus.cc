@@ -66,6 +66,7 @@ const SparseVector& TeaPlusEstimator::EstimateInto(NodeId seed,
   push_options.hop_cap = hop_cap_;
   push_options.push_budget = push_budget_;
   push_options.enable_early_exit = options_.enable_early_exit;
+  push_options.drain_past_hop_cap = options_.drain_past_hop_cap;
   const PushCounters push =
       HkPushPlusInto(graph_, kernel_, seed, push_options, ws);
   SparseVector& rho = ws.result;

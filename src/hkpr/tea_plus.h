@@ -35,6 +35,11 @@ struct TeaPlusOptions {
   /// Early termination of HK-Push+ via Inequality (11). Disabled only by the
   /// ablation benchmark.
   bool enable_early_exit = true;
+  /// HK-Push+ keeps draining past the hop cap K while Inequality (11) fails
+  /// (HkPushPlusOptions::drain_past_hop_cap), so seeds whose residue at hop
+  /// K blocks the test get a push-only answer instead of alpha*omega walks.
+  /// Off is the paper's hard cap; the shipped server turns it on.
+  bool drain_past_hop_cap = false;
   BetaMode beta_mode = BetaMode::kProportionalToHopSum;
   /// Walk-phase interleave width (hkpr/walk_kernel.h).
   WalkKernelOptions walk_kernel;

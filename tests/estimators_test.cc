@@ -7,6 +7,7 @@
 
 #include "clustering/metrics.h"
 #include "graph/generators.h"
+#include "graph/subgraph.h"
 #include "hkpr/monte_carlo.h"
 #include "hkpr/power_method.h"
 #include "hkpr/push_estimator.h"
@@ -208,6 +209,35 @@ TEST(TeaPlusTest, WalkCountBoundedByOmega) {
   EstimatorStats stats;
   tea_plus.Estimate(7, &stats);
   EXPECT_LE(static_cast<double>(stats.num_walks), tea_plus.omega() + 1.0);
+}
+
+TEST(TeaPlusTest, DrainPastHopCapAnswersHardCapWalkersWithinGuarantee) {
+  // Seeds whose residue at the hop cap keeps Inequality (11) from
+  // certifying walk under the paper's hard cap. Drained past the cap they
+  // get a push-only answer, which must meet the same guarantee.
+  const Graph g = RestrictToLargestComponent(Rmat(12, 16.0, 5));
+  ApproxParams params = TestParams(0.1 / g.NumNodes());
+  params.p_f = 1e-6;
+  TeaPlusOptions drain;
+  drain.drain_past_hop_cap = true;
+  TeaPlusEstimator hard_cap(g, params, 21);
+  TeaPlusEstimator drained(g, params, 21, drain);
+  QueryWorkspace ws;
+  size_t walkers = 0;
+  for (NodeId s = 0; s < 200; ++s) {
+    EstimatorStats hard_stats;
+    hard_cap.EstimateInto(s, ws, &hard_stats);
+    if (hard_stats.num_walks == 0) continue;
+    ++walkers;
+    EstimatorStats stats;
+    const SparseVector& est = drained.EstimateInto(s, ws, &stats);
+    EXPECT_EQ(stats.num_walks, 0u) << "seed " << s;
+    const std::vector<double> exact = ExactHkpr(g, params.t, s);
+    EXPECT_EQ(
+        CountApproxViolations(g, est, exact, params.eps_r, params.delta), 0u)
+        << "seed " << s;
+  }
+  EXPECT_EQ(walkers, 5u);
 }
 
 TEST(PushOnlyTest, DeterministicGuarantee) {

@@ -3,9 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "graph/generators.h"
+#include "graph/subgraph.h"
+#include "hkpr/params.h"
 #include "hkpr/power_method.h"
 #include "hkpr/push.h"
 #include "test_util.h"
@@ -196,6 +201,164 @@ TEST(HkPushPlusTest, MassConservation) {
   options.push_budget = 100000;
   PushResult push = HkPushPlus(g, kernel, 4, options);
   EXPECT_NEAR(push.reserve.Sum() + push.residues.TotalSum(), 1.0, 1e-9);
+}
+
+/// HK-Push+ at TEA+'s hop cap and push budget (c = 2.5) on an R-MAT graph
+/// at delta = 0.1/n, where a few seeds of 0..199 leave residue at hop K
+/// that keeps Inequality (11) from certifying.
+class HkPushPlusDrainTest : public ::testing::Test {
+ protected:
+  static constexpr NodeId kSeeds = 200;
+
+  HkPushPlusDrainTest()
+      : graph_(RestrictToLargestComponent(Rmat(12, 16.0, 5))), kernel_(5.0) {
+    ApproxParams params;
+    params.t = 5.0;
+    params.eps_r = 0.5;
+    params.delta = 0.1 / graph_.NumNodes();
+    params.p_f = 1e-6;
+    options_.eps_r = params.eps_r;
+    options_.delta = params.delta;
+    options_.hop_cap = ChooseHopCap(2.5, params, graph_.AverageDegree(),
+                                    kernel_.MaxHop());
+    options_.push_budget = static_cast<uint64_t>(std::ceil(
+        OmegaTeaPlus(params, ComputePfPrime(graph_, params.p_f)) * params.t /
+        2.0));
+  }
+
+  HkPushPlusOptions Drained() const {
+    HkPushPlusOptions options = options_;
+    options.drain_past_hop_cap = true;
+    return options;
+  }
+
+  /// TEA+'s Line 7 test on a finished push.
+  bool Certifies(const PushCounters& push, const QueryWorkspace& ws) const {
+    return push.hit_absolute_target ||
+           ws.residues.MaxNormalizedResidueSum(graph_) <=
+               options_.eps_r * options_.delta;
+  }
+
+  /// Seeds of 0..kSeeds-1 on which the hard-capped push does not certify.
+  std::vector<NodeId> HardCapWalkers() const {
+    std::vector<NodeId> walkers;
+    QueryWorkspace ws;
+    for (NodeId s = 0; s < kSeeds; ++s) {
+      if (!Certifies(HkPushPlusInto(graph_, kernel_, s, options_, ws), ws)) {
+        walkers.push_back(s);
+      }
+    }
+    return walkers;
+  }
+
+  Graph graph_;
+  HeatKernel kernel_;
+  HkPushPlusOptions options_;
+};
+
+TEST_F(HkPushPlusDrainTest, SeedsCertifyingAtTheCapAreBitIdentical) {
+  // The exact test runs before any extension, so a seed that certifies at
+  // K keeps its reserve, residues, hop sums and counters to the bit; the
+  // drained table only has more hops, all empty.
+  const uint32_t cap = options_.hop_cap;
+  ASSERT_LT(cap, kernel_.MaxHop());
+  QueryWorkspace hard_ws, drained_ws;
+  size_t certified = 0;
+  for (NodeId s = 0; s < kSeeds; ++s) {
+    const PushCounters hard =
+        HkPushPlusInto(graph_, kernel_, s, options_, hard_ws);
+    if (!Certifies(hard, hard_ws)) continue;
+    ++certified;
+    const PushCounters drained =
+        HkPushPlusInto(graph_, kernel_, s, Drained(), drained_ws);
+    SCOPED_TRACE(::testing::Message() << "seed " << s);
+    testing::ExpectBitIdentical(drained_ws.result, hard_ws.result);
+    EXPECT_EQ(drained.push_operations, hard.push_operations);
+    EXPECT_EQ(drained.entries_processed, hard.entries_processed);
+    EXPECT_EQ(drained.hit_absolute_target, hard.hit_absolute_target);
+    EXPECT_EQ(drained.hit_budget, hard.hit_budget);
+
+    const ResidueTable& want = hard_ws.residues;
+    const ResidueTable& got = drained_ws.residues;
+    ASSERT_EQ(want.max_hop(), cap);
+    ASSERT_EQ(got.max_hop(), kernel_.MaxHop());
+    for (uint32_t k = 0; k <= got.max_hop(); ++k) {
+      if (k > cap) {
+        EXPECT_TRUE(got.Hop(k).empty()) << "hop " << k;
+        EXPECT_EQ(std::bit_cast<uint64_t>(got.HopSum(k)), 0u) << "hop " << k;
+        continue;
+      }
+      EXPECT_EQ(std::bit_cast<uint64_t>(got.HopSum(k)),
+                std::bit_cast<uint64_t>(want.HopSum(k)))
+          << "hop " << k;
+      ASSERT_EQ(got.Hop(k).size(), want.Hop(k).size()) << "hop " << k;
+      for (size_t i = 0; i < want.Hop(k).size(); ++i) {
+        ASSERT_EQ(got.Hop(k)[i].key, want.Hop(k)[i].key);
+        ASSERT_EQ(std::bit_cast<uint64_t>(got.Hop(k)[i].value),
+                  std::bit_cast<uint64_t>(want.Hop(k)[i].value))
+            << "hop " << k << " entry " << i;
+      }
+    }
+  }
+  EXPECT_EQ(certified, kSeeds - 5);  // all but the walkers below
+}
+
+TEST_F(HkPushPlusDrainTest, HardCapWalkersCertifyByPushingPastTheCap) {
+  const std::vector<NodeId> walkers = HardCapWalkers();
+  ASSERT_EQ(walkers, (std::vector<NodeId>{6, 27, 46, 73, 141}));
+  const uint32_t cap = options_.hop_cap;
+  QueryWorkspace hard_ws, drained_ws;
+  for (const NodeId s : walkers) {
+    SCOPED_TRACE(::testing::Message() << "seed " << s);
+    const PushCounters hard =
+        HkPushPlusInto(graph_, kernel_, s, options_, hard_ws);
+    const PushCounters drained =
+        HkPushPlusInto(graph_, kernel_, s, Drained(), drained_ws);
+    EXPECT_TRUE(Certifies(drained, drained_ws));
+    EXPECT_FALSE(drained.hit_budget);
+    EXPECT_GT(drained.push_operations, hard.push_operations);
+
+    // Every extra push is at a hop >= K: hops below K are untouched, and
+    // hop K keeps each hard-cap entry or has pushed it out.
+    const ResidueTable& want = hard_ws.residues;
+    const ResidueTable& got = drained_ws.residues;
+    for (uint32_t k = 0; k <= cap; ++k) {
+      ASSERT_EQ(got.Hop(k).size(), want.Hop(k).size()) << "hop " << k;
+      for (size_t i = 0; i < want.Hop(k).size(); ++i) {
+        const ResidueTable::Entry& e = got.Hop(k)[i];
+        ASSERT_EQ(e.key, want.Hop(k)[i].key);
+        if (k == cap && e.value == 0.0) continue;
+        ASSERT_EQ(std::bit_cast<uint64_t>(e.value),
+                  std::bit_cast<uint64_t>(want.Hop(k)[i].value))
+            << "hop " << k << " entry " << i;
+      }
+    }
+    EXPECT_NEAR(drained_ws.result.Sum() + got.TotalSum(), 1.0, 1e-12);
+  }
+}
+
+TEST_F(HkPushPlusDrainTest, PushBudgetStopsTheDrain) {
+  // A budget one push operation above the hard cap's count lets the drain
+  // push one entry past K; a walker that needs more entries than that
+  // stops on the budget.
+  size_t stopped = 0;
+  QueryWorkspace hard_ws, drained_ws;
+  for (const NodeId s : HardCapWalkers()) {
+    const PushCounters hard =
+        HkPushPlusInto(graph_, kernel_, s, options_, hard_ws);
+    const PushCounters unlimited =
+        HkPushPlusInto(graph_, kernel_, s, Drained(), drained_ws);
+    if (unlimited.entries_processed < hard.entries_processed + 2) continue;
+    HkPushPlusOptions options = Drained();
+    options.push_budget = hard.push_operations + 1;
+    const PushCounters drained =
+        HkPushPlusInto(graph_, kernel_, s, options, drained_ws);
+    EXPECT_TRUE(drained.hit_budget) << "seed " << s;
+    EXPECT_EQ(drained.entries_processed, hard.entries_processed + 1)
+        << "seed " << s;
+    ++stopped;
+  }
+  EXPECT_GT(stopped, 0u);
 }
 
 TEST(ResidueTableTest, SumsMaintained) {

@@ -250,10 +250,12 @@ ApproxParams TestParams(const Graph& graph) {
   return params;
 }
 
-TEST(WalkKernelTest, TeaPlusBitIdenticalAcrossWidthsAndThreadCounts) {
-  // The serving-level guarantee: TEA+ with its walk phase inline or sharded
-  // over any thread count, at any configured width, produces the same
-  // estimate to the last bit.
+/// The serving-level guarantee: TEA+ with its walk phase inline or sharded
+/// over any thread count, at any configured width, produces the same
+/// estimate to the last bit. `seq_stats` gets the sequential run's stats.
+void ExpectTeaPlusBitIdenticalAcrossWidthsAndThreadCounts(
+    const TeaPlusOptions& base_options, NodeId query,
+    EstimatorStats* seq_stats) {
   const Graph graph = PowerlawCluster(1500, 4, 0.3, 4);
   // Serving-grade coarse accuracy with a tight hop cap (as in
   // bench_service): the push phase leaves residue mass behind, so the walk
@@ -262,15 +264,11 @@ TEST(WalkKernelTest, TeaPlusBitIdenticalAcrossWidthsAndThreadCounts) {
   params.delta = 20.0 / static_cast<double>(graph.NumNodes());
   params.p_f = 1e-6;
   const uint64_t seed = 99;
-  const NodeId query = 3;
 
-  TeaPlusOptions base_options;
-  base_options.c = 1.0;
   TeaPlusEstimator sequential(graph, params, seed, base_options);
-  EstimatorStats seq_stats;
   const std::map<NodeId, double> expected =
-      ToMap(sequential.Estimate(query, &seq_stats));
-  ASSERT_GT(seq_stats.num_walks, 0u) << "walk phase must run for this test";
+      ToMap(sequential.Estimate(query, seq_stats));
+  ASSERT_GT(seq_stats->num_walks, 0u) << "walk phase must run for this test";
 
   for (const uint32_t width : {1u, 4u, 8u, 16u}) {
     for (const uint32_t threads : {1u, 4u, 8u}) {
@@ -280,10 +278,33 @@ TEST(WalkKernelTest, TeaPlusBitIdenticalAcrossWidthsAndThreadCounts) {
       EstimatorStats stats;
       EXPECT_EQ(ToMap(parallel.Estimate(query, &stats)), expected)
           << "width " << width << " threads " << threads;
-      EXPECT_EQ(stats.walk_steps, seq_stats.walk_steps);
-      EXPECT_EQ(stats.num_walks, seq_stats.num_walks);
+      EXPECT_EQ(stats.walk_steps, seq_stats->walk_steps);
+      EXPECT_EQ(stats.num_walks, seq_stats->num_walks);
     }
   }
+}
+
+TEST(WalkKernelTest, TeaPlusBitIdenticalAcrossWidthsAndThreadCounts) {
+  TeaPlusOptions options;
+  options.c = 1.0;
+  EstimatorStats stats;
+  ExpectTeaPlusBitIdenticalAcrossWidthsAndThreadCounts(options, 3, &stats);
+}
+
+TEST(WalkKernelTest, DrainedTeaPlusBitIdenticalAcrossWidthsAndThreadCounts) {
+  // The server's configuration, draining past the hop cap. With c = 1 the
+  // cap is K = 3 and the push threshold eps_r*delta/K is coarse: on seed
+  // 41 the drain runs out of entries above it while Inequality (11) still
+  // fails, so the query still walks.
+  TeaPlusOptions hard_cap;
+  hard_cap.c = 1.0;
+  TeaPlusOptions drained = hard_cap;
+  drained.drain_past_hop_cap = true;
+  EstimatorStats hard_stats, stats;
+  ExpectTeaPlusBitIdenticalAcrossWidthsAndThreadCounts(hard_cap, 41,
+                                                       &hard_stats);
+  ExpectTeaPlusBitIdenticalAcrossWidthsAndThreadCounts(drained, 41, &stats);
+  EXPECT_GT(stats.push_operations, hard_stats.push_operations);
 }
 
 TEST(WalkKernelTest, MonteCarloBitIdenticalAcrossThreadCounts) {
