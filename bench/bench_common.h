@@ -69,7 +69,7 @@ struct Aggregate {
 
 /// Runs full local-clustering queries (estimate + sweep) over `seeds`.
 inline Aggregate RunLocalClustering(const Graph& graph,
-                                    HkprEstimator& estimator,
+                                    WorkspaceEstimator& estimator,
                                     const std::vector<NodeId>& seeds) {
   Aggregate agg;
   const double graph_mb =

@@ -32,7 +32,8 @@ struct NdcgPoint {
   double avg_ndcg = 0.0;
 };
 
-NdcgPoint Run(const Graph& graph, HkprEstimator& est, const std::string& param,
+NdcgPoint Run(const Graph& graph, WorkspaceEstimator& est,
+              const std::string& param,
               const std::vector<NodeId>& seeds,
               const std::vector<std::vector<double>>& exact_normalized) {
   NdcgPoint point;

@@ -10,8 +10,9 @@
 // beat spawn-per-call by a margin that grows with the thread count.
 //
 // Extra flags: --json=PATH writes the repeated-query results as JSON (for
-// BENCH_*.json trajectories); --graph-scale=NAME (small/medium/large, see
-// bench_common.h) adds an R-MAT scaling preset to the repeated-query
+// BENCH_*.json trajectories), with the hardware thread count and the
+// command line that produced them; --graph-scale=NAME (small/medium/large,
+// see bench_common.h) adds an R-MAT scaling preset to the repeated-query
 // sweep, so the JSON carries large-graph rows next to the historical
 // small-graph ones. The clustering speedup sections stay on the primary
 // dataset — at fine delta they would take hours on the large presets.
@@ -58,7 +59,20 @@ double TimeQueries(uint32_t num_queries, const std::vector<NodeId>& seeds,
   return timer.ElapsedSeconds();
 }
 
-void WriteThroughputJson(const std::string& path,
+/// argv joined with spaces, escaped for a JSON string.
+std::string JsonCommandLine(int argc, char** argv) {
+  std::string out;
+  for (int i = 0; i < argc; ++i) {
+    if (i > 0) out += ' ';
+    for (const char* c = argv[i]; *c != '\0'; ++c) {
+      if (*c == '"' || *c == '\\') out += '\\';
+      out += *c;
+    }
+  }
+  return out;
+}
+
+void WriteThroughputJson(const std::string& path, const std::string& command,
                          const std::vector<Dataset>& datasets,
                          uint32_t num_queries,
                          const std::vector<ThroughputRow>& rows) {
@@ -68,6 +82,8 @@ void WriteThroughputJson(const std::string& path,
     return;
   }
   std::fprintf(f, "{\n  \"benchmark\": \"repeated_query_throughput\",\n");
+  std::fprintf(f, "  \"hardware_threads\": %u,\n", HardwareThreads());
+  std::fprintf(f, "  \"command\": \"%s\",\n", command.c_str());
   std::fprintf(f, "  \"graphs\": [\n");
   for (size_t i = 0; i < datasets.size(); ++i) {
     std::fprintf(f, "    {\"name\": \"%s\", \"nodes\": %u, \"edges\": %llu}%s\n",
@@ -160,10 +176,11 @@ int main(int argc, char** argv) {
   //
   // The serving scenario: many coarse (delta ~ 20/n) TEA+ queries in a row,
   // walk phase forced (c=1) so every query exercises the parallel section.
-  // "spawn" recreates threads and scratch per query (the legacy path),
-  // "pool" answers the same queries on parked workers with one reused
-  // workspace, "batch" pushes whole seed batches through BatchQueryEngine
-  // (queries sharded across threads, per-thread workspaces).
+  // "spawn" recreates threads and scratch per query (Estimate with walk
+  // threads spawned per call), "pool" answers the same queries on parked
+  // workers with one reused workspace, "batch" pushes whole seed batches
+  // through BatchQueryEngine (queries sharded across threads, per-thread
+  // workspaces).
   std::printf("\n-- Repeated-query throughput (TEA+, walk-heavy, c=1) --\n");
   {
     const uint32_t num_queries = config.full ? 2000 : 1000;
@@ -186,8 +203,9 @@ int main(int argc, char** argv) {
       serve_params.eps_r = 0.5;
       serve_params.delta = 100.0 * DefaultDelta(serve_dataset.graph);
       serve_params.p_f = 1e-6;
-      TeaPlusOptions serve_options;
-      serve_options.c = 1.0;
+      BackendSpec serve_spec;
+      serve_spec.context.tea_plus.c = 1.0;
+      const TeaPlusOptions& serve_options = serve_spec.context.tea_plus;
       std::vector<NodeId> serve_seeds =
           UniformSeeds(serve_dataset.graph, 1000, rng);
 
@@ -210,7 +228,7 @@ int main(int argc, char** argv) {
                         [&](NodeId s) { pooled.EstimateInto(s, ws); });
 
         BatchQueryEngine engine(serve_dataset.graph, serve_params,
-                                config.rng_seed, threads, serve_options);
+                                config.rng_seed, threads, serve_spec);
         WallTimer batch_timer;
         for (uint32_t done = 0; done < queries;) {
           const uint32_t take = std::min<uint32_t>(
@@ -233,7 +251,8 @@ int main(int argc, char** argv) {
       }
       table.Print();
     }
-    WriteThroughputJson(json_path, serve_datasets, num_queries, results);
+    WriteThroughputJson(json_path, JsonCommandLine(argc, argv),
+                        serve_datasets, num_queries, results);
   }
   return 0;
 }

@@ -34,7 +34,7 @@ struct BestResult {
 /// (avg F1, avg ms).
 std::pair<double, double> EvaluateF1(
     const Graph& graph, const CommunitySet& communities,
-    const std::vector<CommunitySeed>& queries, HkprEstimator& est) {
+    const std::vector<CommunitySeed>& queries, WorkspaceEstimator& est) {
   double f1 = 0.0;
   double ms = 0.0;
   for (const CommunitySeed& q : queries) {

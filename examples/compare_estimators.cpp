@@ -7,7 +7,6 @@
 
 #include "baselines/cluster_hkpr.h"
 #include "baselines/hk_relax.h"
-#include "baselines/ppr_nibble.h"
 #include "clustering/metrics.h"
 #include "common/timer.h"
 #include "graph/generators.h"
@@ -46,8 +45,8 @@ int main() {
 
   std::printf("\n%-12s %10s %10s %12s %10s %12s\n", "algorithm", "time",
               "support", "max |err|/d", "NDCG@200", "violations");
-  std::vector<HkprEstimator*> estimators = {&mc, &tea, &tea_plus, &relax};
-  for (HkprEstimator* est : estimators) {
+  std::vector<WorkspaceEstimator*> estimators = {&mc, &tea, &tea_plus, &relax};
+  for (WorkspaceEstimator* est : estimators) {
     EstimatorStats stats;
     WallTimer timer;
     SparseVector rho = est->Estimate(seed, &stats);
@@ -61,13 +60,5 @@ int main() {
                 violations);
   }
 
-  // PPR for contrast: a different proximity measure, same sweep machinery.
-  PprNibbleOptions ppr_options;
-  ppr_options.eps = 1e-7;
-  PprNibbleEstimator ppr(graph, ppr_options);
-  WallTimer timer;
-  SparseVector p = ppr.Estimate(seed);
-  std::printf("%-12s %8.1fms %10zu %12s %10s %12s  (different measure)\n",
-              "PR-Nibble", timer.ElapsedMillis(), p.nnz(), "-", "-", "-");
   return 0;
 }

@@ -12,24 +12,19 @@ ClusterHkprEstimator::ClusterHkprEstimator(const Graph& graph,
                                            uint64_t seed)
     : graph_(graph), options_(options), kernel_(options.t), rng_(seed) {
   HKPR_CHECK(options.eps > 0.0 && options.eps < 1.0);
-  HKPR_CHECK(graph.NumNodes() >= 2);
+  // log(n) is taken at n >= 2 so a one-node graph still draws walks (each
+  // ends at the seed), and the cap applies in double: the theoretical
+  // count can exceed the uint64_t range at tiny eps.
+  const double n = std::max(static_cast<double>(graph.NumNodes()), 2.0);
   const double theoretical =
-      16.0 * std::log(static_cast<double>(graph.NumNodes())) /
-      (options.eps * options.eps * options.eps);
-  num_walks_ = std::min<uint64_t>(options.max_walks,
-                                  static_cast<uint64_t>(std::ceil(theoretical)));
+      16.0 * std::log(n) / (options.eps * options.eps * options.eps);
+  num_walks_ = theoretical < static_cast<double>(options.max_walks)
+                   ? static_cast<uint64_t>(std::ceil(theoretical))
+                   : options.max_walks;
   HKPR_CHECK(num_walks_ > 0);
   length_cap_ = options.length_cap == 0
                     ? kernel_.MaxHop()
                     : std::min(options.length_cap, kernel_.MaxHop());
-}
-
-SparseVector ClusterHkprEstimator::Estimate(NodeId seed,
-                                            EstimatorStats* stats) {
-  // Runs in a fresh workspace, so the by-value path consumes exactly the
-  // same RNG stream and produces exactly the same adds as EstimateInto —
-  // bit-identical by construction.
-  return EstimateWithFreshWorkspace(*this, seed, stats);
 }
 
 const SparseVector& ClusterHkprEstimator::EstimateInto(NodeId seed,

@@ -30,25 +30,18 @@ struct ClusterHkprOptions {
 };
 
 /// Monte-Carlo HKPR with the Chung-Simpson walk count and length cap.
-///
-/// Also implements the serving-backend contract (WorkspaceEstimator):
-/// EstimateInto() runs the same walks — bit-identically, same RNG stream —
-/// inside a caller-provided workspace, and Reseed() replays the randomness
-/// of a freshly constructed estimator, so the baseline registers in the
-/// EstimatorRegistry ("cluster-hkpr") and serves through every query
-/// frontend.
-class ClusterHkprEstimator : public HkprEstimator, public WorkspaceEstimator {
+/// Reseed() replays the randomness of a freshly constructed estimator, so
+/// the baseline registers in the EstimatorRegistry ("cluster-hkpr") and
+/// serves through every query frontend.
+class ClusterHkprEstimator : public WorkspaceEstimator {
  public:
   ClusterHkprEstimator(const Graph& graph, const ClusterHkprOptions& options,
                        uint64_t seed);
 
-  SparseVector Estimate(NodeId seed, EstimatorStats* stats) override;
-  using HkprEstimator::Estimate;
-
   /// Runs the query entirely inside `ws` (end-point counts accumulate into
   /// `ws.result`) and returns a reference to `ws.result`, valid until the
   /// next query on that workspace. Allocation-free once the workspace
-  /// capacities have warmed up; bit-identical to Estimate().
+  /// capacities have warmed up.
   const SparseVector& EstimateInto(NodeId seed, QueryWorkspace& ws,
                                    EstimatorStats* stats = nullptr) override;
 

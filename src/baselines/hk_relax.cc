@@ -34,10 +34,6 @@ HkRelaxEstimator::HkRelaxEstimator(const Graph& graph,
   }
 }
 
-SparseVector HkRelaxEstimator::Estimate(NodeId seed, EstimatorStats* stats) {
-  return EstimateWithFreshWorkspace(*this, seed, stats);
-}
-
 const SparseVector& HkRelaxEstimator::EstimateInto(NodeId seed,
                                                    QueryWorkspace& ws,
                                                    EstimatorStats* stats) {

@@ -30,12 +30,9 @@ struct HkRelaxOptions {
 
 /// Deterministic push-based HKPR approximation with an absolute
 /// degree-normalized error guarantee.
-class HkRelaxEstimator : public HkprEstimator, public WorkspaceEstimator {
+class HkRelaxEstimator : public WorkspaceEstimator {
  public:
   HkRelaxEstimator(const Graph& graph, const HkRelaxOptions& options);
-
-  SparseVector Estimate(NodeId seed, EstimatorStats* stats) override;
-  using HkprEstimator::Estimate;
 
   /// Workspace-aware variant: runs the query entirely inside `ws` (the
   /// residue table holds the per-level Taylor residuals, `ws.starts` backs

@@ -6,8 +6,8 @@
 
 namespace hkpr {
 
-LocalClusterResult LocalCluster(const Graph& graph, HkprEstimator& estimator,
-                                NodeId seed,
+LocalClusterResult LocalCluster(const Graph& graph,
+                                WorkspaceEstimator& estimator, NodeId seed,
                                 const SweepOptions& sweep_options) {
   LocalClusterResult out;
   WallTimer total;

@@ -24,8 +24,8 @@ struct LocalClusterResult {
 
 /// Runs `estimator` on `seed` and sweeps the resulting vector, timing both
 /// phases. This is the operation the paper's Figures 4/7/8/9 measure.
-LocalClusterResult LocalCluster(const Graph& graph, HkprEstimator& estimator,
-                                NodeId seed,
+LocalClusterResult LocalCluster(const Graph& graph,
+                                WorkspaceEstimator& estimator, NodeId seed,
                                 const SweepOptions& sweep_options = {});
 
 }  // namespace hkpr

@@ -17,7 +17,6 @@ namespace hkpr {
 
 namespace {
 
-constexpr char kMagicV1[8] = {'H', 'K', 'P', 'R', 'G', 'R', 'P', 'H'};
 constexpr char kMagicV2[8] = {'H', 'K', 'P', 'R', 'C', 'S', 'R', '2'};
 constexpr uint32_t kFormatVersion = 2;
 constexpr uint32_t kEndianCheck = 0x01020304u;
@@ -137,31 +136,6 @@ Status ValidateCsrSections(const std::string& path,
   return Status::OK();
 }
 
-/// Legacy v1: magic | u64 n | u64 arcs | offsets | adjacency, unaligned.
-Result<Graph> LoadBinaryV1(std::FILE* f, const std::string& path) {
-  uint64_t n = 0;
-  uint64_t arcs = 0;
-  if (std::fread(&n, sizeof(n), 1, f) != 1 ||
-      std::fread(&arcs, sizeof(arcs), 1, f) != 1) {
-    return Status::IOError(path + ": truncated header");
-  }
-  if (n > 0xFFFFFFFFull - 1) {
-    return Status::OutOfRange(path + ": node count exceeds 32 bits");
-  }
-  std::vector<uint64_t> offsets(n + 1);
-  std::vector<NodeId> adjacency(arcs);
-  if (std::fread(offsets.data(), sizeof(uint64_t), n + 1, f) != n + 1) {
-    return Status::IOError(path + ": truncated offsets");
-  }
-  if (arcs > 0 &&
-      std::fread(adjacency.data(), sizeof(NodeId), arcs, f) != arcs) {
-    return Status::IOError(path + ": truncated adjacency");
-  }
-  Status valid = ValidateCsrSections(path, offsets, adjacency, {});
-  if (!valid.ok()) return valid;
-  return Graph::FromCsr(std::move(offsets), std::move(adjacency));
-}
-
 }  // namespace
 
 Result<Graph> LoadEdgeList(const std::string& path) {
@@ -259,9 +233,6 @@ Result<Graph> LoadBinary(const std::string& path) {
   char magic[8];
   if (std::fread(magic, 1, sizeof(magic), f.get()) != sizeof(magic)) {
     return Status::IOError(path + ": truncated header");
-  }
-  if (std::memcmp(magic, kMagicV1, sizeof(kMagicV1)) == 0) {
-    return LoadBinaryV1(f.get(), path);
   }
 
   BinaryHeader header = {};

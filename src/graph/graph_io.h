@@ -23,8 +23,7 @@
 // multi-gigabyte snapshot is O(1) page-table work, the resident cost is
 // shared page cache (many processes / many GraphStore entries, one copy),
 // and eviction under memory pressure is the kernel's problem. LoadBinary()
-// reads the same format (and the legacy v1 "HKPRGRPH" format) into private
-// heap vectors.
+// reads the same format into private heap vectors.
 
 #ifndef HKPR_GRAPH_GRAPH_IO_H_
 #define HKPR_GRAPH_GRAPH_IO_H_
@@ -51,9 +50,9 @@ Status SaveEdgeList(const Graph& graph, const std::string& path);
 /// along, so a relabeled graph round-trips bit-identically.
 Status SaveBinary(const Graph& graph, const std::string& path);
 
-/// Loads a binary CSR snapshot into private heap vectors. Accepts v2 files
-/// and the legacy v1 "HKPRGRPH" format. Corrupt, truncated, bad-magic and
-/// wrong-endian files report a clean Status error (never abort).
+/// Loads a v2 binary CSR snapshot into private heap vectors. Corrupt,
+/// truncated, bad-magic and wrong-endian files report a clean Status error
+/// (never abort).
 Result<Graph> LoadBinary(const std::string& path);
 
 /// Maps a v2 binary CSR snapshot read-only into memory and returns a Graph
@@ -62,8 +61,8 @@ Result<Graph> LoadBinary(const std::string& path);
 /// queries is safe). With `validate` (the default) the sections are scanned
 /// once for structural sanity — offsets monotone, adjacency ids < n, row
 /// placements in bounds — so a corrupt file is an error here rather than an
-/// out-of-bounds read on the query path. Requires a v2 file (the legacy v1
-/// header has no alignment guarantee); fails with a clean error otherwise.
+/// out-of-bounds read on the query path. Fails with a clean error on
+/// anything but a v2 file.
 Result<Graph> MapBinary(const std::string& path, bool validate = true);
 
 }  // namespace hkpr

@@ -8,6 +8,7 @@
 #include "common/logging.h"
 #include "hkpr/monte_carlo.h"
 #include "hkpr/push_estimator.h"
+#include "hkpr/tea.h"
 
 namespace hkpr {
 
@@ -76,11 +77,6 @@ std::unique_ptr<WorkspaceEstimator> EstimatorRegistry::Create(
 
 namespace {
 
-double HkRelaxEpsA(const ApproxParams& params, const BackendContext& context) {
-  return context.hk_relax_eps_a > 0.0 ? context.hk_relax_eps_a
-                                      : params.eps_r * params.delta;
-}
-
 void RegisterBuiltins(EstimatorRegistry* registry) {
   registry->Register(BackendInfo{
       .name = "tea+",
@@ -101,7 +97,7 @@ void RegisterBuiltins(EstimatorRegistry* registry) {
       .randomized = true,
       .factory = [](const Graph& graph, const ApproxParams& params,
                     uint64_t seed, const BackendContext& ctx) {
-        TeaOptions options = ctx.tea;
+        TeaOptions options;
         options.walk_kernel = ctx.walk_kernel;
         return std::unique_ptr<WorkspaceEstimator>(
             new TeaEstimator(graph, params, seed, options, ctx.pf_prime));
@@ -135,10 +131,13 @@ void RegisterBuiltins(EstimatorRegistry* registry) {
                    "queue-driven relaxation of the Taylor residuals",
       .randomized = false,
       .factory = [](const Graph& graph, const ApproxParams& params,
-                    uint64_t /*seed*/, const BackendContext& ctx) {
+                    uint64_t /*seed*/, const BackendContext& /*ctx*/) {
+        // eps_a = eps_r * delta is the absolute target TEA+'s early-exit
+        // test certifies, so the deterministic baseline answers to
+        // comparable accuracy.
         HkRelaxOptions options;
         options.t = params.t;
-        options.eps_a = HkRelaxEpsA(params, ctx);
+        options.eps_a = params.eps_r * params.delta;
         return std::unique_ptr<WorkspaceEstimator>(
             new HkRelaxEstimator(graph, options));
       }});
@@ -158,32 +157,6 @@ void RegisterBuiltins(EstimatorRegistry* registry) {
         options.eps = params.eps_r;
         return std::unique_ptr<WorkspaceEstimator>(
             new ClusterHkprEstimator(graph, options, seed));
-      }});
-
-  registry->Register(BackendInfo{
-      .name = "tea+-par",
-      .algorithm = "TEA+ with the walk phase sharded over threads "
-                   "(context.parallel_threads / context.pool)",
-      .randomized = true,
-      .factory = [](const Graph& graph, const ApproxParams& params,
-                    uint64_t seed, const BackendContext& ctx) {
-        TeaPlusOptions options = ctx.tea_plus;
-        options.walk_kernel = ctx.walk_kernel;
-        return std::unique_ptr<WorkspaceEstimator>(new TeaPlusEstimator(
-            graph, params, seed, options, ctx.pf_prime, ctx.parallel_threads,
-            ctx.pool));
-      }});
-
-  registry->Register(BackendInfo{
-      .name = "monte-carlo-par",
-      .algorithm = "Monte-Carlo with the walk workload sharded over threads "
-                   "(context.parallel_threads / context.pool)",
-      .randomized = true,
-      .factory = [](const Graph& graph, const ApproxParams& params,
-                    uint64_t seed, const BackendContext& ctx) {
-        return std::unique_ptr<WorkspaceEstimator>(new MonteCarloEstimator(
-            graph, params, seed, ctx.pf_prime, ctx.walk_kernel,
-            ctx.parallel_threads, ctx.pool));
       }});
 }
 
@@ -208,15 +181,6 @@ BackendSpec ResolvedSpec(const BackendSpec& spec, const Graph& graph,
     resolved.context.pf_prime = ComputePfPrime(graph, params.p_f);
   }
   return resolved;
-}
-
-void CheckPoolUnsharedAcrossWorkers(const BackendSpec& spec,
-                                    uint32_t worker_count) {
-  HKPR_CHECK(worker_count <= 1 || spec.context.pool == nullptr)
-      << "BackendContext::pool cannot be shared across " << worker_count
-      << " concurrently-computing executors (a ThreadPool accepts external "
-         "submissions from one thread at a time); leave it null — parallel "
-         "backends then spawn walk threads per call";
 }
 
 }  // namespace hkpr

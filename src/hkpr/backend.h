@@ -13,8 +13,7 @@
 // frontend produced them.
 //
 // Built-in backends (see backend.cc): "tea+", "tea", "monte-carlo", "push",
-// "hk-relax", "cluster-hkpr", "tea+-par", "monte-carlo-par". Register()
-// accepts additional ones at runtime.
+// "hk-relax", "cluster-hkpr". Register() accepts additional ones at runtime.
 
 #ifndef HKPR_HKPR_BACKEND_H_
 #define HKPR_HKPR_BACKEND_H_
@@ -30,43 +29,24 @@
 #include "graph/graph.h"
 #include "hkpr/estimator.h"
 #include "hkpr/params.h"
-#include "hkpr/tea.h"
 #include "hkpr/tea_plus.h"
 
 namespace hkpr {
-
-class ThreadPool;
 
 /// Tuning knobs a backend factory may read beyond the shared ApproxParams.
 /// One context can be reused across backends; each factory reads only the
 /// fields it understands and ignores the rest.
 struct BackendContext {
-  /// TEA+ tuning (backends "tea+" and "tea+-par").
+  /// TEA+ tuning (backend "tea+").
   TeaPlusOptions tea_plus;
-  /// TEA tuning (backend "tea").
-  TeaOptions tea;
   /// Walk-phase interleave width for every randomized walk backend (tea+,
-  /// tea, monte-carlo and the -par backends); the factories copy this over
-  /// the per-algorithm options' walk_kernel field so one frontend flag
-  /// steers all of them.
+  /// tea and monte-carlo); the factories copy this over the per-algorithm
+  /// options' walk_kernel field so one frontend flag steers all of them.
   WalkKernelOptions walk_kernel;
-  /// HK-Relax absolute error eps_a; <= 0 derives eps_r * delta from the
-  /// ApproxParams, the absolute target TEA+'s early-exit test certifies, so
-  /// the deterministic baseline answers to comparable accuracy.
-  double hk_relax_eps_a = 0.0;
   /// Precomputed Equation-(6) p'_f; < 0 means "compute from the graph" (an
   /// O(n) scan). Serving frontends fill this once per (graph, params) — see
   /// ResolvedSpec() — and share it across their per-worker estimators.
   double pf_prime = -1.0;
-  /// Walk-phase shards of the parallel backends; 0 = hardware threads.
-  uint32_t parallel_threads = 0;
-  /// Optional pool for the parallel backends' walk shards; must outlive the
-  /// estimator. Null spawns threads per call. A ThreadPool accepts external
-  /// submissions from one thread at a time, so a pool here is for
-  /// single-executor use only — multi-worker frontends (BatchQueryEngine,
-  /// AsyncQueryService), whose executors compute concurrently, check-fail
-  /// on a non-null pool rather than race on it.
-  ThreadPool* pool = nullptr;
 };
 
 /// A serving backend choice: a registry name plus the tuning context its
@@ -144,13 +124,6 @@ class EstimatorRegistry {
 /// result. Check-fails on unknown backend names.
 BackendSpec ResolvedSpec(const BackendSpec& spec, const Graph& graph,
                          const ApproxParams& params);
-
-/// Check-fails when `spec.context.pool` is set and `worker_count > 1`: a
-/// ThreadPool accepts external submissions from one thread at a time, so
-/// concurrently-computing executors cannot share one. Frontends that build
-/// one executor per worker call this before constructing them.
-void CheckPoolUnsharedAcrossWorkers(const BackendSpec& spec,
-                                    uint32_t worker_count);
 
 }  // namespace hkpr
 

@@ -11,7 +11,7 @@
 
 namespace hkpr {
 
-/// Work counters reported by one Estimate() call. Benchmarks use these to
+/// Work counters reported by one query. Benchmarks use these to
 /// reproduce the paper's cost analyses (push/walk balance, Figure 5 memory).
 struct EstimatorStats {
   /// Push operations, counted as in the paper: one per neighbor update
@@ -31,34 +31,17 @@ struct EstimatorStats {
   void Reset() { *this = EstimatorStats{}; }
 };
 
-/// An algorithm that estimates the HKPR vector of a seed node.
-///
-/// Implementations are constructed with a graph reference (which must outlive
-/// the estimator) and their parameters; Estimate() may be called repeatedly
-/// with different seeds. Estimators are deterministic given their
-/// construction-time RNG seed and the sequence of calls.
-class HkprEstimator {
- public:
-  virtual ~HkprEstimator() = default;
-
-  /// Computes an approximate HKPR vector for `seed`. When `stats` is
-  /// non-null it is reset and filled with this call's work counters.
-  virtual SparseVector Estimate(NodeId seed, EstimatorStats* stats) = 0;
-
-  /// Convenience overload without stats.
-  SparseVector Estimate(NodeId seed) { return Estimate(seed, nullptr); }
-
-  /// Short algorithm name for reports ("TEA+", "HK-Relax", ...).
-  virtual std::string_view name() const = 0;
-};
-
 class QueryWorkspace;
 
-/// The serving-backend contract: an estimator that runs queries inside a
-/// caller-provided reusable QueryWorkspace and whose randomness can be
-/// re-seeded between queries. Every estimator that implements this can be
-/// registered as a named backend (hkpr/backend.h) and served through
+/// An algorithm that estimates the HKPR vector of a seed node, running each
+/// query inside a caller-provided reusable QueryWorkspace. Every estimator
+/// is registered as a named backend (hkpr/backend.h) and served through
 /// QueryExecutor / BatchQueryEngine / AsyncQueryService interchangeably.
+///
+/// Implementations are constructed with a graph reference (which must
+/// outlive the estimator) and their parameters; queries may be run
+/// repeatedly with different seeds. Estimators are deterministic given
+/// their construction-time RNG seed and the sequence of calls.
 ///
 /// Contract:
 ///  - EstimateInto() runs the query entirely inside `ws` and returns a
@@ -77,6 +60,13 @@ class WorkspaceEstimator {
   /// `ws.result`. When `stats` is non-null it is reset and filled.
   virtual const SparseVector& EstimateInto(NodeId seed, QueryWorkspace& ws,
                                            EstimatorStats* stats = nullptr) = 0;
+
+  /// Runs the query in a fresh workspace and moves — not copies — the
+  /// result out. Allocating per call is deliberate: EstimatorStats::
+  /// peak_bytes then reflects this query's sizes, not capacities warmed by
+  /// earlier queries (the Figure 5 semantics). Callers that want workspace
+  /// reuse call EstimateInto.
+  SparseVector Estimate(NodeId seed, EstimatorStats* stats = nullptr);
 
   /// Re-seeds the estimator's RNG stream (no-op when deterministic).
   virtual void Reseed(uint64_t seed) = 0;

@@ -25,10 +25,6 @@ MonteCarloEstimator::MonteCarloEstimator(const Graph& graph,
   HKPR_CHECK(num_walks_ > 0);
 }
 
-SparseVector MonteCarloEstimator::Estimate(NodeId seed, EstimatorStats* stats) {
-  return EstimateWithFreshWorkspace(*this, seed, stats);
-}
-
 const SparseVector& MonteCarloEstimator::EstimateInto(NodeId seed,
                                                       QueryWorkspace& ws,
                                                       EstimatorStats* stats) {

@@ -18,7 +18,7 @@ namespace hkpr {
 /// frequencies. This is the baseline whose walk count TEA/TEA+ reduce. The
 /// walks may be sharded over threads (`walk_threads` > 1); the estimate is
 /// bit-identical at every thread count (RunWalkPhase).
-class MonteCarloEstimator : public HkprEstimator, public WorkspaceEstimator {
+class MonteCarloEstimator : public WorkspaceEstimator {
  public:
   /// `graph` must outlive the estimator. `pf_prime` is the precomputed
   /// Equation-(6) value for `params.p_f`; negative (the default) computes
@@ -30,9 +30,6 @@ class MonteCarloEstimator : public HkprEstimator, public WorkspaceEstimator {
                       const WalkKernelOptions& walk_kernel =
                           WalkKernelOptions(),
                       uint32_t walk_threads = 1, ThreadPool* pool = nullptr);
-
-  SparseVector Estimate(NodeId seed, EstimatorStats* stats) override;
-  using HkprEstimator::Estimate;
 
   /// Runs the query entirely inside `ws` (end-point counts accumulate into
   /// `ws.result`) and returns a reference to `ws.result`, valid until the
@@ -50,7 +47,7 @@ class MonteCarloEstimator : public HkprEstimator, public WorkspaceEstimator {
 
   std::string_view name() const override { return "Monte-Carlo"; }
 
-  /// Number of walks one Estimate() call performs.
+  /// Number of walks one query performs.
   uint64_t NumWalks() const { return num_walks_; }
 
  private:

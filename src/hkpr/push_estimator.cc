@@ -11,10 +11,6 @@ PushOnlyEstimator::PushOnlyEstimator(const Graph& graph,
                                      const ApproxParams& params)
     : graph_(graph), params_(params), kernel_(params.t) {}
 
-SparseVector PushOnlyEstimator::Estimate(NodeId seed, EstimatorStats* stats) {
-  return EstimateWithFreshWorkspace(*this, seed, stats);
-}
-
 const SparseVector& PushOnlyEstimator::EstimateInto(NodeId seed,
                                                     QueryWorkspace& ws,
                                                     EstimatorStats* stats) {

@@ -21,12 +21,9 @@
 namespace hkpr {
 
 /// Deterministic estimator: push until the absolute-error certificate holds.
-class PushOnlyEstimator : public HkprEstimator, public WorkspaceEstimator {
+class PushOnlyEstimator : public WorkspaceEstimator {
  public:
   PushOnlyEstimator(const Graph& graph, const ApproxParams& params);
-
-  SparseVector Estimate(NodeId seed, EstimatorStats* stats) override;
-  using HkprEstimator::Estimate;
 
   /// Runs the query entirely inside `ws` (reserve in `ws.result`, residues
   /// in `ws.residues`) and returns a reference to `ws.result`, valid until

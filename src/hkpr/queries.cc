@@ -32,13 +32,14 @@ std::vector<ScoredNode> TopKNormalized(const Graph& graph,
 }
 
 std::vector<ScoredNode> TopKQuery(const Graph& graph,
-                                  HkprEstimator& estimator, NodeId seed,
+                                  WorkspaceEstimator& estimator, NodeId seed,
                                   size_t k) {
   const SparseVector estimate = estimator.Estimate(seed);
   return TopKNormalized(graph, estimate, k);
 }
 
-SparseVector EstimateSeedSet(const Graph& graph, HkprEstimator& estimator,
+SparseVector EstimateSeedSet(const Graph& graph,
+                             WorkspaceEstimator& estimator,
                              std::span<const NodeId> seeds,
                              std::span<const double> weights) {
   HKPR_CHECK(!seeds.empty());
@@ -197,16 +198,6 @@ std::vector<ScoredNode> QueryExecutor::AnswerTopK(NodeId seed,
   return TopKNormalized(graph_, AnswerInto(seed, query_index, plan), k);
 }
 
-namespace {
-
-BackendSpec TeaPlusSpec(const TeaPlusOptions& options) {
-  BackendSpec spec;
-  spec.context.tea_plus = options;
-  return spec;
-}
-
-}  // namespace
-
 BatchQueryEngine::BatchQueryEngine(const Graph& graph,
                                    const ApproxParams& params, uint64_t seed,
                                    uint32_t num_threads,
@@ -215,19 +206,11 @@ BatchQueryEngine::BatchQueryEngine(const Graph& graph,
   // Resolve shared precomputations (p'_f, an O(n) scan) once for all
   // per-thread estimators.
   const BackendSpec spec = ResolvedSpec(backend, graph, params);
-  CheckPoolUnsharedAcrossWorkers(spec, pool_.num_threads());
   executors_.reserve(pool_.num_threads());
   for (uint32_t tid = 0; tid < pool_.num_threads(); ++tid) {
     executors_.emplace_back(graph, params, seed, spec);
   }
 }
-
-BatchQueryEngine::BatchQueryEngine(const Graph& graph,
-                                   const ApproxParams& params, uint64_t seed,
-                                   uint32_t num_threads,
-                                   const TeaPlusOptions& options)
-    : BatchQueryEngine(graph, params, seed, num_threads,
-                       TeaPlusSpec(options)) {}
 
 std::vector<SparseVector> BatchQueryEngine::EstimateBatch(
     std::span<const NodeId> seeds) {

@@ -35,7 +35,7 @@ std::vector<ScoredNode> TopKNormalized(const Graph& graph,
 
 /// Convenience: run `estimator` on `seed` and return the top-k ranking.
 std::vector<ScoredNode> TopKQuery(const Graph& graph,
-                                  HkprEstimator& estimator, NodeId seed,
+                                  WorkspaceEstimator& estimator, NodeId seed,
                                   size_t k);
 
 /// HKPR of a *seed distribution*: rho = sum_i weights[i] * rho_{seeds[i]}.
@@ -43,7 +43,8 @@ std::vector<ScoredNode> TopKQuery(const Graph& graph,
 /// of per-seed estimates is an estimate for the distribution with the same
 /// per-seed guarantees. Weights must be non-negative; they are normalized
 /// to sum to 1. Empty weights mean uniform.
-SparseVector EstimateSeedSet(const Graph& graph, HkprEstimator& estimator,
+SparseVector EstimateSeedSet(const Graph& graph,
+                             WorkspaceEstimator& estimator,
                              std::span<const NodeId> seeds,
                              std::span<const double> weights = {});
 
@@ -193,11 +194,6 @@ class BatchQueryEngine {
   BatchQueryEngine(const Graph& graph, const ApproxParams& params,
                    uint64_t seed, uint32_t num_threads = 0,
                    const BackendSpec& backend = {});
-
-  /// Convenience: TEA+ with explicit tuning (the pre-registry signature).
-  BatchQueryEngine(const Graph& graph, const ApproxParams& params,
-                   uint64_t seed, uint32_t num_threads,
-                   const TeaPlusOptions& options);
 
   /// Answers one backend query per entry of `seeds`; out[i] is the estimate
   /// for seeds[i]. Every seed must be a valid node id. An empty span returns

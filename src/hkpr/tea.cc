@@ -21,10 +21,6 @@ TeaEstimator::TeaEstimator(const Graph& graph, const ApproxParams& params,
   r_max_ = options.r_max_scale / (omega_ * params.t);
 }
 
-SparseVector TeaEstimator::Estimate(NodeId seed, EstimatorStats* stats) {
-  return EstimateWithFreshWorkspace(*this, seed, stats);
-}
-
 const SparseVector& TeaEstimator::EstimateInto(NodeId seed, QueryWorkspace& ws,
                                                EstimatorStats* stats) {
   HKPR_CHECK(seed < graph_.NumNodes());

@@ -30,7 +30,7 @@ struct TeaOptions {
 /// sampled from the residues through an alias structure, adding alpha/n_r
 /// per walk end-point (Theorem 1 guarantees (d,eps_r,delta)-approximation
 /// with probability >= 1 - p_f).
-class TeaEstimator : public HkprEstimator, public WorkspaceEstimator {
+class TeaEstimator : public WorkspaceEstimator {
  public:
   /// `pf_prime` is the precomputed Equation-(6) value for `params.p_f`;
   /// negative (the default) computes it here — pass it so callers building
@@ -38,9 +38,6 @@ class TeaEstimator : public HkprEstimator, public WorkspaceEstimator {
   TeaEstimator(const Graph& graph, const ApproxParams& params, uint64_t seed,
                const TeaOptions& options = TeaOptions(),
                double pf_prime = -1.0);
-
-  SparseVector Estimate(NodeId seed, EstimatorStats* stats) override;
-  using HkprEstimator::Estimate;
 
   /// Runs the query entirely inside `ws` and returns a reference to
   /// `ws.result` (valid until the next query on that workspace).

@@ -47,10 +47,6 @@ TeaPlusEstimator::TeaPlusEstimator(const Graph& graph,
                           kernel_.MaxHop());
 }
 
-SparseVector TeaPlusEstimator::Estimate(NodeId seed, EstimatorStats* stats) {
-  return EstimateWithFreshWorkspace(*this, seed, stats);
-}
-
 const SparseVector& TeaPlusEstimator::EstimateInto(NodeId seed,
                                                    QueryWorkspace& ws,
                                                    EstimatorStats* stats) {

@@ -55,7 +55,7 @@ struct TeaPlusOptions {
 /// The walk phase may be sharded over threads (`walk_threads` > 1); HK-Push+
 /// stays sequential, since its frontier is inherently ordered. The estimate
 /// is bit-identical at every thread count (RunWalkPhase).
-class TeaPlusEstimator : public HkprEstimator, public WorkspaceEstimator {
+class TeaPlusEstimator : public WorkspaceEstimator {
  public:
   /// `pf_prime` is the precomputed Equation-(6) value for `params.p_f`;
   /// negative (the default) computes it here. ComputePfPrime is an O(n)
@@ -70,9 +70,6 @@ class TeaPlusEstimator : public HkprEstimator, public WorkspaceEstimator {
                    const TeaPlusOptions& options = TeaPlusOptions(),
                    double pf_prime = -1.0, uint32_t walk_threads = 1,
                    ThreadPool* pool = nullptr);
-
-  SparseVector Estimate(NodeId seed, EstimatorStats* stats) override;
-  using HkprEstimator::Estimate;
 
   /// Runs the query entirely inside `ws` and returns a reference to
   /// `ws.result` (valid until the next query on that workspace).

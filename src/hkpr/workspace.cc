@@ -1,5 +1,9 @@
 #include "hkpr/workspace.h"
 
+#include <utility>
+
+#include "hkpr/estimator.h"
+
 namespace hkpr {
 
 size_t QueryWorkspace::CollectWalkStarts() {
@@ -26,6 +30,12 @@ size_t QueryWorkspace::MemoryBytes() const {
          starts.capacity() * sizeof(starts[0]) +
          weights.capacity() * sizeof(double) + alias.MemoryBytes() +
          walk_ends.capacity() * sizeof(NodeId);
+}
+
+SparseVector WorkspaceEstimator::Estimate(NodeId seed, EstimatorStats* stats) {
+  QueryWorkspace ws;
+  EstimateInto(seed, ws, stats);
+  return std::move(ws.result);
 }
 
 }  // namespace hkpr

@@ -1,6 +1,6 @@
 // Reusable per-query scratch state for the HKPR estimators.
 //
-// Every Estimate() call needs the same family of buffers: a reserve/result
+// Every query needs the same family of buffers: a reserve/result
 // vector, a multi-hop residue table with its node-indexed push frontier,
 // the HK-Push+ bound array, flattened walk-start arrays with their alias
 // table, and the per-walk end-node buffer. Allocating these afresh
@@ -82,21 +82,6 @@ class QueryWorkspace {
   /// Approximate heap bytes held by all buffers (for memory accounting).
   size_t MemoryBytes() const;
 };
-
-/// Implements the legacy by-value Estimate() contract on top of an
-/// EstimateInto-style estimator: runs the query in a fresh workspace and
-/// moves — not copies — the result out. Allocating per call is deliberate:
-/// it keeps the legacy API's per-query memory accounting (EstimatorStats::
-/// peak_bytes reflects this query's sizes, not capacities warmed by earlier
-/// queries — the Figure 5 semantics) and leaves workspace reuse to callers
-/// that opt in via EstimateInto.
-template <typename Estimator, typename Stats>
-SparseVector EstimateWithFreshWorkspace(Estimator& estimator, NodeId seed,
-                                        Stats* stats) {
-  QueryWorkspace ws;
-  estimator.EstimateInto(seed, ws, stats);
-  return std::move(ws.result);
-}
 
 }  // namespace hkpr
 

@@ -76,7 +76,6 @@ AsyncQueryService::AsyncQueryService(GraphSnapshot snapshot,
   if (spec.context.pf_prime < 0.0) {
     spec.context.pf_prime = ComputePfPrime(graph, params.p_f);
   }
-  CheckPoolUnsharedAcrossWorkers(spec, num_workers);
   executors_.reserve(num_workers);
   for (uint32_t w = 0; w < num_workers; ++w) {
     executors_.push_back(

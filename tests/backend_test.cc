@@ -38,7 +38,7 @@ void ExpectSameVector(const SparseVector& a, const SparseVector& b) {
 TEST(BackendRegistryTest, BuiltinBackendsAreRegistered) {
   EstimatorRegistry& registry = EstimatorRegistry::Global();
   for (const char* name : {"tea+", "tea", "monte-carlo", "push", "hk-relax",
-                           "cluster-hkpr", "tea+-par", "monte-carlo-par"}) {
+                           "cluster-hkpr"}) {
     const BackendInfo* info = registry.Find(name);
     ASSERT_NE(info, nullptr) << name;
     EXPECT_EQ(info->name, name);
@@ -62,20 +62,33 @@ TEST(BackendRegistryTest, StableIdsAreNameDerivedAndUnique) {
   }
 }
 
+void ExpectSameStats(const EstimatorStats& got, const EstimatorStats& want) {
+  EXPECT_EQ(got.push_operations, want.push_operations);
+  EXPECT_EQ(got.num_walks, want.num_walks);
+  EXPECT_EQ(got.walk_steps, want.walk_steps);
+  EXPECT_EQ(got.peak_bytes, want.peak_bytes);
+}
+
 TEST(BackendRegistryTest, EveryBackendConstructsReseedsAndAnswers) {
   // The registry round-trip: each registered backend (including any custom
   // ones registered by other tests) builds, honors the Reseed contract
   // (identical bits after an identical re-seed), and returns an estimate
-  // with real mass.
+  // with real mass. Its by-value Estimate() is EstimateInto() on a new
+  // workspace, work counters included, and its peak_bytes (the Figure 5
+  // number) is this query's alone: a larger query answered first leaves no
+  // warmed state behind.
   Graph g = PowerlawCluster(300, 3, 0.3, 3);
   const ApproxParams params = TestParams(1e-3);
-  BackendContext context;
-  context.parallel_threads = 2;
+  NodeId hub = 0;
+  for (NodeId v = 0; v < g.NumNodes(); ++v) {
+    if (g.Degree(v) > g.Degree(hub)) hub = v;
+  }
+  ASSERT_GT(g.Degree(hub), g.Degree(9));
 
   EstimatorRegistry& registry = EstimatorRegistry::Global();
   for (const std::string& name : registry.Names()) {
     SCOPED_TRACE(name);
-    auto estimator = registry.Create(name, g, params, 7, context);
+    auto estimator = registry.Create(name, g, params, 7);
     ASSERT_NE(estimator, nullptr);
     EXPECT_FALSE(estimator->name().empty());
 
@@ -87,6 +100,20 @@ TEST(BackendRegistryTest, EveryBackendConstructsReseedsAndAnswers) {
     estimator->Reseed(42);
     const SparseVector& second = estimator->EstimateInto(9, ws);
     ExpectSameVector(second, first);
+
+    EstimatorStats a, b, c;
+    estimator->Reseed(42);
+    const SparseVector by_value = estimator->Estimate(9, &a);
+    estimator->Reseed(42);
+    QueryWorkspace fresh;
+    testing::ExpectBitIdentical(estimator->EstimateInto(9, fresh, &b),
+                                by_value);
+    ExpectSameStats(b, a);
+
+    estimator->Estimate(hub);
+    estimator->Reseed(42);
+    testing::ExpectBitIdentical(estimator->Estimate(9, &c), by_value);
+    ExpectSameStats(c, a);
   }
 }
 

@@ -301,7 +301,9 @@ TEST(BinaryCsrTest, NonMonotoneOffsetsRejected) {
   EXPECT_FALSE(MapBinary(bad).ok());
 }
 
-TEST(BinaryCsrTest, LegacyV1FilesStillLoad) {
+TEST(BinaryCsrTest, LegacyV1FilesAreRejectedCleanly) {
+  // The pre-v2 "HKPRGRPH" layout is no longer read: both loaders fail
+  // with a Status instead of aborting.
   Graph g = testing::MakeBarbell(5);
   const std::string path = TempPath("legacy_v1.bin");
   {
@@ -317,9 +319,10 @@ TEST(BinaryCsrTest, LegacyV1FilesStillLoad) {
               static_cast<std::streamsize>(arcs * sizeof(NodeId)));
   }
   auto loaded = LoadBinary(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_TRUE(std::ranges::equal(loaded.value().offsets(), g.offsets()));
-  EXPECT_TRUE(std::ranges::equal(loaded.value().adjacency(), g.adjacency()));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("bad magic"), std::string::npos)
+      << loaded.status();
+  EXPECT_FALSE(MapBinary(path).ok());
 }
 
 TEST(BinaryCsrTest, MappedSnapshotSurvivesGraphStoreRemove) {

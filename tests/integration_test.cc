@@ -56,8 +56,8 @@ TEST(IntegrationTest, AllEstimatorsAgreeOnTopNodes) {
   relax_options.eps_a = 1e-5;
   HkRelaxEstimator relax(g, relax_options);
 
-  std::vector<HkprEstimator*> estimators = {&mc, &tea, &tea_plus, &relax};
-  for (HkprEstimator* est : estimators) {
+  std::vector<WorkspaceEstimator*> estimators = {&mc, &tea, &tea_plus, &relax};
+  for (WorkspaceEstimator* est : estimators) {
     SparseVector rho = est->Estimate(seed);
     std::vector<std::pair<double, NodeId>> scored;
     for (const auto& e : rho.entries()) {

@@ -149,9 +149,6 @@ TEST(MultiGraphServiceTest, CrossBackendDeterminismMatrix) {
     SCOPED_TRACE("backend " + name);
     BackendSpec spec;
     spec.name = name;
-    // Pin the parallel backends' shard count so both frontends use the
-    // same walk partition regardless of the host's core count.
-    spec.context.parallel_threads = 2;
 
     BatchQueryEngine engine(*snapshot.graph, params, 77, 2, spec);
     const auto expected = engine.EstimateBatch(seeds);

@@ -70,8 +70,8 @@ Graph MakeFamily(GraphFamily f) {
   return Graph();
 }
 
-std::unique_ptr<HkprEstimator> MakeAlgorithm(Algorithm a, const Graph& g,
-                                             double t, double delta) {
+std::unique_ptr<WorkspaceEstimator> MakeAlgorithm(Algorithm a, const Graph& g,
+                                                  double t, double delta) {
   ApproxParams params;
   params.t = t;
   params.eps_r = 0.5;

@@ -100,15 +100,12 @@ TEST(RelabelTest, EveryRegistryBackendIsBitIdentical) {
   DegreeOrderedLayout layout = RelabelByDegree(g);
   const ApproxParams params = TestParams();
 
-  BackendContext context;
-  context.parallel_threads = 2;
   const std::vector<NodeId> seeds = {0, 7, 42, 137, 299};
 
   for (const std::string& name : EstimatorRegistry::Global().Names()) {
     SCOPED_TRACE(name);
     BackendSpec spec;
     spec.name = name;
-    spec.context = context;
     QueryExecutor standard(g, params, /*base_seed=*/91, spec);
     QueryExecutor ordered(layout.graph, params, /*base_seed=*/91, spec);
     for (uint64_t qi = 0; qi < seeds.size(); ++qi) {

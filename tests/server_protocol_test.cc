@@ -24,6 +24,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -276,6 +277,40 @@ TEST(ServerProtocolTest, BackendSwitchThenQueryKeepsLoadedGraphs) {
   reply = server.Command("invalidate");
   EXPECT_TRUE(StartsWith(reply, "ok caches invalidated")) << reply;
 
+  EXPECT_EQ(server.Quit(), 0);
+}
+
+TEST(ServerProtocolTest, EveryBackendAnswersOnAOneNodeGraph) {
+  // An edge list holding only a self-loop loads as a one-node graph. Every
+  // backend the server lists must answer a query on it; none may abort.
+  ServerProcess server;
+  ASSERT_TRUE(server.Start({"--nodes=400", "--workers=2", "--seed=13"}));
+  ASSERT_TRUE(StartsWith(server.ReadLine(), "ok hkpr_server"));
+
+  const std::string path = WriteTempFile("one", "0 0\n");
+  std::string reply = server.Command("graph load one " + path);
+  ASSERT_TRUE(StartsWith(reply, "ok graph=one")) << reply;
+  ASSERT_TRUE(Contains(reply, "nodes=1")) << reply;
+  reply = server.Command("graph use one");
+  ASSERT_TRUE(StartsWith(reply, "ok graph=one")) << reply;
+
+  reply = server.Command("backend");
+  const std::string key = "available=";
+  const size_t at = reply.find(key);
+  ASSERT_NE(at, std::string::npos) << reply;
+  std::vector<std::string> names;
+  size_t begin = at + key.size();
+  while (begin <= reply.size()) {
+    const size_t end = std::min(reply.find(',', begin), reply.size());
+    names.push_back(reply.substr(begin, end - begin));
+    begin = end + 1;
+  }
+  ASSERT_GE(names.size(), 2u) << reply;
+
+  for (const std::string& name : names) {
+    reply = server.Command("query 0 backend=" + name);
+    EXPECT_TRUE(StartsWith(reply, "ok graph=one")) << name << ": " << reply;
+  }
   EXPECT_EQ(server.Quit(), 0);
 }
 

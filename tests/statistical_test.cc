@@ -125,7 +125,7 @@ TEST(StatisticalTest, WalkEndpointFrequenciesAreConsistentAcrossEstimators) {
   const ApproxParams params = LooseParams();
   const NodeId seed = 3;
 
-  const auto mean_estimate = [&](HkprEstimator& est) {
+  const auto mean_estimate = [&](WorkspaceEstimator& est) {
     const int runs = 150;
     std::vector<double> mean(g.NumNodes(), 0.0);
     double offset = 0.0;

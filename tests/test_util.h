@@ -80,29 +80,6 @@ inline Graph MakePaperFigure1() {
   return b.Build();
 }
 
-/// Exact lazy personalized PageRank by dense power iteration:
-/// p = alpha * sum_k (1-alpha)^k W^k e_s with W = (I + D^-1 A)/2.
-inline std::vector<double> ExactLazyPpr(const Graph& g, double alpha,
-                                        NodeId seed, uint32_t iterations) {
-  const uint32_t n = g.NumNodes();
-  std::vector<double> x(n, 0.0), next(n, 0.0), acc(n, 0.0);
-  x[seed] = 1.0;
-  double scale = alpha;
-  for (uint32_t k = 0; k <= iterations; ++k) {
-    for (uint32_t v = 0; v < n; ++v) acc[v] += scale * x[v];
-    scale *= (1.0 - alpha);
-    // next = W x (row vector through symmetric W).
-    for (uint32_t v = 0; v < n; ++v) next[v] = 0.5 * x[v];
-    for (uint32_t u = 0; u < n; ++u) {
-      if (x[u] == 0.0 || g.Degree(u) == 0) continue;
-      const double share = 0.5 * x[u] / g.Degree(u);
-      for (NodeId v : g.Neighbors(u)) next[v] += share;
-    }
-    x.swap(next);
-  }
-  return acc;
-}
-
 /// Exact conditional stopping distribution h_u^(k) (Equation 5), dense:
 /// h_u^(k)[v] = sum_l eta(k+l)/psi(k) * P^l[u, v].
 inline std::vector<double> ExactH(const Graph& g, const HeatKernel& kernel,

@@ -495,9 +495,9 @@ TEST(BatchQueryEngineTest, BatchMatchesReseededSequentialQueries) {
 TEST(BatchQueryEngineTest, RepeatedBatchDrawsFreshRandomness) {
   Graph g = PowerlawCluster(300, 3, 0.3, 9);
   ApproxParams params = TestParams(1e-5);
-  TeaPlusOptions options;
-  options.c = 1.0;  // force the walk phase so randomness matters
-  BatchQueryEngine engine(g, params, 91, 2, options);
+  BackendSpec spec;
+  spec.context.tea_plus.c = 1.0;  // force the walk phase so randomness matters
+  BatchQueryEngine engine(g, params, 91, 2, spec);
   std::vector<NodeId> seeds = {4};
   const auto first = engine.EstimateBatch(seeds);
   const auto second = engine.EstimateBatch(seeds);
