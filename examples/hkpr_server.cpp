@@ -67,9 +67,9 @@
 // registry; responses for a given command stream are byte-identical
 // across them.
 //
-// Stage tracing, the per-backend metrics registry and the routing event
-// log are on by default; --no-trace disables all three (stats then
-// reports only the flat counter block — the pre-telemetry shape).
+// Stage tracing and the per-backend metrics registry are on by default;
+// --no-trace disables both (stats then reports only the flat counter
+// block — the pre-telemetry shape).
 //
 // --walk-width=N sets how many walks the walk kernel (hkpr/walk_kernel.h)
 // keeps in flight per worker in every randomized backend. It changes speed

@@ -795,10 +795,6 @@ size_t CommandProcessor::AppendMetricsForScope(const std::string& scope,
                      backend_label + ",quantile=\"0.99\"", row.latency_p99_ms);
     lines += 2;
   }
-  if (telemetry.enabled) {
-    flat("hkpr_routing_events_total", telemetry.routing_appended);
-    flat("hkpr_routing_events_dropped_total", telemetry.routing_dropped);
-  }
   return lines;
 }
 

@@ -212,11 +212,6 @@ std::optional<QueryHandle> AsyncQueryService::Enqueue(
   // take the pre-resolved plan; everything else (overrides, "auto")
   // resolves through the router/registry.
   const PlanDefaults defaults = GetDefaults();
-  // The routing-event `routed` bit: true when the router (not a pinned
-  // default or an explicit override) picks the backend.
-  request.routed = submit.plan.backend == kAutoBackend ||
-                   (submit.plan.backend.empty() &&
-                    defaults.backend == kAutoBackend);
   if (submit.plan.empty() && defaults.backend != kAutoBackend) {
     request.plan = defaults.plan;
   } else {
@@ -472,47 +467,11 @@ void AsyncQueryService::Fulfill(Request& request, CachedEstimate estimate,
   const double latency_s = SecondsBetween(request.submit_time, complete);
   result.latency_ms = latency_s * 1000.0;
   stats_.RecordCompleted(latency_s);
-  if (telemetry_.enabled()) RecordTrace(request, complete);
-  request.promise.set_value(std::move(result));
-}
-
-void AsyncQueryService::RecordTrace(Request& request,
-                                    Clock::time_point complete) {
-  QueryTrace& trace = request.trace;
-  // Cache hits and coalesced waits never computed: their compute stage
-  // is zero-width at the point the lookup settled, which keeps every
-  // event's stage offsets monotone non-decreasing.
-  if (trace.compute_begin == QueryTrace::Clock::time_point{}) {
-    trace.compute_begin = trace.cache_done;
-    trace.compute_end = trace.cache_done;
+  if (telemetry_.enabled()) {
+    request.trace.complete = complete;
+    telemetry_.Record(result.backend_id, request.cache_outcome, request.trace);
   }
-  const auto offset_us = [&](QueryTrace::Clock::time_point t) -> uint64_t {
-    if (t <= trace.submit) return 0;
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(t - trace.submit)
-            .count());
-  };
-  RoutingEvent event;
-  event.query_index = request.query_index;
-  event.graph_version = snapshot_.version;
-  event.seed = request.seed;
-  event.seed_degree = snapshot_.graph->Degree(request.seed);
-  event.num_nodes = scale_features_.num_nodes;
-  event.num_edges = scale_features_.num_edges;
-  event.avg_degree = scale_features_.avg_degree;
-  event.params = request.plan.params;
-  event.backend_id = request.plan.backend_id;
-  event.routed = request.routed ? 1 : 0;
-  event.cache = static_cast<uint8_t>(request.cache_outcome);
-  event.plan_us = offset_us(trace.plan_resolved);
-  event.dequeue_us = std::max(event.plan_us, offset_us(trace.dequeue));
-  event.cache_us = std::max(event.dequeue_us, offset_us(trace.cache_done));
-  event.compute_begin_us =
-      std::max(event.cache_us, offset_us(trace.compute_begin));
-  event.compute_end_us =
-      std::max(event.compute_begin_us, offset_us(trace.compute_end));
-  event.complete_us = std::max(event.compute_end_us, offset_us(complete));
-  telemetry_.Record(event);
+  request.promise.set_value(std::move(result));
 }
 
 void AsyncQueryService::InvalidateCache() {
@@ -528,10 +487,6 @@ ServiceStatsSnapshot AsyncQueryService::Stats() const {
 
 TelemetrySnapshot AsyncQueryService::Telemetry() const {
   return telemetry_.Snapshot();
-}
-
-std::vector<RoutingEvent> AsyncQueryService::DrainRoutingEvents() {
-  return telemetry_.DrainRoutingEvents();
 }
 
 size_t AsyncQueryService::queue_depth() const { return pending_.load(); }

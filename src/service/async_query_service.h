@@ -114,10 +114,10 @@ struct ServiceOptions {
   /// backends never share a cache entry. `backend.context` also supplies
   /// the shared tuning every lazily built plan estimator reads.
   BackendSpec backend;
-  /// Stage tracing, per-backend dimensioned metrics and the routing
-  /// event log (service/telemetry.h). Enabled by default; disabling
-  /// degrades Stats() to the flat single-histogram snapshot and costs
-  /// nothing on the hot path.
+  /// Stage tracing and per-backend dimensioned metrics
+  /// (service/telemetry.h). Enabled by default; disabling degrades
+  /// Stats() to the flat single-histogram snapshot and costs nothing on
+  /// the hot path.
   TelemetryOptions telemetry;
 };
 
@@ -276,17 +276,10 @@ class AsyncQueryService {
   /// compute, traced_total_us).
   ServiceStatsSnapshot Stats() const;
 
-  /// Per-backend dimensioned metrics + routing-log health counters.
-  /// `enabled` is false (and the rows empty) when tracing is off.
+  /// Per-backend dimensioned metrics; no rows when tracing is off.
   TelemetrySnapshot Telemetry() const;
 
-  /// Consumes the routing event log: one RoutingEvent per completed
-  /// query since the previous drain (oldest overwritten once the ring
-  /// laps an un-drained reader; see TelemetryOptions). Empty when
-  /// tracing or the log is disabled.
-  std::vector<RoutingEvent> DrainRoutingEvents();
-
-  /// True when this service stamps stage traces and routing events.
+  /// True when this service stamps stage traces.
   bool tracing_enabled() const { return telemetry_.enabled(); }
 
   size_t queue_depth() const;
@@ -325,12 +318,9 @@ class AsyncQueryService {
     /// switch never retroactively changes what a queued request runs.
     QueryPlan plan;
     ResultCacheKey key;
-    /// Stage timestamps (only stamped when tracing is enabled) plus the
-    /// routing-event facts known at submission: whether the plan came
-    /// from the router ("auto") and, later, how the cache treated the
-    /// query.
+    /// Stage timestamps (only stamped when tracing is enabled) and how
+    /// the cache treated the query.
     QueryTrace trace;
-    bool routed = false;
     CacheOutcome cache_outcome = CacheOutcome::kNone;
   };
 
@@ -375,11 +365,6 @@ class AsyncQueryService {
   void Process(QueryExecutor& executor, Request& request,
                std::vector<Deferred>& deferred);
   void Fulfill(Request& request, CachedEstimate estimate, bool from_cache);
-  /// Builds the RoutingEvent for a completed traced request (stage
-  /// offsets from the stamped trace, monotone by construction) and
-  /// records it into telemetry_. Only called when tracing is enabled.
-  void RecordTrace(Request& request,
-                   std::chrono::steady_clock::time_point complete);
   SparseVector Compute(QueryExecutor& executor, const Request& request);
   ResultCacheKey MakeKey(const QueryPlan& plan, NodeId seed) const;
   PlanDefaults GetDefaults() const;
@@ -394,8 +379,8 @@ class AsyncQueryService {
   uint32_t backend_id_ = 0;
   std::unique_ptr<ResultCache> cache_;  // null when disabled
   ServiceStats stats_;
-  /// Stage histograms, per-backend dims and the routing event log; inert
-  /// (no clock stamps, no recording) when options.telemetry disables it.
+  /// Stage histograms and per-backend dims; inert (no clock stamps, no
+  /// recording) when options.telemetry disables it.
   ServiceTelemetry telemetry_;
 
   /// Guards the serving defaults only (never held with mu_): submissions

@@ -5,51 +5,30 @@
 
 namespace hkpr {
 
-namespace {
-
-/// Installs `versioned` into `slot` unless the slot already holds a newer
-/// version: a racing publish that drew a smaller version must not clobber
-/// a snapshot readers may already have seen (only-move-forward CAS).
-template <typename Slot, typename VersionedPtr>
-void InstallIfNewer(Slot& slot, const VersionedPtr& versioned) {
-  VersionedPtr current = slot.current.load();
-  while (current == nullptr || current->version < versioned->version) {
-    if (slot.current.compare_exchange_weak(current, versioned)) break;
-  }
-}
-
-}  // namespace
-
 uint64_t GraphStore::Publish(std::string_view name, Graph graph) {
   const uint64_t version =
       next_version_.fetch_add(1, std::memory_order_acq_rel);
   auto versioned = std::make_shared<const Versioned>(
       Versioned{std::move(graph), version});
-
-  // Fast path: the slot already exists — swap under the shared lock (the
-  // exclusive lock is only for map-structure changes).
   {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    auto it = slots_.find(name);
-    if (it != slots_.end()) {
-      InstallIfNewer(*it->second, versioned);
-      return version;
+    std::unique_lock<std::shared_mutex> lock(mu_);
+    std::shared_ptr<const Versioned>& current = current_[std::string(name)];
+    // Only move forward: a racing publish that drew a smaller version must
+    // not clobber a snapshot readers may already have seen.
+    if (current == nullptr || current->version < version) {
+      current.swap(versioned);
     }
   }
-
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  auto [it, inserted] = slots_.try_emplace(std::string(name));
-  if (inserted) it->second = std::make_unique<Slot>();
-  InstallIfNewer(*it->second, versioned);
+  // `versioned` now holds the replaced (or the outraced) snapshot; the
+  // store's reference to it dies here, outside the lock.
   return version;
 }
 
 GraphSnapshot GraphStore::Get(std::string_view name) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  auto it = slots_.find(name);
-  if (it == slots_.end()) return {};
-  const std::shared_ptr<const Versioned> current = it->second->current.load();
-  if (current == nullptr) return {};
+  auto it = current_.find(name);
+  if (it == current_.end()) return {};
+  const std::shared_ptr<const Versioned>& current = it->second;
   // Aliasing constructor: the snapshot points at the graph but owns the
   // whole Versioned block, so graph and version can never come apart.
   return {std::shared_ptr<const Graph>(current, &current->graph),
@@ -57,31 +36,29 @@ GraphSnapshot GraphStore::Get(std::string_view name) const {
 }
 
 bool GraphStore::Remove(std::string_view name) {
-  std::unique_ptr<Slot> removed;
+  std::shared_ptr<const Versioned> removed;
   {
     std::unique_lock<std::shared_mutex> lock(mu_);
-    auto it = slots_.find(name);
-    if (it == slots_.end()) return false;
+    auto it = current_.find(name);
+    if (it == current_.end()) return false;
     removed = std::move(it->second);
-    slots_.erase(it);
+    current_.erase(it);
   }
-  // The slot (and possibly the last store reference to the graph) dies
-  // here, outside the lock; outstanding snapshots keep the graph alive.
+  // The store's reference to the graph dies here, outside the lock;
+  // outstanding snapshots keep the graph alive.
   return true;
 }
 
 bool GraphStore::Contains(std::string_view name) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  return slots_.find(name) != slots_.end();
+  return current_.find(name) != current_.end();
 }
 
 std::vector<GraphInfo> GraphStore::List() const {
   std::vector<GraphInfo> result;
   std::shared_lock<std::shared_mutex> lock(mu_);
-  result.reserve(slots_.size());
-  for (const auto& [name, slot] : slots_) {
-    const std::shared_ptr<const Versioned> current = slot->current.load();
-    if (current == nullptr) continue;
+  result.reserve(current_.size());
+  for (const auto& [name, current] : current_) {
     result.push_back(GraphInfo{name, current->version,
                                current->graph.NumNodes(),
                                current->graph.NumEdges()});
@@ -92,14 +69,14 @@ std::vector<GraphInfo> GraphStore::List() const {
 std::vector<std::string> GraphStore::Names() const {
   std::vector<std::string> result;
   std::shared_lock<std::shared_mutex> lock(mu_);
-  result.reserve(slots_.size());
-  for (const auto& [name, slot] : slots_) result.push_back(name);
+  result.reserve(current_.size());
+  for (const auto& [name, current] : current_) result.push_back(name);
   return result;
 }
 
 size_t GraphStore::Size() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  return slots_.size();
+  return current_.size();
 }
 
 }  // namespace hkpr

@@ -5,16 +5,18 @@
 // bit — no matter how many times the graph is republished while the query
 // runs. GraphStore provides that invariant by holding each named graph as
 // an immutable snapshot (`shared_ptr<const Graph>` + a store-wide
-// monotonically increasing version) that is swapped atomically by
-// Publish().
+// monotonically increasing version) that Publish() swaps in whole.
 //
-// Read path: Get() takes the store's shared (read) lock only to locate the
-// per-graph slot, then atomically loads the slot's current snapshot. The
-// returned GraphSnapshot *owns* the graph: in-flight queries that resolved
-// a snapshot never touch the store again — no locks, no version checks —
-// and the old graph's memory is reclaimed exactly when the last in-flight
-// query drops its reference. Publish() and Remove() can therefore never
-// invalidate memory a query is reading.
+// One shared_mutex guards the name -> snapshot map. Get() copies the
+// snapshot pointer under the shared (read) lock; Publish() and Remove()
+// hold the exclusive lock only for the pointer swap: the new graph is
+// built before they take it, and the replaced snapshot is released after
+// they drop it. The returned GraphSnapshot
+// *owns* the graph: in-flight queries that resolved a snapshot never touch
+// the store again — no locks, no version checks — and the old graph's
+// memory is reclaimed exactly when the last in-flight query drops its
+// reference. Publish() and Remove() can therefore never invalidate memory
+// a query is reading.
 //
 // Versions are assigned from one store-wide counter, so every publish of
 // every graph gets a distinct, strictly increasing version. Serving layers
@@ -70,7 +72,8 @@ struct GraphInfo {
 
 /// Registry of named graphs, each held as an immutable versioned snapshot.
 /// All methods are thread-safe; Get() never blocks behind a Publish()'s
-/// graph construction (snapshots are built before the swap).
+/// graph construction or a replaced graph's destruction (both happen
+/// outside the lock).
 class GraphStore {
  public:
   GraphStore() = default;
@@ -86,8 +89,8 @@ class GraphStore {
   uint64_t Publish(std::string_view name, Graph graph);
 
   /// The current snapshot of `name`, or an empty snapshot (version 0,
-  /// null graph) when the name is unknown. Constant-time: a shared lock to
-  /// find the slot plus one atomic load.
+  /// null graph) when the name is unknown. A shared lock, one map find and
+  /// one reference-count increment.
   GraphSnapshot Get(std::string_view name) const;
 
   /// Removes `name` from the store. Outstanding snapshots stay valid (the
@@ -111,22 +114,20 @@ class GraphStore {
   }
 
  private:
-  /// A graph and its version, allocated together so one atomic pointer
-  /// swap replaces both — a reader can never pair the new graph with the
-  /// old version or vice versa (no torn reads).
+  /// A graph and its version, allocated together so one pointer swap
+  /// replaces both — a reader can never pair the new graph with the old
+  /// version or vice versa (no torn reads).
   struct Versioned {
     Graph graph;
     uint64_t version;
   };
 
-  struct Slot {
-    std::atomic<std::shared_ptr<const Versioned>> current;
-  };
-
-  /// Guards the name -> slot map's *structure* only; snapshot swaps inside
-  /// a slot are plain atomic stores under the shared lock.
+  /// Guards `current_`: readers copy a snapshot pointer under the shared
+  /// lock, Publish() and Remove() swap one under the exclusive lock.
   mutable std::shared_mutex mu_;
-  std::map<std::string, std::unique_ptr<Slot>, std::less<>> slots_;
+  /// Each name's current snapshot; never null.
+  std::map<std::string, std::shared_ptr<const Versioned>, std::less<>>
+      current_;
   std::atomic<uint64_t> next_version_{1};
 };
 

@@ -149,27 +149,11 @@ void MultiGraphService::FinishRetire(
   service->Shutdown();
   const ServiceStatsSnapshot final_stats = service->Stats();
   const TelemetrySnapshot final_telemetry = service->Telemetry();
-  std::vector<RoutingEvent> leftover = service->DrainRoutingEvents();
   std::lock_guard<std::mutex> lock(mu_);
   // Fold and unpark in one critical section, so a stats reader sees this
   // service's history in exactly one of `retiring_` / `retired_stats_`.
   AddSnapshotCounters(retired_stats_[std::string(name)], final_stats);
-  TelemetrySnapshot& telemetry = retired_telemetry_[std::string(name)];
-  MergeTelemetry(telemetry, final_telemetry);
-  if (!leftover.empty()) {
-    // Preserve the retired ring's un-drained events across the swap,
-    // bounded by the same capacity the ring itself enforces.
-    std::vector<RoutingEvent>& pending = pending_events_[std::string(name)];
-    pending.insert(pending.end(), leftover.begin(), leftover.end());
-    const size_t cap =
-        std::max<size_t>(64, options_.service.telemetry.routing_log_capacity);
-    if (pending.size() > cap) {
-      const size_t excess = pending.size() - cap;
-      telemetry.routing_dropped += excess;
-      pending.erase(pending.begin(),
-                    pending.begin() + static_cast<ptrdiff_t>(excess));
-    }
-  }
+  MergeTelemetry(retired_telemetry_[std::string(name)], final_telemetry);
   auto it = retiring_.find(name);
   if (it != retiring_.end()) {
     std::vector<std::shared_ptr<AsyncQueryService>>& draining = it->second;
@@ -471,35 +455,6 @@ TelemetrySnapshot MultiGraphService::TelemetryFor(
     MergeTelemetry(total, service->Telemetry());
   }
   return total;
-}
-
-std::vector<RoutingEvent> MultiGraphService::DrainRoutingEvents(
-    std::string_view name) {
-  // Serialize against every other drain: two concurrent drains would
-  // otherwise race on which one observes a retiring service's parked
-  // leftovers.
-  std::lock_guard<std::mutex> drain_lock(routing_drain_mu_);
-  std::vector<RoutingEvent> out;
-  std::shared_ptr<AsyncQueryService> live;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto pending = pending_events_.find(name);
-    if (pending != pending_events_.end()) {
-      out = std::move(pending->second);
-      pending_events_.erase(pending);
-    }
-    auto it = services_.find(name);
-    if (it != services_.end()) live = it->second;
-  }
-  // The live drain runs outside mu_ (it takes the ring's drain lock). A
-  // service retired between the two blocks parks its leftovers back in
-  // pending_events_, so nothing is lost — just deferred to the next
-  // drain.
-  if (live != nullptr) {
-    std::vector<RoutingEvent> fresh = live->DrainRoutingEvents();
-    out.insert(out.end(), fresh.begin(), fresh.end());
-  }
-  return out;
 }
 
 std::vector<std::string> MultiGraphService::StatsScopes() const {

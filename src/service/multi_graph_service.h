@@ -159,15 +159,6 @@ class MultiGraphService {
   /// The rows behind the server's Prometheus-style `metrics` output.
   TelemetrySnapshot TelemetryFor(std::string_view name) const;
 
-  /// Consumes graph `name`'s routing event log: events a retired
-  /// incarnation left behind at drain time (in retirement order), then
-  /// whatever the live service has logged since the last drain. Events
-  /// that outlive a hot-swap are preserved (bounded by the configured
-  /// ring capacity; beyond it the oldest are dropped and counted in
-  /// TelemetryFor().routing_dropped). Drains consume: two concurrent
-  /// drainers split the stream.
-  std::vector<RoutingEvent> DrainRoutingEvents(std::string_view name);
-
   /// Every graph name with observable history: currently in the store,
   /// still draining, or with folded retired stats. The scope list the
   /// server's `metrics` and `stats` commands iterate.
@@ -282,10 +273,6 @@ class MultiGraphService {
   std::atomic<uint64_t> unknown_graph_rejects_{0};
   std::atomic<uint64_t> invalid_argument_rejects_{0};
 
-  /// Serializes DrainRoutingEvents calls against each other (never held
-  /// together with a service's internal locks; ordered before mu_).
-  std::mutex routing_drain_mu_;
-
   mutable std::mutex mu_;
   std::map<std::string, std::shared_ptr<AsyncQueryService>, std::less<>>
       services_;
@@ -301,12 +288,6 @@ class MultiGraphService {
   /// Final per-backend telemetry of retired services, folded alongside
   /// retired_stats_ in FinishRetire's critical section.
   std::map<std::string, TelemetrySnapshot, std::less<>> retired_telemetry_;
-  /// Routing events a retired service had not yet handed to a drainer,
-  /// preserved across hot-swaps until the next DrainRoutingEvents(name).
-  /// Bounded per graph by the configured ring capacity (oldest dropped,
-  /// counted in retired_telemetry_[name].routing_dropped).
-  std::map<std::string, std::vector<RoutingEvent>, std::less<>>
-      pending_events_;
 };
 
 }  // namespace hkpr

@@ -1,7 +1,6 @@
 #include "service/telemetry.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "hkpr/backend.h"
 
@@ -9,121 +8,15 @@ namespace hkpr {
 
 namespace {
 
-constexpr size_t kMinRingCapacity = 64;
-
 double UsToSeconds(uint64_t us) { return static_cast<double>(us) * 1e-6; }
 
 }  // namespace
-
-const char* CacheOutcomeName(CacheOutcome outcome) {
-  switch (outcome) {
-    case CacheOutcome::kNone:
-      return "none";
-    case CacheOutcome::kHit:
-      return "hit";
-    case CacheOutcome::kCoalesced:
-      return "coalesced";
-    case CacheOutcome::kMiss:
-      return "miss";
-  }
-  return "invalid";
-}
-
-// ---------------------------------------------------------------------------
-// RoutingEventLog
-
-RoutingEventLog::RoutingEventLog(size_t capacity) {
-  capacity = std::max(capacity, kMinRingCapacity);
-  capacity = std::bit_ceil(capacity);
-  slots_ = std::vector<Slot>(capacity);
-  mask_ = capacity - 1;
-}
-
-void RoutingEventLog::Append(const RoutingEvent& event) {
-  const uint64_t ticket = head_.fetch_add(1, std::memory_order_acq_rel);
-  Slot& slot = slots_[ticket & mask_];
-  // Seqlock publish. Wait (bounded: the previous occupant's publish is
-  // straight-line code) until ticket - capacity has fully published, so
-  // two writers never interleave on one slot and a reader can never
-  // accept ticket t's seq with a later ticket's words.
-  const uint64_t expected =
-      ticket >= slots_.size() ? 2 * (ticket - slots_.size()) + 2 : 0;
-  while (slot.seq.load(std::memory_order_acquire) != expected) {
-    // Requires `capacity` concurrent appends to trigger; see header.
-  }
-  slot.seq.store(2 * ticket + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  uint64_t words[kWords] = {};
-  std::memcpy(words, &event, sizeof(event));
-  for (size_t i = 0; i < kWords; ++i) {
-    slot.words[i].store(words[i], std::memory_order_relaxed);
-  }
-  slot.seq.store(2 * ticket + 2, std::memory_order_release);
-}
-
-std::vector<RoutingEvent> RoutingEventLog::Drain() {
-  std::lock_guard<std::mutex> lock(drain_mu_);
-  const uint64_t head = head_.load(std::memory_order_acquire);
-  uint64_t start = next_;
-  // The ring lapped the reader: everything below head - capacity has been
-  // overwritten unread.
-  if (head > slots_.size()) {
-    const uint64_t oldest = head - slots_.size();
-    if (start < oldest) {
-      dropped_ += oldest - start;
-      start = oldest;
-    }
-  }
-  std::vector<RoutingEvent> out;
-  out.reserve(static_cast<size_t>(head - start));
-  uint64_t ticket = start;
-  for (; ticket < head; ++ticket) {
-    Slot& slot = slots_[ticket & mask_];
-    const uint64_t want = 2 * ticket + 2;
-    const uint64_t s1 = slot.seq.load(std::memory_order_acquire);
-    if (s1 < want) {
-      // This append claimed its ticket but has not finished publishing.
-      // Stop here — tickets are drained in order, so the next drain
-      // resumes at this one (publish completes in bounded time).
-      break;
-    }
-    if (s1 > want) {
-      // Overwritten by a wrap before we read it.
-      ++dropped_;
-      continue;
-    }
-    uint64_t words[kWords];
-    for (size_t i = 0; i < kWords; ++i) {
-      words[i] = slot.words[i].load(std::memory_order_relaxed);
-    }
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (slot.seq.load(std::memory_order_relaxed) != want) {
-      ++dropped_;  // torn by a concurrent wrap; rejected
-      continue;
-    }
-    RoutingEvent event;
-    std::memcpy(&event, words, sizeof(event));
-    out.push_back(event);
-  }
-  next_ = ticket;
-  return out;
-}
-
-uint64_t RoutingEventLog::dropped() const {
-  std::lock_guard<std::mutex> lock(drain_mu_);
-  return dropped_;
-}
 
 // ---------------------------------------------------------------------------
 // ServiceTelemetry
 
 ServiceTelemetry::ServiceTelemetry(const TelemetryOptions& options)
-    : enabled_(options.enabled) {
-  if (enabled_ && options.routing_log_capacity > 0) {
-    routing_log_ =
-        std::make_unique<RoutingEventLog>(options.routing_log_capacity);
-  }
-}
+    : enabled_(options.enabled) {}
 
 ServiceTelemetry::BackendSlot* ServiceTelemetry::FindOrClaimSlot(
     uint32_t backend_id) {
@@ -142,21 +35,41 @@ ServiceTelemetry::BackendSlot* ServiceTelemetry::FindOrClaimSlot(
   return nullptr;  // cardinality bound hit; caller folds into overflow
 }
 
-void ServiceTelemetry::Record(const RoutingEvent& event) {
+void ServiceTelemetry::Record(uint32_t backend_id, CacheOutcome outcome,
+                              const QueryTrace& trace) {
   if (!enabled_) return;
+  // Each stamp as a microsecond offset from submit, clamped to be no
+  // earlier than the previous stamp's offset. An unset stamp (time_point{}
+  // precedes any submit) clamps to its predecessor, so a hit's or a
+  // coalesced wait's compute segment is zero-width at cache_done.
+  const auto offset_us = [&](QueryTrace::Clock::time_point t,
+                             uint64_t floor_us) -> uint64_t {
+    if (t <= trace.submit) return floor_us;
+    const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
+        t - trace.submit);
+    return std::max(floor_us, static_cast<uint64_t>(us.count()));
+  };
+  const uint64_t plan_us = offset_us(trace.plan_resolved, 0);
+  const uint64_t dequeue_us = offset_us(trace.dequeue, plan_us);
+  const uint64_t cache_done_us = offset_us(trace.cache_done, dequeue_us);
+  const uint64_t compute_begin_us =
+      offset_us(trace.compute_begin, cache_done_us);
+  const uint64_t compute_end_us =
+      offset_us(trace.compute_end, compute_begin_us);
+  const uint64_t complete_us = offset_us(trace.complete, compute_end_us);
+
   // The three stage segments are disjoint sub-intervals of
   // [submit, complete], so their integer-microsecond sum telescopes to
   // <= complete_us — the invariant CI asserts per bench row.
-  const uint64_t queue_us = event.dequeue_us - event.plan_us;
-  const uint64_t cache_us = event.cache_us - event.dequeue_us;
-  const uint64_t compute_us = event.compute_end_us - event.compute_begin_us;
+  const uint64_t queue_us = dequeue_us - plan_us;
+  const uint64_t cache_us = cache_done_us - dequeue_us;
+  const uint64_t compute_us = compute_end_us - compute_begin_us;
   queue_wait_.Record(UsToSeconds(queue_us));
   cache_lookup_.Record(UsToSeconds(cache_us));
   // Cache-served queries (hit/coalesced) have a zero-width compute
   // segment by construction; recording them would drag the compute
   // percentiles to zero on warm traffic, so the compute stage counts
   // only queries that actually ran an estimator.
-  const CacheOutcome outcome = event.cache_outcome();
   const bool computed =
       outcome == CacheOutcome::kMiss || outcome == CacheOutcome::kNone;
   if (computed) {
@@ -165,12 +78,12 @@ void ServiceTelemetry::Record(const RoutingEvent& event) {
   }
   queue_wait_us_.fetch_add(queue_us, std::memory_order_relaxed);
   cache_lookup_us_.fetch_add(cache_us, std::memory_order_relaxed);
-  total_us_.fetch_add(event.complete_us, std::memory_order_relaxed);
+  total_us_.fetch_add(complete_us, std::memory_order_relaxed);
 
-  BackendSlot* slot = FindOrClaimSlot(event.backend_id);
+  BackendSlot* slot = FindOrClaimSlot(backend_id);
   if (slot == nullptr) slot = &overflow_slot_;
   slot->completed.fetch_add(1, std::memory_order_relaxed);
-  switch (event.cache_outcome()) {
+  switch (outcome) {
     case CacheOutcome::kHit:
       slot->cache_hits.fetch_add(1, std::memory_order_relaxed);
       break;
@@ -182,9 +95,7 @@ void ServiceTelemetry::Record(const RoutingEvent& event) {
       slot->computed.fetch_add(1, std::memory_order_relaxed);
       break;
   }
-  slot->latency.Record(UsToSeconds(event.complete_us));
-
-  if (routing_log_) routing_log_->Append(event);
+  slot->latency.Record(UsToSeconds(complete_us));
 }
 
 void ServiceTelemetry::FillStages(ServiceStatsSnapshot& snap) const {
@@ -234,7 +145,6 @@ static std::string BackendNameForId(uint32_t backend_id) {
 
 TelemetrySnapshot ServiceTelemetry::Snapshot() const {
   TelemetrySnapshot snap;
-  snap.enabled = enabled_;
   if (!enabled_) return snap;
   for (const BackendSlot& slot : backend_slots_) {
     const uint64_t key = slot.key.load(std::memory_order_acquire);
@@ -255,22 +165,10 @@ TelemetrySnapshot ServiceTelemetry::Snapshot() const {
             [](const BackendStatsSnapshot& a, const BackendStatsSnapshot& b) {
               return a.backend_id < b.backend_id;
             });
-  if (routing_log_) {
-    snap.routing_appended = routing_log_->appended();
-    snap.routing_dropped = routing_log_->dropped();
-  }
   return snap;
 }
 
-std::vector<RoutingEvent> ServiceTelemetry::DrainRoutingEvents() {
-  if (!routing_log_) return {};
-  return routing_log_->Drain();
-}
-
 void MergeTelemetry(TelemetrySnapshot& into, const TelemetrySnapshot& from) {
-  into.enabled = into.enabled || from.enabled;
-  into.routing_appended += from.routing_appended;
-  into.routing_dropped += from.routing_dropped;
   for (const BackendStatsSnapshot& row : from.backends) {
     auto it = std::find_if(into.backends.begin(), into.backends.end(),
                            [&](const BackendStatsSnapshot& have) {

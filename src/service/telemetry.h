@@ -1,9 +1,8 @@
-// Serving-stack telemetry: per-query stage tracing, a dimensioned
-// per-backend metrics registry, and the routing-decision event log.
+// Serving-stack telemetry: per-query stage tracing and a dimensioned
+// per-backend metrics registry.
 //
-// Three observability layers over the flat ServiceStats counter block,
-// all wait-free (or lock-free with a bounded publish window) on the
-// serving hot path:
+// Two observability layers over the flat ServiceStats counter block,
+// both wait-free on the serving hot path:
 //
 //  1. Stage tracing. Every request carries a QueryTrace of monotonic
 //     timestamps stamped as it moves through the pipeline
@@ -27,25 +26,10 @@
 //     (graph, backend) dimensions of the server's Prometheus-style
 //     `metrics` output.
 //
-//  3. The routing event log. A fixed-capacity lock-free ring of
-//     RoutingEvents — one per completed query: the RoutingQuery features
-//     the router saw (seed degree, graph scale, effective params), the
-//     plan it chose, the cache outcome, and the per-stage timings — with
-//     a Drain() snapshot API, so a routing decision can be replayed
-//     offline against what it cost.
-//
 // Tracing is a construction-time switch (TelemetryOptions::enabled);
 // disabled, the service stamps no clocks, records nothing here, and
 // degrades to exactly the pre-telemetry single-histogram behavior.
-//
-// Concurrency notes. Histograms and counters are relaxed atomics
-// (wait-free). The ring buffer is a per-slot seqlock: writers claim a
-// ticket with one fetch_add and publish through an atomic-word payload
-// (no data race reportable by TSan, no torn reads accepted by readers);
-// a writer spins only when the ring wraps onto a slot whose previous
-// writer is still mid-publish, which needs `capacity` concurrent
-// appends — with capacity >= 64 and one append per completed query this
-// does not happen in practice.
+// Histograms and counters are relaxed atomics (wait-free).
 
 #ifndef HKPR_SERVICE_TELEMETRY_H_
 #define HKPR_SERVICE_TELEMETRY_H_
@@ -55,15 +39,9 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <type_traits>
 #include <vector>
 
-#include "graph/graph.h"
-#include "hkpr/params.h"
 #include "service/service_stats.h"
 
 namespace hkpr {
@@ -75,11 +53,6 @@ struct TelemetryOptions {
   /// ServiceStats histogram — the zero-overhead baseline the
   /// trace-overhead bench guard compares against.
   bool enabled = true;
-  /// Routing-event ring capacity (rounded up to a power of two, minimum
-  /// 64 when non-zero). Oldest events are overwritten once the ring laps
-  /// an un-drained reader; 0 disables the event log while keeping stage
-  /// histograms and per-backend metrics.
-  size_t routing_log_capacity = 1024;
 };
 
 /// Monotonic pipeline timestamps for one request, stamped by
@@ -93,9 +66,10 @@ struct QueryTrace {
   Clock::time_point dequeue{};        ///< a worker picked the request up
   Clock::time_point cache_done{};     ///< cache lookup settled (== dequeue
                                       ///< when the cache is disabled)
-  Clock::time_point compute_begin{};  ///< estimator invocation start (==
-                                      ///< cache_done for hits/coalesced)
+  Clock::time_point compute_begin{};  ///< estimator invocation start
+                                      ///< (unset for hits/coalesced)
   Clock::time_point compute_end{};    ///< estimator invocation end
+  Clock::time_point complete{};       ///< answer ready, promise not yet set
 };
 
 /// How the cache treated a completed query.
@@ -104,92 +78,6 @@ enum class CacheOutcome : uint8_t {
   kHit,        ///< served from a completed entry
   kCoalesced,  ///< waited on another worker's in-flight computation
   kMiss,       ///< became the leader and computed
-};
-
-/// Printable name ("none", "hit", "coalesced", "miss").
-const char* CacheOutcomeName(CacheOutcome outcome);
-
-/// One completed query: the routing features, the chosen plan, the cache
-/// outcome, and the per-stage timings as microsecond offsets from submit.
-/// Trivially copyable by construction — the ring buffer publishes events
-/// through atomic 64-bit words.
-struct RoutingEvent {
-  // --- identity ---
-  uint64_t query_index = 0;   ///< deterministic RNG index (submission order)
-  uint64_t graph_version = 0; ///< snapshot version the query ran on
-
-  // --- RoutingQuery features (see hkpr/router.h) ---
-  NodeId seed = 0;
-  uint32_t seed_degree = 0;
-  uint32_t num_nodes = 0;
-  uint64_t num_edges = 0;
-  double avg_degree = 0.0;
-  ApproxParams params;  ///< effective (post-override) parameters
-
-  // --- decision + outcome ---
-  uint32_t backend_id = 0;  ///< resolved plan's stable backend id
-  uint8_t routed = 0;       ///< 1 when the router chose the backend
-                            ///< ("auto"), 0 for pinned/default plans
-  uint8_t cache = 0;        ///< CacheOutcome
-
-  // --- stage timings: offsets from submit, microseconds, monotone
-  //     non-decreasing in declaration order ---
-  uint64_t plan_us = 0;
-  uint64_t dequeue_us = 0;
-  uint64_t cache_us = 0;
-  uint64_t compute_begin_us = 0;
-  uint64_t compute_end_us = 0;
-  uint64_t complete_us = 0;
-
-  CacheOutcome cache_outcome() const { return static_cast<CacheOutcome>(cache); }
-};
-static_assert(std::is_trivially_copyable_v<RoutingEvent>,
-              "RoutingEvent ships through atomic words");
-
-/// Fixed-capacity lock-free MPMC ring of RoutingEvents. Append() is the
-/// hot path (one fetch_add + a seqlock publish); Drain() snapshots and
-/// consumes everything published since the previous drain, counting
-/// events the ring overwrote before they were read.
-class RoutingEventLog {
- public:
-  /// `capacity` is rounded up to a power of two, minimum 64.
-  explicit RoutingEventLog(size_t capacity);
-
-  void Append(const RoutingEvent& event);
-
-  /// Everything appended since the last Drain() and still resident, in
-  /// append (ticket) order. Stops before an append still mid-publish
-  /// (the next drain picks it up). Thread-safe against appenders and
-  /// other drainers.
-  std::vector<RoutingEvent> Drain();
-
-  /// Total Append() calls over the log's lifetime.
-  uint64_t appended() const { return head_.load(std::memory_order_relaxed); }
-  /// Events overwritten before any Drain() read them.
-  uint64_t dropped() const;
-
-  size_t capacity() const { return slots_.size(); }
-
- private:
-  static constexpr size_t kWords = (sizeof(RoutingEvent) + 7) / 8;
-
-  /// One seqlock slot. seq cycles through 2t+1 (ticket t mid-publish) and
-  /// 2t+2 (ticket t readable); the payload is atomic words, so a racing
-  /// read is never UB and a torn read is always rejected by the seq
-  /// recheck.
-  struct alignas(64) Slot {
-    std::atomic<uint64_t> seq{0};
-    std::array<std::atomic<uint64_t>, kWords> words{};
-  };
-
-  std::vector<Slot> slots_;
-  size_t mask_ = 0;
-  /// The next append ticket; ticket t publishes into slot t & mask_.
-  std::atomic<uint64_t> head_{0};
-
-  mutable std::mutex drain_mu_;
-  uint64_t next_ = 0;     ///< first un-drained ticket (under drain_mu_)
-  uint64_t dropped_ = 0;  ///< overwritten-before-read count (under drain_mu_)
 };
 
 /// Per-backend counters for one completed query's snapshot row.
@@ -211,13 +99,10 @@ struct BackendStatsSnapshot {
 };
 
 /// Everything a telemetry reader gets in one call: the per-backend
-/// dimensioned rows (sorted by backend_id) plus the routing-log health
-/// counters. Mergeable across services/hot-swaps via MergeTelemetry().
+/// dimensioned rows, sorted by backend_id. Mergeable across
+/// services/hot-swaps via MergeTelemetry().
 struct TelemetrySnapshot {
-  bool enabled = false;
   std::vector<BackendStatsSnapshot> backends;
-  uint64_t routing_appended = 0;
-  uint64_t routing_dropped = 0;
 };
 
 /// Folds `from` into `into` by backend id (rows are re-sorted and
@@ -226,19 +111,21 @@ void MergeTelemetry(TelemetrySnapshot& into, const TelemetrySnapshot& from);
 
 /// The per-service telemetry block AsyncQueryService owns. All recording
 /// methods are thread-safe; Record() is called once per completed (kOk)
-/// query with a fully stamped trace.
+/// query.
 class ServiceTelemetry {
  public:
   explicit ServiceTelemetry(const TelemetryOptions& options);
 
   bool enabled() const { return enabled_; }
 
-  /// Folds one completed query: stage histograms + exact stage sums,
-  /// the per-backend dimensioned row, and the routing-log append. The
-  /// event's stage offsets must be monotone non-decreasing (they are by
-  /// construction: the offsets come from clock stamps taken in pipeline
-  /// order).
-  void Record(const RoutingEvent& event);
+  /// Folds one completed query into the stage histograms, the exact
+  /// stage sums and `backend_id`'s dimensioned row. Each stamp of `trace`
+  /// is taken as a microsecond offset from `submit`, clamped to be no
+  /// earlier than the stamp before it, so the stages stay disjoint even
+  /// if stamps arrive out of order. Unset compute stamps (a cache hit or
+  /// coalesced wait) clamp to a zero-width compute at `cache_done`.
+  void Record(uint32_t backend_id, CacheOutcome outcome,
+              const QueryTrace& trace);
 
   /// Fills the stage-tracing fields of `snap` (stage_tracing, the three
   /// StageLatencySnapshots, traced_total_us). No-op when disabled — the
@@ -246,11 +133,8 @@ class ServiceTelemetry {
   /// which is exactly the pre-telemetry snapshot shape.
   void FillStages(ServiceStatsSnapshot& snap) const;
 
-  /// Per-backend rows + routing-log counters.
+  /// Per-backend rows.
   TelemetrySnapshot Snapshot() const;
-
-  /// Drains the routing event log (empty when disabled or capacity 0).
-  std::vector<RoutingEvent> DrainRoutingEvents();
 
  private:
   /// Bounded-cardinality backend dimension table. Slots are claimed by
@@ -287,8 +171,6 @@ class ServiceTelemetry {
 
   std::array<BackendSlot, kMaxBackends> backend_slots_{};
   BackendSlot overflow_slot_{};
-
-  std::unique_ptr<RoutingEventLog> routing_log_;  // null when disabled
 };
 
 }  // namespace hkpr

@@ -164,8 +164,8 @@ TEST(GraphStoreStressTest, ReadersSeeConsistentSnapshotsDuringHotSwap) {
 }
 
 // Concurrent publishers to one name: the slot must converge to the highest
-// version with no torn graph/version pairs (ordering enforced by the CAS
-// loop in Publish).
+// version with no torn graph/version pairs (Publish only installs a
+// version newer than the one it finds).
 TEST(GraphStoreStressTest, RacingPublishersConvergeToNewestVersion) {
   constexpr uint32_t kWriters = 4;
   constexpr uint32_t kRounds = 16;

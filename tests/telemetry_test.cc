@@ -1,16 +1,16 @@
-// Tests for the serving-stack telemetry layer: the lock-free routing
-// event ring (round-trip, wrap/drop accounting, concurrent appenders),
-// the bounded-cardinality per-backend dimension table, the disabled-mode
-// degradation contract, stage tracing through a live AsyncQueryService
-// (every completed query captured, monotone stage offsets, cache
-// outcomes, the routed flag), and the traced MultiGraphService under
-// concurrent hot-swaps (TSan-clean, events survive retirement).
+// Tests for the serving-stack telemetry layer: the bounded-cardinality
+// per-backend dimension table, the monotone clamping of stage stamps, the
+// disabled-mode degradation contract, stage tracing through a live
+// AsyncQueryService (every completed query counted once per stage, stage
+// sums within the traced total, one row per resolved backend), and the
+// traced MultiGraphService under concurrent hot-swaps (TSan-clean,
+// counts survive retirement).
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
-#include <set>
+#include <chrono>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -37,140 +37,38 @@ ApproxParams TestParams(double delta) {
   return p;
 }
 
-RoutingEvent MakeEvent(uint64_t index, uint32_t backend_id = 7) {
-  RoutingEvent event;
-  event.query_index = index;
-  event.graph_version = 3;
-  event.seed = static_cast<NodeId>(index % 100);
-  event.seed_degree = 12;
-  event.num_nodes = 1000;
-  event.num_edges = 5000;
-  event.avg_degree = 5.0;
-  event.params = TestParams(1e-4);
-  event.backend_id = backend_id;
-  event.routed = 1;
-  event.cache = static_cast<uint8_t>(CacheOutcome::kMiss);
-  event.plan_us = index;
-  event.dequeue_us = index + 1;
-  event.cache_us = index + 2;
-  event.compute_begin_us = index + 2;
-  event.compute_end_us = index + 10;
-  event.complete_us = index + 11;
-  return event;
+/// The time point `us` microseconds after the trace's submit stamp.
+QueryTrace::Clock::time_point After(const QueryTrace& trace, int64_t us) {
+  return trace.submit + std::chrono::microseconds(us);
 }
 
-/// Asserts the documented monotonicity of one event's stage offsets and
-/// the disjoint-stage identity queue + cache + compute <= complete.
-void ExpectMonotoneStages(const RoutingEvent& e) {
-  ASSERT_LE(e.plan_us, e.dequeue_us);
-  ASSERT_LE(e.dequeue_us, e.cache_us);
-  ASSERT_LE(e.cache_us, e.compute_begin_us);
-  ASSERT_LE(e.compute_begin_us, e.compute_end_us);
-  ASSERT_LE(e.compute_end_us, e.complete_us);
-  const uint64_t stage_sum = (e.dequeue_us - e.plan_us) +
-                             (e.cache_us - e.dequeue_us) +
-                             (e.compute_end_us - e.compute_begin_us);
-  ASSERT_LE(stage_sum, e.complete_us);
-}
-
-// ---------------------------------------------------------------------------
-// RoutingEventLog.
-
-TEST(RoutingEventLogTest, AppendDrainRoundTripPreservesEveryField) {
-  RoutingEventLog log(128);
-  EXPECT_EQ(log.capacity(), 128u);
-  for (uint64_t i = 0; i < 40; ++i) log.Append(MakeEvent(i));
-
-  const std::vector<RoutingEvent> events = log.Drain();
-  ASSERT_EQ(events.size(), 40u);
-  for (uint64_t i = 0; i < events.size(); ++i) {
-    const RoutingEvent& e = events[i];
-    EXPECT_EQ(e.query_index, i);  // append (ticket) order
-    EXPECT_EQ(e.graph_version, 3u);
-    EXPECT_EQ(e.seed, static_cast<NodeId>(i % 100));
-    EXPECT_EQ(e.seed_degree, 12u);
-    EXPECT_EQ(e.num_nodes, 1000u);
-    EXPECT_EQ(e.num_edges, 5000u);
-    EXPECT_DOUBLE_EQ(e.avg_degree, 5.0);
-    EXPECT_DOUBLE_EQ(e.params.t, 5.0);
-    EXPECT_EQ(e.backend_id, 7u);
-    EXPECT_EQ(e.routed, 1u);
-    EXPECT_EQ(e.cache_outcome(), CacheOutcome::kMiss);
-    EXPECT_EQ(e.compute_end_us, i + 10);
-  }
-  EXPECT_EQ(log.appended(), 40u);
-  EXPECT_EQ(log.dropped(), 0u);
-  EXPECT_TRUE(log.Drain().empty());  // drained means consumed
-
-  // The next batch after a drain picks up where the tickets left off.
-  log.Append(MakeEvent(99));
-  const std::vector<RoutingEvent> next = log.Drain();
-  ASSERT_EQ(next.size(), 1u);
-  EXPECT_EQ(next[0].query_index, 99u);
-}
-
-TEST(RoutingEventLogTest, WrapKeepsNewestAndCountsDropped) {
-  RoutingEventLog log(1);  // rounded up to the 64-slot minimum
-  ASSERT_EQ(log.capacity(), 64u);
-  for (uint64_t i = 0; i < 100; ++i) log.Append(MakeEvent(i));
-
-  const std::vector<RoutingEvent> events = log.Drain();
-  // The ring laps an un-drained reader: only the newest `capacity`
-  // events survive, and the overwritten ones are counted, not silent.
-  ASSERT_EQ(events.size(), 64u);
-  for (uint64_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].query_index, 36 + i);
-  }
-  EXPECT_EQ(log.appended(), 100u);
-  EXPECT_EQ(log.dropped(), 36u);
-}
-
-TEST(RoutingEventLogTest, ConcurrentAppendersLoseNothingWithinCapacity) {
-  constexpr uint32_t kThreads = 4;
-  constexpr uint64_t kPerThread = 200;
-  RoutingEventLog log(kThreads * kPerThread);  // nothing may wrap
-
-  std::vector<std::thread> appenders;
-  for (uint32_t t = 0; t < kThreads; ++t) {
-    appenders.emplace_back([&log, t] {
-      for (uint64_t i = 0; i < kPerThread; ++i) {
-        log.Append(MakeEvent(t * kPerThread + i, /*backend_id=*/t));
-      }
-    });
-  }
-  for (std::thread& t : appenders) t.join();
-
-  const std::vector<RoutingEvent> events = log.Drain();
-  ASSERT_EQ(events.size(), kThreads * kPerThread);
-  EXPECT_EQ(log.dropped(), 0u);
-  // Every appended event is present exactly once and untorn (its fields
-  // are self-consistent functions of query_index).
-  std::set<uint64_t> seen;
-  for (const RoutingEvent& e : events) {
-    EXPECT_TRUE(seen.insert(e.query_index).second);
-    EXPECT_EQ(e.backend_id, e.query_index / kPerThread);
-    EXPECT_EQ(e.plan_us, e.query_index);
-    EXPECT_EQ(e.complete_us, e.query_index + 11);
-  }
-  EXPECT_EQ(seen.size(), kThreads * kPerThread);
+/// A cache miss stamped in pipeline order: queue 1 µs, cache 1 µs,
+/// compute 8 µs, 11 µs in total.
+QueryTrace MissTrace() {
+  QueryTrace trace;
+  trace.submit = QueryTrace::Clock::now();
+  trace.plan_resolved = After(trace, 0);
+  trace.dequeue = After(trace, 1);
+  trace.cache_done = After(trace, 2);
+  trace.compute_begin = After(trace, 2);
+  trace.compute_end = After(trace, 10);
+  trace.complete = After(trace, 11);
+  return trace;
 }
 
 // ---------------------------------------------------------------------------
 // ServiceTelemetry: backend dimension table + disabled degradation.
 
 TEST(ServiceTelemetryTest, BackendDimensionsBoundedWithOverflowSlot) {
-  TelemetryOptions options;
-  options.routing_log_capacity = 0;  // dimension table only
-  ServiceTelemetry telemetry(options);
+  ServiceTelemetry telemetry(TelemetryOptions{});
 
   // 20 distinct ids: 16 claim slots, 4 fold into the "other" overflow row.
   for (uint32_t id = 1; id <= 20; ++id) {
-    RoutingEvent event = MakeEvent(id, /*backend_id=*/id);
-    telemetry.Record(event);
-    telemetry.Record(event);  // twice, so per-row completed == 2
+    // Twice, so per-row completed == 2.
+    telemetry.Record(id, CacheOutcome::kMiss, MissTrace());
+    telemetry.Record(id, CacheOutcome::kMiss, MissTrace());
   }
   const TelemetrySnapshot snap = telemetry.Snapshot();
-  EXPECT_TRUE(snap.enabled);
   ASSERT_EQ(snap.backends.size(), 17u);  // 16 claimed + overflow
 
   uint64_t total_completed = 0;
@@ -182,7 +80,7 @@ TEST(ServiceTelemetryTest, BackendDimensionsBoundedWithOverflowSlot) {
       overflow = &row;
     } else {
       EXPECT_EQ(row.completed, 2u);
-      EXPECT_EQ(row.computed, 2u);  // MakeEvent records kMiss
+      EXPECT_EQ(row.computed, 2u);  // both records were misses
       EXPECT_EQ(row.latency_count, 2u);
     }
   }
@@ -204,19 +102,15 @@ TEST(ServiceTelemetryTest, DisabledTelemetryDegradesToFlatStats) {
   EXPECT_EQ(snap.traced_total_us, 0u);
 
   const TelemetrySnapshot t = telemetry.Snapshot();
-  EXPECT_FALSE(t.enabled);
   EXPECT_TRUE(t.backends.empty());
-  EXPECT_TRUE(telemetry.DrainRoutingEvents().empty());
 }
 
 TEST(ServiceTelemetryTest, MergeFoldsRowsByBackendId) {
-  TelemetryOptions options;
-  options.routing_log_capacity = 0;
-  ServiceTelemetry a(options), b(options);
-  a.Record(MakeEvent(0, 5));
-  a.Record(MakeEvent(1, 5));
-  b.Record(MakeEvent(2, 5));
-  b.Record(MakeEvent(3, 9));
+  ServiceTelemetry a(TelemetryOptions{}), b(TelemetryOptions{});
+  a.Record(5, CacheOutcome::kMiss, MissTrace());
+  a.Record(5, CacheOutcome::kMiss, MissTrace());
+  b.Record(5, CacheOutcome::kMiss, MissTrace());
+  b.Record(9, CacheOutcome::kMiss, MissTrace());
 
   TelemetrySnapshot into = a.Snapshot();
   MergeTelemetry(into, b.Snapshot());
@@ -227,6 +121,52 @@ TEST(ServiceTelemetryTest, MergeFoldsRowsByBackendId) {
   EXPECT_EQ(into.backends[1].completed, 1u);
   EXPECT_EQ(into.backends[0].latency_count, 3u);
   EXPECT_GT(into.backends[0].latency_p99_ms, 0.0);
+}
+
+TEST(ServiceTelemetryTest, RecordClampsStampsToMonotoneStages) {
+  ServiceTelemetry telemetry(TelemetryOptions{});
+
+  // A hit: the compute stamps stay unset, as the service leaves them.
+  QueryTrace hit;
+  hit.submit = QueryTrace::Clock::now();
+  hit.plan_resolved = After(hit, 10);
+  hit.dequeue = After(hit, 20);
+  hit.cache_done = After(hit, 30);
+  hit.complete = After(hit, 40);
+  telemetry.Record(7, CacheOutcome::kHit, hit);
+
+  // A miss whose stamps arrive out of order: dequeue before plan, compute
+  // end before compute begin, complete before compute end.
+  QueryTrace miss;
+  miss.submit = QueryTrace::Clock::now();
+  miss.plan_resolved = After(miss, 5);
+  miss.dequeue = After(miss, 3);
+  miss.cache_done = After(miss, 50);
+  miss.compute_begin = After(miss, 80);
+  miss.compute_end = After(miss, 60);
+  miss.complete = After(miss, 70);
+  telemetry.Record(7, CacheOutcome::kMiss, miss);
+
+  ServiceStatsSnapshot snap;
+  telemetry.FillStages(snap);
+  ASSERT_TRUE(snap.stage_tracing);
+  EXPECT_EQ(snap.queue_wait.count, 2u);
+  EXPECT_EQ(snap.cache_lookup.count, 2u);
+  // Only the miss ran an estimator, and its compute clamps to zero width.
+  EXPECT_EQ(snap.compute.count, 1u);
+  EXPECT_EQ(snap.compute.total_us, 0u);
+  EXPECT_EQ(snap.queue_wait.total_us, 10u);    // 10 (hit) + 0 (miss)
+  EXPECT_EQ(snap.cache_lookup.total_us, 55u);  // 10 (hit) + 45 (miss)
+  EXPECT_EQ(snap.traced_total_us, 120u);       // 40 (hit) + 80 (miss)
+  EXPECT_LE(snap.queue_wait.total_us + snap.cache_lookup.total_us +
+                snap.compute.total_us,
+            snap.traced_total_us);
+
+  const TelemetrySnapshot t = telemetry.Snapshot();
+  ASSERT_EQ(t.backends.size(), 1u);
+  EXPECT_EQ(t.backends[0].completed, 2u);
+  EXPECT_EQ(t.backends[0].cache_hits, 1u);
+  EXPECT_EQ(t.backends[0].computed, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -253,40 +193,16 @@ TEST(TracedServiceTest, EveryCompletedQueryProducesOneMonotoneEvent) {
   const ServiceStatsSnapshot stats = service.Stats();
   ASSERT_EQ(stats.completed, seeds.size());
   EXPECT_TRUE(stats.stage_tracing);
-  // Exactly one routing event per completed query.
-  const std::vector<RoutingEvent> events = service.DrainRoutingEvents();
-  ASSERT_EQ(events.size(), seeds.size());
+  EXPECT_EQ(stats.cache_misses + stats.cache_hits + stats.coalesced,
+            stats.completed);
 
-  const uint32_t tea_plus_id = StableBackendId("tea+");
-  uint64_t misses = 0, served_from_cache = 0;
-  std::set<uint64_t> indices;
-  for (const RoutingEvent& e : events) {
-    ExpectMonotoneStages(e);
-    EXPECT_TRUE(indices.insert(e.query_index).second);
-    EXPECT_EQ(e.backend_id, tea_plus_id);
-    EXPECT_EQ(e.routed, 0u);  // pinned default, not router-chosen
-    EXPECT_EQ(e.graph_version, 0u);
-    EXPECT_EQ(e.num_nodes, g.NumNodes());
-    EXPECT_EQ(e.num_edges, g.NumEdges());
-    EXPECT_EQ(e.seed_degree, g.Degree(e.seed));
-    switch (e.cache_outcome()) {
-      case CacheOutcome::kMiss:
-        ++misses;
-        EXPECT_LT(e.compute_begin_us, e.compute_end_us);
-        break;
-      case CacheOutcome::kHit:
-      case CacheOutcome::kCoalesced:
-        ++served_from_cache;
-        // Zero-width compute: the query never ran an estimator.
-        EXPECT_EQ(e.compute_begin_us, e.compute_end_us);
-        break;
-      case CacheOutcome::kNone:
-        ADD_FAILURE() << "cache enabled, outcome must not be kNone";
-        break;
-    }
-  }
-  EXPECT_EQ(misses, stats.cache_misses);
-  EXPECT_EQ(served_from_cache, stats.cache_hits + stats.coalesced);
+  // Every completed query is traced exactly once: queue wait and cache
+  // lookup count each one, compute only the queries that ran an estimator.
+  EXPECT_EQ(stats.queue_wait.count, stats.completed);
+  EXPECT_EQ(stats.cache_lookup.count, stats.completed);
+  EXPECT_EQ(stats.compute.count, stats.cache_misses);
+  // Every miss spent at least a microsecond in its estimator.
+  EXPECT_GE(stats.compute.total_us, stats.cache_misses);
 
   // The aggregate invariant the benches/CI assert, at the source: the
   // disjoint stage sums never exceed the traced submit->complete total.
@@ -294,18 +210,20 @@ TEST(TracedServiceTest, EveryCompletedQueryProducesOneMonotoneEvent) {
                              stats.cache_lookup.total_us +
                              stats.compute.total_us;
   EXPECT_LE(stage_sum, stats.traced_total_us);
-  EXPECT_EQ(stats.queue_wait.count, seeds.size());
-  EXPECT_EQ(stats.compute.count, stats.cache_misses);
 
   // Per-backend dimension row: everything landed on tea+.
   const TelemetrySnapshot telemetry = service.Telemetry();
   ASSERT_EQ(telemetry.backends.size(), 1u);
   EXPECT_EQ(telemetry.backends[0].backend, "tea+");
+  EXPECT_EQ(telemetry.backends[0].backend_id, StableBackendId("tea+"));
   EXPECT_EQ(telemetry.backends[0].completed, seeds.size());
   EXPECT_EQ(telemetry.backends[0].computed, stats.cache_misses);
+  EXPECT_EQ(telemetry.backends[0].cache_hits, stats.cache_hits);
+  EXPECT_EQ(telemetry.backends[0].coalesced, stats.coalesced);
+  EXPECT_EQ(telemetry.backends[0].latency_count, seeds.size());
 }
 
-TEST(TracedServiceTest, RoutedFlagMarksRouterChosenPlans) {
+TEST(TracedServiceTest, QueriesLandOnTheirResolvedBackendRows) {
   Graph g = PowerlawCluster(400, 3, 0.3, 7);
   ServiceOptions options;
   options.num_workers = 1;
@@ -314,24 +232,31 @@ TEST(TracedServiceTest, RoutedFlagMarksRouterChosenPlans) {
 
   SubmitOptions routed;
   routed.plan.backend = std::string(kAutoBackend);
-  ASSERT_EQ(service.Submit(3, routed).result.get().status, QueryStatus::kOk);
   SubmitOptions pinned;
   pinned.plan.backend = "hk-relax";
-  ASSERT_EQ(service.Submit(4, pinned).result.get().status, QueryStatus::kOk);
-  ASSERT_EQ(service.Submit(5).result.get().status, QueryStatus::kOk);
+  std::map<std::string, uint64_t> ran;
+  for (const QueryResult& result :
+       {service.Submit(3, routed).result.get(),
+        service.Submit(4, pinned).result.get(),
+        service.Submit(5).result.get()}) {
+    ASSERT_EQ(result.status, QueryStatus::kOk);
+    ++ran[result.backend];
+  }
+  // The pinned query ran hk-relax and the default one tea+; the routed
+  // one ran whichever of the two the router chose.
+  ASSERT_GE(ran["hk-relax"], 1u);
+  ASSERT_GE(ran["tea+"], 1u);
+  ASSERT_EQ(ran.size(), 2u);
 
-  const std::vector<RoutingEvent> events = service.DrainRoutingEvents();
-  ASSERT_EQ(events.size(), 3u);
-  // Submission order == query_index order after the drain's sort by
-  // ticket; a 1-worker service also completes in that order.
-  EXPECT_EQ(events[0].routed, 1u);  // explicit "auto"
-  EXPECT_EQ(events[1].routed, 0u);  // pinned hk-relax
-  EXPECT_EQ(events[1].backend_id, StableBackendId("hk-relax"));
-  EXPECT_EQ(events[2].routed, 0u);  // service default ("tea+")
-  EXPECT_EQ(events[2].backend_id, StableBackendId("tea+"));
-  for (const RoutingEvent& e : events) {
-    EXPECT_EQ(e.cache_outcome(), CacheOutcome::kNone);
-    ExpectMonotoneStages(e);
+  // Each backend gets its own row, counting exactly the queries that ran
+  // it; with the cache off every one of them computed.
+  const TelemetrySnapshot telemetry = service.Telemetry();
+  ASSERT_EQ(telemetry.backends.size(), 2u);
+  for (const BackendStatsSnapshot& row : telemetry.backends) {
+    EXPECT_EQ(row.backend_id, StableBackendId(row.backend));
+    EXPECT_EQ(row.completed, ran[row.backend]) << row.backend;
+    EXPECT_EQ(row.computed, row.completed) << row.backend;
+    EXPECT_EQ(row.cache_hits + row.coalesced, 0u) << row.backend;
   }
 }
 
@@ -351,8 +276,7 @@ TEST(TracedServiceTest, DisabledTracingKeepsServingAndFlatStats) {
   EXPECT_EQ(stats.latency_count, 4u);  // the flat histogram still works
   EXPECT_FALSE(stats.stage_tracing);
   EXPECT_EQ(stats.queue_wait.count, 0u);
-  EXPECT_TRUE(service.DrainRoutingEvents().empty());
-  EXPECT_FALSE(service.Telemetry().enabled);
+  EXPECT_TRUE(service.Telemetry().backends.empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -367,9 +291,6 @@ TEST(TracedMultiGraphStressTest, HotSwapsPreserveEventsAndMonotonicity) {
   GraphStore store;
   MultiGraphOptions options;
   options.worker_budget = 4;
-  // Capacity covers every query in the test, so nothing is overwritten
-  // and "one event per completed query" is exact even across retirement.
-  options.service.telemetry.routing_log_capacity = 4096;
   MultiGraphService service(store, TestParams(1e-2), 13, options);
   const uint64_t v_first =
       service.Publish("g", PowerlawCluster(kBaseNodes, 3, 0.3, 0));
@@ -387,41 +308,32 @@ TEST(TracedMultiGraphStressTest, HotSwapsPreserveEventsAndMonotonicity) {
     });
   }
   // Publisher races the clients: each Publish retires the live service,
-  // whose telemetry and un-drained events must fold into the graph's
-  // aggregate instead of vanishing.
+  // whose telemetry must fold into the graph's aggregate instead of
+  // vanishing.
   for (uint32_t k = 1; k <= kPublishes; ++k) {
     service.Publish("g", PowerlawCluster(kBaseNodes + k, 3, 0.3, k));
   }
   for (std::thread& t : clients) t.join();
   ASSERT_EQ(completed.load(), kClients * kPerClient);
+  ASSERT_EQ(store.Get("g").version, v_first + kPublishes);
 
-  const std::vector<RoutingEvent> events = service.DrainRoutingEvents("g");
+  // The dimension rows aggregate across every retired generation: every
+  // completed query is on the one tea+ row.
   const TelemetrySnapshot telemetry = service.TelemetryFor("g");
-  ASSERT_EQ(telemetry.routing_dropped, 0u);
-  ASSERT_EQ(events.size(), completed.load());
+  ASSERT_EQ(telemetry.backends.size(), 1u);
+  EXPECT_EQ(telemetry.backends[0].backend, "tea+");
+  EXPECT_EQ(telemetry.backends[0].completed, completed.load());
 
-  const uint32_t tea_plus_id = StableBackendId("tea+");
-  for (const RoutingEvent& e : events) {
-    ExpectMonotoneStages(e);
-    EXPECT_EQ(e.backend_id, tea_plus_id);
-    // The snapshot version was live at completion time.
-    EXPECT_GE(e.graph_version, v_first);
-    EXPECT_LE(e.graph_version, v_first + kPublishes);
-    EXPECT_GE(e.num_nodes, kBaseNodes);
-    EXPECT_LE(e.num_nodes, kBaseNodes + kPublishes);
-  }
-
-  // The dimension rows aggregate across every retired generation.
-  uint64_t dim_completed = 0;
-  for (const BackendStatsSnapshot& row : telemetry.backends) {
-    dim_completed += row.completed;
-  }
-  EXPECT_EQ(dim_completed, completed.load());
-
-  // Aggregated per-graph stage stats survived the swaps too.
+  // Aggregated per-graph stage stats survived the swaps too: one trace
+  // per completed query, compute only on misses, and the stage sums
+  // within the traced total.
   const ServiceStatsSnapshot stats = service.StatsFor("g");
   EXPECT_TRUE(stats.stage_tracing);
+  EXPECT_EQ(stats.completed, completed.load());
   EXPECT_EQ(stats.queue_wait.count, completed.load());
+  EXPECT_EQ(stats.cache_lookup.count, completed.load());
+  EXPECT_EQ(stats.compute.count, stats.cache_misses);
+  EXPECT_EQ(telemetry.backends[0].computed, stats.cache_misses);
   EXPECT_LE(stats.queue_wait.total_us + stats.cache_lookup.total_us +
                 stats.compute.total_us,
             stats.traced_total_us);
