@@ -6,9 +6,14 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/logging.h"
 #include "graph/graph.h"
 
 namespace hkpr {
+
+/// The largest node id a graph can hold: the node count, one past it, must
+/// be a NodeId too.
+inline constexpr NodeId kMaxNodeId = 0xFFFFFFFEu;
 
 /// Accumulates undirected edges and finalizes them into a simple CSR Graph.
 ///
@@ -27,10 +32,11 @@ class GraphBuilder {
   void ReserveEdges(size_t num_edges) { edges_.reserve(num_edges); }
 
   /// Adds the undirected edge {u, v}. Self-loops and duplicates are accepted
-  /// here and removed by Build().
+  /// here and removed by Build(). Both ids must be at most kMaxNodeId.
   void AddEdge(NodeId u, NodeId v) {
-    edges_.push_back({u, v});
     const NodeId hi = u > v ? u : v;
+    HKPR_CHECK(hi <= kMaxNodeId) << "node id " << hi;
+    edges_.push_back({u, v});
     if (hi >= num_nodes_) num_nodes_ = hi + 1;
   }
 

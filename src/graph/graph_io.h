@@ -35,10 +35,25 @@
 
 namespace hkpr {
 
-/// Loads an undirected graph from a whitespace-separated edge-list text file
-/// (the SNAP distribution format). Lines starting with '#' or '%' are
-/// comments. Node ids must be non-negative integers; the graph is
-/// symmetrized, deduplicated and stripped of self-loops.
+/// Loads an undirected graph from an edge-list text file (the SNAP
+/// distribution format); the graph is symmetrized, deduplicated and
+/// stripped of self-loops, and has 1 + the largest id nodes.
+///
+/// Syntax, line by line ('\n' ends a line, and the last line needs none):
+///   - Blanks are ' ', '\t', '\r', '\v' and '\f'; any run may lead a line.
+///   - A line that is blank, or whose first non-blank byte is '#' or '%',
+///     adds nothing.
+///   - Any other line is an edge: an id, at least one blank, an id, then
+///     anything (further columns) up to the end of the line.
+///   - An id is a run of decimal digits, no sign, at most kMaxNodeId
+///     (4294967294).
+/// Lines may be of any length: the file is read in 64 KiB pieces, and the
+/// buffer grows only to hold a line longer than that.
+///
+/// Errors: kIOError "cannot open"/"cannot read" when the file cannot be
+/// read, and kIOError "malformed line N" for a line that breaks the syntax;
+/// kOutOfRange "node id exceeds 32 bits at line N" for an id past
+/// kMaxNodeId. N counts lines from 1.
 Result<Graph> LoadEdgeList(const std::string& path);
 
 /// Writes the graph as an edge-list text file with one "u v" line per

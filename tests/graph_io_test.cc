@@ -75,6 +75,114 @@ TEST(GraphIoTest, EdgeListMalformedLineFails) {
   EXPECT_FALSE(loaded.ok());
 }
 
+/// Writes `text` to a fresh temp file and loads it as an edge list.
+Result<Graph> LoadEdgeListText(const std::string& name,
+                               const std::string& text) {
+  const std::string path = TempPath(name);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << text;
+  out.close();
+  return LoadEdgeList(path);
+}
+
+TEST(GraphIoTest, EdgeListRejectsIdPastMaxNodeId) {
+  // 4294967295 would make the node count wrap to 0; it is out of range, and
+  // the message names the line.
+  auto loaded = LoadEdgeListText("id_max.txt", "0 1\n4294967295 0\n");
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kOutOfRange);
+  EXPECT_NE(loaded.status().message().find("node id exceeds 32 bits at line 2"),
+            std::string::npos)
+      << loaded.status();
+
+  loaded = LoadEdgeListText("id_huge.txt", "1 99999999999999999999999999\n");
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kOutOfRange);
+}
+
+TEST(GraphIoTest, EdgeListLongLineIsOneEdge) {
+  // Columns past the second id are ignored, however far along the line.
+  auto loaded = LoadEdgeListText("long_line.txt",
+                                 "0 1" + std::string(300, ' ') + "7 9\n");
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded.value().NumNodes(), 2u);
+  EXPECT_EQ(loaded.value().NumEdges(), 1u);
+}
+
+TEST(GraphIoTest, EdgeListLongCommentThenEdge) {
+  auto loaded = LoadEdgeListText(
+      "long_comment.txt", "#" + std::string(289, 'c') + "\n0 1\n");
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded.value().NumNodes(), 2u);
+  EXPECT_EQ(loaded.value().NumEdges(), 1u);
+}
+
+TEST(GraphIoTest, EdgeListMalformedLineNumberCountsLongLines) {
+  auto loaded =
+      LoadEdgeListText("long_then_bad.txt", "#" + std::string(299, 'c') +
+                                                "\n0 1\nnot numbers\n");
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
+  EXPECT_NE(loaded.status().message().find("malformed line 3"),
+            std::string::npos)
+      << loaded.status();
+}
+
+TEST(GraphIoTest, EdgeListCrlfBlankLineIsBlank) {
+  auto loaded = LoadEdgeListText("crlf.txt", "0 1\r\n\r\n \t\r\n1 2\r\n");
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded.value().NumNodes(), 3u);
+  EXPECT_EQ(loaded.value().NumEdges(), 2u);
+}
+
+TEST(GraphIoTest, EdgeListSignedIdsAreMalformed) {
+  // An id is a run of decimal digits: no sign.
+  for (const char* text : {"+5 1\n", "0 -0\n", "0 +1\n", "-0 1\n"}) {
+    auto loaded = LoadEdgeListText("signed.txt", text);
+    ASSERT_FALSE(loaded.ok()) << text;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIOError) << text;
+    EXPECT_NE(loaded.status().message().find("malformed line 1"),
+              std::string::npos)
+        << loaded.status();
+  }
+}
+
+TEST(GraphIoTest, EdgeListLinesLongerThanTheReadBuffer) {
+  // Lines past the 64 KiB read buffer, and a last line with no newline.
+  const std::string text = "#" + std::string(200000, 'c') + "\n0" +
+                           std::string(150000, ' ') + "1\n1\t2";
+  auto loaded = LoadEdgeListText("huge_lines.txt", text);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded.value().NumNodes(), 3u);
+  EXPECT_EQ(loaded.value().NumEdges(), 2u);
+
+  loaded = LoadEdgeListText("huge_then_bad.txt", text + "\n2 x\n");
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("malformed line 4"),
+            std::string::npos)
+      << loaded.status();
+}
+
+TEST(GraphIoTest, EdgeListIdsSplitAcrossReads) {
+  // A comment pads the file so that the 64 KiB read boundary falls at each
+  // byte of "12\t 34\n" in turn.
+  const std::string line = "12\t 34\n";
+  for (size_t cut = 0; cut <= line.size(); ++cut) {
+    const std::string pad = "#" + std::string(64 * 1024 - 2 - cut, 'c') + "\n";
+    auto loaded = LoadEdgeListText("split.txt", pad + line + "5 6");
+    ASSERT_TRUE(loaded.ok()) << "cut " << cut << ": " << loaded.status();
+    EXPECT_EQ(loaded.value().NumNodes(), 35u) << cut;
+    EXPECT_EQ(loaded.value().NumEdges(), 2u) << cut;
+    EXPECT_TRUE(loaded.value().HasEdge(12, 34)) << cut;
+
+    loaded = LoadEdgeListText("split_bad.txt", pad + "12\t x\n");
+    ASSERT_FALSE(loaded.ok()) << cut;
+    EXPECT_NE(loaded.status().message().find("malformed line 2"),
+              std::string::npos)
+        << loaded.status();
+  }
+}
+
 TEST(GraphIoTest, BinaryRoundTrip) {
   Graph g = PowerlawCluster(500, 3, 0.4, 7);
   const std::string path = TempPath("plc.bin");

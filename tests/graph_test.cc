@@ -169,6 +169,13 @@ TEST(GraphDeathTest, FromCsrRejectsBadOffsets) {
   EXPECT_DEATH(Graph::FromCsr({0, 2}, {1}), "");
 }
 
+TEST(GraphBuilderDeathTest, RejectsIdWithNoNodeCount) {
+  // Node count 0xFFFFFFFF + 1 would wrap to 0.
+  GraphBuilder b;
+  EXPECT_DEATH(b.AddEdge(0xFFFFFFFFu, 0), "kMaxNodeId");
+  EXPECT_DEATH(b.AddEdge(1, 0xFFFFFFFFu), "kMaxNodeId");
+}
+
 TEST(GraphBuilderTest, BuilderReusableAfterBuild) {
   GraphBuilder b(3);
   b.AddEdge(0, 1);

@@ -314,6 +314,23 @@ TEST(ServerProtocolTest, EveryBackendAnswersOnAOneNodeGraph) {
   EXPECT_EQ(server.Quit(), 0);
 }
 
+TEST(ServerProtocolTest, GraphLoadOfUnservableIdAnswersErr) {
+  // Id 4294967295 leaves no room for the node count: the load answers err
+  // and the server keeps serving.
+  ServerProcess server;
+  ASSERT_TRUE(server.Start({"--nodes=400", "--workers=2", "--seed=17"}));
+  ASSERT_TRUE(StartsWith(server.ReadLine(), "ok hkpr_server"));
+
+  const std::string path = WriteTempFile("idmax", "4294967295 0\n");
+  std::string reply = server.Command("graph load x " + path);
+  EXPECT_TRUE(StartsWith(reply, "err cannot load")) << reply;
+  EXPECT_TRUE(Contains(reply, "node id exceeds 32 bits at line 1")) << reply;
+  reply = server.Command("graph list");
+  EXPECT_TRUE(StartsWith(reply, "ok graphs=1")) << reply;
+  EXPECT_FALSE(Contains(reply, "x:")) << reply;
+  EXPECT_EQ(server.Quit(), 0);
+}
+
 TEST(ServerProtocolTest, PerQueryPlanTokensAndParamsCommand) {
   ServerProcess server;
   ASSERT_TRUE(server.Start({"--nodes=500", "--workers=2", "--seed=13"}));
