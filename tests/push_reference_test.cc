@@ -53,10 +53,22 @@ struct MapResidues {
   std::vector<double> hop_sum;
 };
 
+/// Why an HK-Push+ drain stopped.
+enum class Stop {
+  kBound,      // the increase-only bound certified Inequality (11)
+  kBudget,     // the push budget ran out
+  kExactTest,  // past the cap: the exact test (11) passed
+  kEmptyHop,   // past the cap: the hop to drain received no residue
+  kLastHop,    // hops 0..last-1 drained: the hop cap, or MaxHop past it
+};
+
 struct MapPush {
   SparseVector reserve;
   MapResidues residues{0};
   PushCounters counters;
+  Stop stop = Stop::kLastHop;
+  /// The hop whose drain was next when the push stopped.
+  uint32_t stop_hop = 0;
 };
 
 MapPush MapHkPush(const Graph& graph, const HeatKernel& kernel, NodeId seed,
@@ -84,22 +96,56 @@ MapPush MapHkPush(const Graph& graph, const HeatKernel& kernel, NodeId seed,
   return out;
 }
 
+/// The exact left side of Inequality (11): the sum over hops of
+/// max_v r_k[v]/d(v) over positive residues.
+double MapMaxNormalizedResidueSum(const Graph& graph,
+                                  const MapResidues& residues) {
+  double total = 0.0;
+  for (const FlatMap<double>& hop : residues.hops) {
+    double best = 0.0;
+    for (const auto& e : hop.entries()) {
+      if (e.value <= 0.0) continue;
+      const double norm = e.value / graph.Degree(e.key);
+      if (norm > best) best = norm;
+    }
+    total += best;
+  }
+  return total;
+}
+
+/// HK-Push+ as push.h specifies it, including the drain past the hop cap:
+/// once hops 0..K-1 have drained uncertified, each further hop k is drained
+/// only after the exact test (11) fails on the table so far, and the drain
+/// stops on a pass, the budget, an empty hop or MaxHop.
 MapPush MapHkPushPlus(const Graph& graph, const HeatKernel& kernel,
                       NodeId seed, const HkPushPlusOptions& options) {
   const uint32_t cap = std::min(options.hop_cap, kernel.MaxHop());
+  const uint32_t last_hop =
+      options.drain_past_hop_cap ? kernel.MaxHop() : cap;
   MapPush out;
-  out.residues = MapResidues(cap);
+  out.residues = MapResidues(last_hop);
   out.residues.Add(0, seed, 1.0);
   PushCounters& c = out.counters;
 
   const double eps_a = options.eps_r * options.delta;
   const double threshold = eps_a / static_cast<double>(cap);
-  std::vector<double> norm_bound(static_cast<size_t>(cap) + 1, 0.0);
+  std::vector<double> norm_bound(static_cast<size_t>(last_hop) + 1, 0.0);
   const uint32_t seed_degree = graph.Degree(seed);
   norm_bound[0] = seed_degree > 0 ? 1.0 / seed_degree : 0.0;
   double bound_total = norm_bound[0];
 
-  for (uint32_t k = 0; k < cap; ++k) {
+  for (uint32_t k = 0; k < last_hop; ++k) {
+    out.stop_hop = k;
+    if (k >= cap) {
+      if (out.residues.hops[k].empty()) {
+        out.stop = Stop::kEmptyHop;
+        return out;
+      }
+      if (MapMaxNormalizedResidueSum(graph, out.residues) <= eps_a) {
+        out.stop = Stop::kExactTest;
+        return out;
+      }
+    }
     const auto& entries = out.residues.hops[k].entries();
     const double reserve_frac = kernel.ReserveFraction(k);
     for (size_t i = 0; i < entries.size(); ++i) {
@@ -109,6 +155,7 @@ MapPush MapHkPushPlus(const Graph& graph, const HeatKernel& kernel,
       if (d == 0 || r <= threshold * d) continue;
       if (c.push_operations >= options.push_budget) {
         c.hit_budget = true;
+        out.stop = Stop::kBudget;
         return out;
       }
       out.reserve.Add(v, reserve_frac * r);
@@ -126,6 +173,7 @@ MapPush MapHkPushPlus(const Graph& graph, const HeatKernel& kernel,
       ++c.entries_processed;
       if (options.enable_early_exit && bound_total <= eps_a) {
         c.hit_absolute_target = true;
+        out.stop = Stop::kBound;
         return out;
       }
     }
@@ -135,9 +183,11 @@ MapPush MapHkPushPlus(const Graph& graph, const HeatKernel& kernel,
     }
     if (options.enable_early_exit && bound_total <= eps_a) {
       c.hit_absolute_target = true;
+      out.stop = Stop::kBound;
       return out;
     }
   }
+  out.stop_hop = last_hop;
   return out;
 }
 
@@ -258,6 +308,96 @@ TEST(PushReferenceTest, HkPushPlusMatchesHashMapReferenceOnEveryExit) {
         }
         const PushCounters got =
             HkPushPlusInto(g.graph, kernel, seed, options, ws);
+        ExpectSamePush(got, ws, want);
+      }
+    }
+  }
+}
+
+/// A drain past the hop cap, as the server's TEA+ runs it.
+struct DrainCase {
+  const char* name;
+  double delta;
+  uint32_t hop_cap;
+  /// Sets the push budget halfway between the hard cap's push operations
+  /// and the unbudgeted drain's, so that it runs out past the cap.
+  bool budget_past_cap;
+  Stop expected;
+};
+
+TEST(PushReferenceTest, HkPushPlusDrainPastHopCapMatchesHashMapReference) {
+  const DrainCase cases[] = {
+      {"exact test passes past the cap", 1e-5, 6, false, Stop::kExactTest},
+      {"a hop past the cap receives nothing", 1e-4, 2, false,
+       Stop::kEmptyHop},
+      {"drains to MaxHop", 1e-20, 2, false, Stop::kLastHop},
+      {"budget runs out past the cap", 1e-5, 6, true, Stop::kBudget},
+  };
+  QueryWorkspace ws;
+  for (double t : {5.0, 20.0}) {
+    const HeatKernel kernel(t);
+    for (const NamedGraph& g : TestGraphs()) {
+      for (const DrainCase& c : cases) {
+        SCOPED_TRACE(g.name + ", t " + std::to_string(t) + ", " + c.name);
+        size_t named_stops = 0;
+        for (NodeId seed : TestSeeds(g.graph)) {
+          SCOPED_TRACE("seed " + std::to_string(seed));
+          HkPushPlusOptions options;
+          options.eps_r = 0.5;
+          options.delta = c.delta;
+          options.hop_cap = c.hop_cap;
+          options.push_budget = UINT64_MAX;
+          options.drain_past_hop_cap = true;
+          if (c.budget_past_cap) {
+            HkPushPlusOptions hard = options;
+            hard.drain_past_hop_cap = false;
+            const uint64_t hard_ops =
+                MapHkPushPlus(g.graph, kernel, seed, hard)
+                    .counters.push_operations;
+            const uint64_t drain_ops =
+                MapHkPushPlus(g.graph, kernel, seed, options)
+                    .counters.push_operations;
+            options.push_budget = hard_ops + (drain_ops - hard_ops) / 2;
+          }
+          const MapPush want = MapHkPushPlus(g.graph, kernel, seed, options);
+          if (want.stop == c.expected && want.stop_hop > c.hop_cap) {
+            ++named_stops;
+          }
+          const PushCounters got =
+              HkPushPlusInto(g.graph, kernel, seed, options, ws);
+          ExpectSamePush(got, ws, want);
+        }
+        // The case must exercise the stop it is named after, past the cap.
+        EXPECT_GT(named_stops, 0u);
+      }
+    }
+  }
+}
+
+TEST(PushReferenceTest, HkPushPlusSeedPushCertifiesAtHopZero) {
+  // With eps_a = 2/d(s), the bound certifies right after the seed's own
+  // push: 1/d(s) for hop 0 plus at most 1/d(s) for hop 1. Hop 0 holds the
+  // seed alone, and the bound only grows while a hop drains, so this is
+  // the one push after which an in-loop test of the bound could pass.
+  QueryWorkspace ws;
+  for (double t : {5.0, 20.0}) {
+    const HeatKernel kernel(t);
+    for (const NamedGraph& g : TestGraphs()) {
+      const NodeId hub = TestSeeds(g.graph).back();
+      for (bool drain : {false, true}) {
+        SCOPED_TRACE(g.name + ", t " + std::to_string(t) +
+                     (drain ? ", drain" : ", hard cap"));
+        HkPushPlusOptions options;
+        options.eps_r = 0.5;
+        options.delta = 4.0 / g.graph.Degree(hub);
+        options.hop_cap = 6;
+        options.push_budget = UINT64_MAX;
+        options.drain_past_hop_cap = drain;
+        const MapPush want = MapHkPushPlus(g.graph, kernel, hub, options);
+        ASSERT_EQ(want.stop, Stop::kBound);
+        ASSERT_EQ(want.counters.entries_processed, 1u);
+        const PushCounters got =
+            HkPushPlusInto(g.graph, kernel, hub, options, ws);
         ExpectSamePush(got, ws, want);
       }
     }
