@@ -51,13 +51,17 @@ const SparseVector& HkRelaxEstimator::EstimateInto(NodeId seed,
   // queries reuse its capacity instead of allocating a deque. Levels enter
   // the queue in nondecreasing order, so once the head reaches level j no
   // more residual can arrive there: level j is sealed and the frontier moves
-  // on to level j+1.
+  // on to level j+1. `position[u]` is u's entry position at the level
+  // receiving residue, written at u's first touch there (the add whose
+  // `before` is 0.0) and read only after it, so it is never cleared.
   ws.PrepareQuery(n_trunc);
   ResidueTable& residues = ws.residues;
   const size_t n = graph_.NumNodes();
   SparseVector& x = ws.result;
   std::vector<std::pair<uint32_t, uint32_t>>& queue = ws.starts;
   size_t queue_head = 0;
+  std::vector<uint32_t>& position = ws.push_list;
+  if (position.size() < n) position.resize(n);
 
   // Push threshold for an entry (v, j): r >= e^t * eps * d(v) / (2 N psis_j).
   const auto threshold = [&](uint32_t degree, uint32_t j) {
@@ -99,12 +103,14 @@ const SparseVector& HkRelaxEstimator::EstimateInto(NodeId seed,
     }
     const double mass =
         mass_v * options_.t / (static_cast<double>(j + 1) * d);
+    const std::vector<ResidueTable::Entry>& level = residues.Hop(j + 1);
     residues.SpreadToFrontier(
         graph_.Neighbors(v), mass, [&](NodeId u, double before, double ru) {
-          const double th = threshold(graph_.Degree(u), j + 1);
-          if (before < th && ru >= th) {
-            queue.emplace_back(residues.FrontierPosition(u), j + 1);
+          if (before == 0.0) {
+            position[u] = static_cast<uint32_t>(level.size() - 1);
           }
+          const double th = threshold(graph_.Degree(u), j + 1);
+          if (before < th && ru >= th) queue.emplace_back(position[u], j + 1);
         });
   }
   residues.SealFrontier();
@@ -116,7 +122,8 @@ const SparseVector& HkRelaxEstimator::EstimateInto(NodeId seed,
     stats->push_operations = push_ops;
     stats->entries_processed = entries;
     stats->peak_bytes = residues.MemoryBytes() + x.MemoryBytes() +
-                        queue.capacity() * sizeof(queue[0]);
+                        queue.capacity() * sizeof(queue[0]) +
+                        position.capacity() * sizeof(uint32_t);
   }
   return x;
 }

@@ -8,6 +8,46 @@
 
 namespace hkpr {
 
+namespace {
+
+/// Drains hop k: pushes the entries `ws.push_list` names, which sealing hop
+/// k listed, into the frontier, which holds hop k+1. Each push loads its
+/// node's adjacency row, a dependent miss on a graph larger than cache, so
+/// the row two pushes ahead is prefetched, and its row start four pushes
+/// ahead. Returns false when the push budget ran out before an entry.
+bool DrainHop(const Graph& graph, const HeatKernel& kernel, uint32_t k,
+              uint64_t push_budget, QueryWorkspace& ws, PushCounters& out) {
+  ResidueTable& residues = ws.residues;
+  const std::vector<ResidueTable::Entry>& entries = residues.Hop(k);
+  const std::vector<uint32_t>& push_list = ws.push_list;
+  const double reserve_frac = kernel.ReserveFraction(k);
+  const size_t num_pushes = push_list.size();
+  for (size_t j = 0; j < num_pushes; ++j) {
+    if (j + 4 < num_pushes) graph.PrefetchNode(entries[push_list[j + 4]].key);
+    if (j + 2 < num_pushes) {
+      graph.PrefetchNeighbors(entries[push_list[j + 2]].key);
+    }
+    if (out.push_operations >= push_budget) {
+      out.hit_budget = true;
+      return false;
+    }
+    const uint32_t i = push_list[j];
+    const NodeId v = entries[i].key;
+    const double r = entries[i].value;
+    const uint32_t d = graph.Degree(v);
+    ws.result.Add(v, reserve_frac * r);
+    const double share = (1.0 - reserve_frac) * r / d;
+    residues.SpreadToFrontier(graph.Neighbors(v), share,
+                              [](NodeId, double, double) {});
+    residues.ZeroEntry(k, i);
+    out.push_operations += d;
+    ++out.entries_processed;
+  }
+  return true;
+}
+
+}  // namespace
+
 PushCounters HkPushInto(const Graph& graph, const HeatKernel& kernel,
                         NodeId seed, double r_max, QueryWorkspace& ws) {
   HKPR_CHECK(seed < graph.NumNodes());
@@ -18,40 +58,29 @@ PushCounters HkPushInto(const Graph& graph, const HeatKernel& kernel,
   ws.PrepareQuery(max_hop);
   residues.OpenFrontier(0, n);
   residues.AddToFrontier(seed, 1.0);
+  residues.SealFrontier(graph, r_max, ws.push_list);
   PushCounters out;
 
-  // Hop-ordered drain: residues only flow k -> k+1, so hop k is sealed and
-  // final once the frontier moves on to hop k+1.
+  // Hop-ordered drain: residues only flow k -> k+1, so hop k is final once
+  // sealed, and sealing it lists the entries above r_max * d(v).
   for (uint32_t k = 0; k < max_hop; ++k) {
     residues.OpenFrontier(k + 1, n);
-    const std::vector<ResidueTable::Entry>& entries = residues.Hop(k);
-    for (size_t i = 0; i < entries.size(); ++i) {
-      const NodeId v = entries[i].key;
-      const double r = entries[i].value;
-      const uint32_t d = graph.Degree(v);
-      if (d == 0 || r <= r_max * d) continue;
-      const double reserve_frac = kernel.ReserveFraction(k);
-      ws.result.Add(v, reserve_frac * r);
-      const double share = (1.0 - reserve_frac) * r / d;
-      residues.SpreadToFrontier(graph.Neighbors(v), share,
-                                [](NodeId, double, double) {});
-      residues.ZeroEntry(k, i);
-      out.push_operations += d;
-      ++out.entries_processed;
-    }
+    DrainHop(graph, kernel, k, UINT64_MAX, ws, out);
+    residues.SealFrontier(graph, r_max, ws.push_list);
   }
-  residues.SealFrontier();
   return out;
 }
 
 namespace {
 
 /// HK-Push+'s drain, over the hops of `ws.residues`: 0..cap, or
-/// 0..MaxHop() when draining past the cap. Leaves the frontier open at
-/// whichever hop receives residue when it stops; HkPushPlusInto seals it.
+/// 0..MaxHop() when draining past the cap. Expects hop 0 open with the
+/// seed. Returns with the table sealed, except on the budget exit, which
+/// leaves the frontier open at the hop receiving residue; HkPushPlusInto
+/// seals it.
 PushCounters DrainPlus(const Graph& graph, const HeatKernel& kernel,
-                       NodeId seed, uint32_t cap,
-                       const HkPushPlusOptions& options, QueryWorkspace& ws) {
+                       uint32_t cap, const HkPushPlusOptions& options,
+                       QueryWorkspace& ws) {
   ResidueTable& residues = ws.residues;
   PushCounters out;
   const size_t n = graph.NumNodes();
@@ -59,16 +88,17 @@ PushCounters DrainPlus(const Graph& graph, const HeatKernel& kernel,
   const double threshold = eps_a / static_cast<double>(cap);
   const uint32_t last_hop = residues.max_hop();
 
-  // Increase-only upper bounds on max_v r_k[v]/d(v) per hop. Adding residue
-  // raises the bound exactly; zeroing an entry leaves it stale but still an
-  // upper bound, and once hop k is fully drained every surviving entry is
-  // below `threshold`, so the bound is then clamped to it. The loop may
-  // terminate as soon as the bound sum certifies Inequality (11).
-  std::vector<double>& norm_bound = ws.norm_bound;
-  norm_bound.assign(static_cast<size_t>(last_hop) + 1, 0.0);
-  const uint32_t seed_degree = graph.Degree(seed);
-  norm_bound[0] = seed_degree > 0 ? 1.0 / seed_degree : 0.0;
-  double bound_total = norm_bound[0];
+  // An upper bound on the left side of Inequality (11), the sum over hops
+  // of max_v r_k[v]/d(v). Sealing a hop yields its exact max (`bound` is
+  // the max of hop k, the hop draining). Once hop k has drained, every
+  // entry left there is at most threshold*d(v), so its term is at most
+  // `threshold`; `drained` sums these terms over hops 0..k-1. The sum is of
+  // nonnegative terms only, so it carries no cancellation error however
+  // small eps_a is. While hop k drains, only hop k+1's max can change, and
+  // adds only raise it, so the bound is tested once per hop, after hop k+1
+  // is sealed.
+  double bound = residues.SealFrontier(graph, threshold, ws.push_list);
+  double drained = 0.0;
 
   for (uint32_t k = 0; k < last_hop; ++k) {
     // Past the cap, hop k is drained only while the exact test (11) on the
@@ -77,52 +107,15 @@ PushCounters DrainPlus(const Graph& graph, const HeatKernel& kernel,
     // test skips zeroed entries, so a drained hop's maintained sum, which
     // can read a few ulps below zero, never enters the decision. An empty
     // hop k means hop k-1 pushed nothing, so the table is final.
-    if (k >= cap) {
-      residues.SealFrontier();
-      if (residues.Hop(k).empty() ||
-          residues.MaxNormalizedResidueSum(graph) <= eps_a) {
-        return out;
-      }
+    if (k >= cap && (residues.Hop(k).empty() ||
+                     residues.MaxNormalizedResidueSum(graph) <= eps_a)) {
+      return out;
     }
     residues.OpenFrontier(k + 1, n);
-    const std::vector<ResidueTable::Entry>& entries = residues.Hop(k);
-    const double reserve_frac = kernel.ReserveFraction(k);
-    for (size_t i = 0; i < entries.size(); ++i) {
-      const NodeId v = entries[i].key;
-      const double r = entries[i].value;
-      const uint32_t d = graph.Degree(v);
-      if (d == 0 || r <= threshold * d) continue;
-      if (out.push_operations >= options.push_budget) {
-        out.hit_budget = true;
-        return out;
-      }
-      ws.result.Add(v, reserve_frac * r);
-      const double share = (1.0 - reserve_frac) * r / d;
-      double bound = norm_bound[k + 1];
-      residues.SpreadToFrontier(
-          graph.Neighbors(v), share, [&](NodeId u, double, double new_r) {
-            const double norm = new_r / graph.Degree(u);
-            if (norm > bound) {
-              bound_total += norm - bound;
-              bound = norm;
-            }
-          });
-      norm_bound[k + 1] = bound;
-      residues.ZeroEntry(k, i);
-      out.push_operations += d;
-      ++out.entries_processed;
-
-      if (options.enable_early_exit && bound_total <= eps_a) {
-        out.hit_absolute_target = true;
-        return out;
-      }
-    }
-    // Hop k drained: all remaining residues here are below threshold*d(v).
-    if (norm_bound[k] > threshold) {
-      bound_total -= norm_bound[k] - threshold;
-      norm_bound[k] = threshold;
-    }
-    if (options.enable_early_exit && bound_total <= eps_a) {
+    if (!DrainHop(graph, kernel, k, options.push_budget, ws, out)) return out;
+    drained += std::min(bound, threshold);
+    bound = residues.SealFrontier(graph, threshold, ws.push_list);
+    if (options.enable_early_exit && drained + bound <= eps_a) {
       out.hit_absolute_target = true;
       return out;
     }
@@ -142,7 +135,7 @@ PushCounters HkPushPlusInto(const Graph& graph, const HeatKernel& kernel,
   ws.PrepareQuery(options.drain_past_hop_cap ? kernel.MaxHop() : cap);
   ws.residues.OpenFrontier(0, graph.NumNodes());
   ws.residues.AddToFrontier(seed, 1.0);
-  const PushCounters out = DrainPlus(graph, kernel, seed, cap, options, ws);
+  const PushCounters out = DrainPlus(graph, kernel, cap, options, ws);
   // Every exit (full drain, early exit, budget) leaves the table sealed.
   ws.residues.SealFrontier();
   return out;

@@ -11,19 +11,26 @@
 //    the order in which the push first added residue to that node at that
 //    hop. Entries that are pushed out are zeroed in place, never removed.
 //  - One node-indexed frontier for the single hop currently receiving
-//    residue: a dense value array and a dense first-touch position array
-//    over all nodes of the graph (12 bytes per node).
+//    residue: a dense value array over all nodes of the graph (8 bytes per
+//    node), zero everywhere the open hop has not touched.
 //
 // Residue only ever flows from hop k to hop k+1, so every algorithm drains
 // hop k from its entry array while adding into the frontier, which holds
-// hop k+1. An add is then two direct array accesses instead of a hash
-// probe. SealFrontier() copies the frontier's values into its hop's entry
-// array, whose first-touch order was recorded as the adds arrived, and
-// clears only the touched slots, in O(touched). The entries, their order,
-// their value bits and the hop sums are thereby exactly those of a
-// node-keyed map iterated in insertion order, the layout this table
-// replaced. Entry arrays are only valid for hops that are not the open
-// frontier: the push routines seal before they return.
+// hop k+1. An add is one read and one write of the node's value: every add
+// is strictly positive, so the add that finds the value 0.0 is the node's
+// first touch, and it appends the node to hop k+1's entry array. Sealing
+// copies the frontier's values into that entry array and clears only the
+// touched slots, in O(touched). The entries, their order, their value bits
+// and the hop sums are thereby exactly those of a node-keyed map iterated
+// in insertion order, the layout this table replaced. Entry arrays are only
+// valid for hops that are not the open frontier: the push routines seal
+// before they return.
+//
+// The push routines seal with SealFrontier(graph, threshold, push_list),
+// which visits every touched entry anyway and so also returns the hop's
+// max r/d(v), the hop's term of Inequality (11), and lists the entries the
+// next drain pushes. A drain then walks that list instead of re-testing
+// every entry of its hop.
 //
 // A table can be Reset() and reused across queries: hop storage only ever
 // grows, the entry arrays keep their capacity through clears, and the
@@ -76,37 +83,33 @@ class ResidueTable {
   std::vector<Entry>& MutableHop(uint32_t k) { return hops_[k]; }
 
   /// Seals any open frontier, then makes the empty hop k the frontier, over
-  /// a graph of `num_nodes` nodes. The dense arrays grow to `num_nodes` on
+  /// a graph of `num_nodes` nodes. The dense array grows to `num_nodes` on
   /// first use and when a larger graph arrives.
   void OpenFrontier(uint32_t k, size_t num_nodes) {
     SealFrontier();
     HKPR_DCHECK(k < num_hops_ && hops_[k].empty());
-    if (frontier_value_.size() < num_nodes) {
-      frontier_value_.resize(num_nodes, 0.0);
-      frontier_pos_.resize(num_nodes, kUntouched);
-    }
+    if (frontier_.size() < num_nodes) frontier_.resize(num_nodes, 0.0);
     frontier_hop_ = k;
   }
 
-  /// The push operation's inner loop: adds `share` to r_k[u] at the
-  /// frontier hop k for each u of `nodes`, in order, recording first
-  /// touches and adding to HopSum(k); calls on_add(u, before, after) with
-  /// r_k[u] before and after each add. The arrays and the running hop sum
-  /// are held in locals so that they stay in registers across the stores.
+  /// The push operation's inner loop: adds `share` > 0 to r_k[u] at the
+  /// frontier hop k for each u of `nodes`, in order, appending first
+  /// touches to hop k's entries and adding to HopSum(k); calls
+  /// on_add(u, before, after) with r_k[u] before and after each add, so a
+  /// node's first touch is the call whose `before` is 0.0. The array and
+  /// the running hop sum are held in locals so that they stay in registers
+  /// across the stores.
   template <typename OnAdd>
   void SpreadToFrontier(std::span<const NodeId> nodes, double share,
                         OnAdd&& on_add) {
     HKPR_DCHECK(frontier_hop_ != kNoHop);
-    double* const value = frontier_value_.data();
-    uint32_t* const pos = frontier_pos_.data();
+    HKPR_DCHECK(share > 0.0);
+    double* const value = frontier_.data();
     std::vector<Entry>& hop = hops_[frontier_hop_];
     double sum = hop_sum_[frontier_hop_];
     for (const NodeId u : nodes) {
-      if (pos[u] == kUntouched) {
-        pos[u] = static_cast<uint32_t>(hop.size());
-        hop.push_back(Entry{u, 0.0});
-      }
       const double before = value[u];
+      if (before == 0.0) hop.push_back(Entry{u, 0.0});
       const double after = before + share;
       value[u] = after;
       sum += share;
@@ -115,8 +118,8 @@ class ResidueTable {
     hop_sum_[frontier_hop_] = sum;
   }
 
-  /// Adds `delta` to r_k[v] at the frontier hop k and to HopSum(k); returns
-  /// the new value.
+  /// Adds `delta` > 0 to r_k[v] at the frontier hop k and to HopSum(k);
+  /// returns the new value.
   double AddToFrontier(NodeId v, double delta) {
     double result = 0.0;
     SpreadToFrontier({&v, 1}, delta,
@@ -126,20 +129,41 @@ class ResidueTable {
     return result;
   }
 
-  /// Index of v's entry in the frontier hop's entry array; v must have been
-  /// touched since the frontier opened.
-  uint32_t FrontierPosition(NodeId v) const { return frontier_pos_[v]; }
-
   /// Writes the frontier's values into its hop's entries and clears the
   /// touched slots. No-op when no frontier is open.
   void SealFrontier() {
     if (frontier_hop_ == kNoHop) return;
     for (Entry& e : hops_[frontier_hop_]) {
-      e.value = frontier_value_[e.key];
-      frontier_value_[e.key] = 0.0;
-      frontier_pos_[e.key] = kUntouched;
+      e.value = frontier_[e.key];
+      frontier_[e.key] = 0.0;
     }
     frontier_hop_ = kNoHop;
+  }
+
+  /// Seals the open frontier as SealFrontier() does, and in the same pass
+  /// decides the sealed hop's drain: `push_list` receives the positions, in
+  /// entry order, of the entries with d(v) > 0 and r > threshold * d(v),
+  /// the push condition of HK-Push and HK-Push+. Returns the hop's
+  /// max r/d(v) over nodes with d(v) > 0 (0 for an empty hop).
+  double SealFrontier(const Graph& graph, double threshold,
+                      std::vector<uint32_t>& push_list) {
+    HKPR_DCHECK(frontier_hop_ != kNoHop);
+    push_list.clear();
+    std::vector<Entry>& hop = hops_[frontier_hop_];
+    double max_norm = 0.0;
+    for (size_t i = 0; i < hop.size(); ++i) {
+      Entry& e = hop[i];
+      const double r = frontier_[e.key];
+      e.value = r;
+      frontier_[e.key] = 0.0;
+      const uint32_t d = graph.Degree(e.key);
+      if (d == 0) continue;
+      const double norm = r / d;
+      if (norm > max_norm) max_norm = norm;
+      if (r > threshold * d) push_list.push_back(static_cast<uint32_t>(i));
+    }
+    frontier_hop_ = kNoHop;
+    return max_norm;
   }
 
   /// Zeroes hop k's i-th entry and takes its value off HopSum(k).
@@ -204,26 +228,23 @@ class ResidueTable {
     return n;
   }
 
-  /// Heap bytes held: entry arrays, hop sums and the frontier arrays.
+  /// Heap bytes held: entry arrays, hop sums and the frontier.
   size_t MemoryBytes() const {
     size_t b = hop_sum_.capacity() * sizeof(double) +
-               frontier_value_.capacity() * sizeof(double) +
-               frontier_pos_.capacity() * sizeof(uint32_t);
+               frontier_.capacity() * sizeof(double);
     for (const auto& hop : hops_) b += hop.capacity() * sizeof(Entry);
     return b;
   }
 
  private:
   static constexpr uint32_t kNoHop = 0xFFFFFFFFu;
-  static constexpr uint32_t kUntouched = 0xFFFFFFFFu;
 
   std::vector<std::vector<Entry>> hops_;  // may exceed num_hops_ after Reset
   std::vector<double> hop_sum_;
   size_t num_hops_ = 1;
-  // Node-indexed frontier: 0 / kUntouched everywhere except at the nodes the
-  // open hop has touched.
-  std::vector<double> frontier_value_;
-  std::vector<uint32_t> frontier_pos_;
+  // Node-indexed frontier: 0.0 everywhere except at the nodes the open hop
+  // has touched.
+  std::vector<double> frontier_;
   uint32_t frontier_hop_ = kNoHop;
 };
 

@@ -26,7 +26,7 @@ size_t QueryWorkspace::CollectWalkStarts() {
 
 size_t QueryWorkspace::MemoryBytes() const {
   return result.MemoryBytes() + residues.MemoryBytes() +
-         norm_bound.capacity() * sizeof(double) +
+         push_list.capacity() * sizeof(uint32_t) +
          starts.capacity() * sizeof(starts[0]) +
          weights.capacity() * sizeof(double) + alias.MemoryBytes() +
          walk_ends.capacity() * sizeof(NodeId);

@@ -2,8 +2,8 @@
 //
 // Every query needs the same family of buffers: a reserve/result
 // vector, a multi-hop residue table with its node-indexed push frontier,
-// the HK-Push+ bound array, flattened walk-start arrays with their alias
-// table, and the per-walk end-node buffer. Allocating these afresh
+// the push list of the hop being drained, flattened walk-start arrays with
+// their alias table, and the per-walk end-node buffer. Allocating these afresh
 // per query is the dominant fixed cost of small queries; a QueryWorkspace
 // owns all of them and is reset — never reallocated — between queries, so
 // a steady-state query stream performs zero heap allocations (verified by
@@ -43,12 +43,15 @@ class QueryWorkspace {
   SparseVector result;
 
   /// Residue table for the push phase, including the node-indexed frontier
-  /// (12 bytes per node); Reset() between queries. Sealed whenever a push
+  /// (8 bytes per node); Reset() between queries. Sealed whenever a push
   /// routine returns.
   ResidueTable residues{0};
 
-  /// HK-Push+ per-hop normalized-residue upper bounds.
-  std::vector<double> norm_bound;
+  /// Positions of the entries the push drains next, in entry order; filled
+  /// by ResidueTable::SealFrontier(graph, threshold, push_list). hk-relax
+  /// reuses it as a node-indexed array of first-touch positions at the
+  /// level receiving residue.
+  std::vector<uint32_t> push_list;
 
   /// Flattened positive residue entries (node, hop) and their weights, the
   /// alias sampler's input. hk-relax reuses `starts` as its FIFO queue of

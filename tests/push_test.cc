@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "graph/generators.h"
@@ -424,9 +425,6 @@ TEST(ResidueTableTest, SealKeepsFirstTouchOrderAndAccumulatedValues) {
   table.AddToFrontier(9, 1.0);
   EXPECT_EQ(first, 0.25);
   EXPECT_EQ(again, 0.375);
-  EXPECT_EQ(table.FrontierPosition(7), 0u);
-  EXPECT_EQ(table.FrontierPosition(2), 1u);
-  EXPECT_EQ(table.FrontierPosition(9), 2u);
   table.SealFrontier();
 
   const std::vector<ResidueTable::Entry>& hop = table.Hop(1);
@@ -467,9 +465,9 @@ TEST(ResidueTableTest, ResetAfterEarlyExitLeavesNoFrontierState) {
   for (NodeId v = 0; v < g.NumNodes(); ++v) {
     ws.residues.OpenFrontier(1, g.NumNodes());
     EXPECT_EQ(ws.residues.AddToFrontier(v, 0.5), 0.5) << "node " << v;
-    EXPECT_EQ(ws.residues.FrontierPosition(v), 0u) << "node " << v;
     ws.residues.SealFrontier();
     ASSERT_EQ(ws.residues.Hop(1).size(), 1u);
+    EXPECT_EQ(ws.residues.Hop(1)[0].key, v);
     ws.residues.Reset(2);
   }
 
@@ -479,9 +477,46 @@ TEST(ResidueTableTest, ResetAfterEarlyExitLeavesNoFrontierState) {
   ws.residues.Reset(0);
   ws.residues.OpenFrontier(0, g.NumNodes());
   EXPECT_EQ(ws.residues.AddToFrontier(3, 0.25), 0.25);
-  EXPECT_EQ(ws.residues.FrontierPosition(3), 0u);
   ws.residues.SealFrontier();
+  ASSERT_EQ(ws.residues.Hop(0).size(), 1u);
+  EXPECT_EQ(ws.residues.Hop(0)[0].key, 3u);
   EXPECT_EQ(ws.residues.HopSum(0), 0.25);
+}
+
+TEST(ResidueTableTest, SealListsEntriesAboveThresholdAndReturnsHopMax) {
+  // Star with center 0 (degree 3) and leaves 1..3 (degree 1), plus an
+  // isolated node 4: sealing lists, in entry order, the entries with
+  // r > threshold * d(v), and returns max r/d(v) over nodes of degree > 0.
+  const Graph star = testing::MakeStar(4);
+  std::vector<uint64_t> offsets(star.offsets().begin(), star.offsets().end());
+  offsets.push_back(offsets.back());  // node 4, isolated
+  const Graph g = Graph::FromCsr(
+      std::move(offsets), {star.adjacency().begin(), star.adjacency().end()});
+  ASSERT_EQ(g.Degree(4), 0u);
+
+  ResidueTable table(1);
+  std::vector<uint32_t> push_list = {7, 7, 7};  // cleared by the seal
+  table.OpenFrontier(1, g.NumNodes());
+  table.AddToFrontier(2, 0.05);  // 0.05 / 1: below 0.1
+  table.AddToFrontier(0, 0.6);   // 0.6 / 3 = 0.2: listed
+  table.AddToFrontier(4, 9.0);   // degree 0: never listed, no max
+  table.AddToFrontier(3, 0.25);  // 0.25 / 1: listed, the max
+  table.AddToFrontier(2, 0.1);   // now 0.15 / 1: listed
+  EXPECT_EQ(table.SealFrontier(g, 0.1, push_list), 0.25);
+  EXPECT_EQ(push_list, (std::vector<uint32_t>{0, 1, 3}));
+  const std::vector<ResidueTable::Entry>& hop = table.Hop(1);
+  ASSERT_EQ(hop.size(), 4u);
+  EXPECT_EQ(hop[0].key, 2u);
+  EXPECT_EQ(hop[0].value, 0.05 + 0.1);
+  EXPECT_EQ(hop[2].key, 4u);
+  EXPECT_EQ(hop[2].value, 9.0);
+
+  // The frontier is clear again: a new hop starts from zero.
+  table.OpenFrontier(0, g.NumNodes());
+  EXPECT_EQ(table.AddToFrontier(2, 0.5), 0.5);
+  EXPECT_EQ(table.SealFrontier(g, 1.0, push_list), 0.5);
+  EXPECT_TRUE(push_list.empty());
+  EXPECT_EQ(table.Hop(0).size(), 1u);
 }
 
 }  // namespace
