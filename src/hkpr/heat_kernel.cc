@@ -11,11 +11,18 @@ HeatKernel::HeatKernel(double t, double tail_tolerance) : t_(t) {
   HKPR_CHECK(t > 0.0) << "heat constant must be positive";
   HKPR_CHECK(tail_tolerance > 0.0 && tail_tolerance < 0.1);
 
-  // Forward recurrence eta(k) = eta(k-1) * t / k. For the t values used in
-  // practice (<= ~64) eta(0) = e^{-t} stays comfortably inside double range.
+  // Forward recurrence eta(k) = eta(k-1) * t / k from eta(0) = e^{-t},
+  // which must be a normal double: it is subnormal from t ~ 708 and 0 from
+  // t ~ 746, and every weight would inherit its lost precision.
   // Grow the table until the remaining tail mass 1 - cdf is below tolerance
   // and we are past the Poisson mode (k > t), so the tail is decreasing.
+  // Past the mode, once a term no longer changes the cdf no later term
+  // will, and 1 - cdf is left at the sum's own rounding error, which can
+  // exceed the tolerance (for about a quarter of t in (16, 700], 1 - cdf
+  // stalls near 1.2e-15); the table then ends there.
   double eta = std::exp(-t);
+  HKPR_CHECK(std::isnormal(eta))
+      << "heat constant too large: e^{-t} is not a normal double";
   double cdf = eta;
   eta_.push_back(eta);
   cdf_.push_back(cdf);
@@ -23,9 +30,11 @@ HeatKernel::HeatKernel(double t, double tail_tolerance) : t_(t) {
   while (1.0 - cdf > tail_tolerance || static_cast<double>(k) <= t) {
     ++k;
     eta *= t / static_cast<double>(k);
+    const double before = cdf;
     cdf += eta;
     eta_.push_back(eta);
     cdf_.push_back(cdf);
+    if (cdf == before && static_cast<double>(k) > t) break;
     HKPR_CHECK(k < 100000) << "heat kernel table failed to converge";
   }
 

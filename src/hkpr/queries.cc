@@ -10,25 +10,32 @@ namespace hkpr {
 std::vector<ScoredNode> TopKNormalized(const Graph& graph,
                                        const SparseVector& estimate,
                                        size_t k) {
-  std::vector<ScoredNode> scored;
-  scored.reserve(estimate.nnz());
-  for (const auto& e : estimate.entries()) {
-    const uint32_t d = graph.Degree(e.key);
-    if (d == 0 || e.value <= 0.0) continue;
-    scored.push_back({e.key, estimate.ValueWithOffset(e.key, d) / d});
-  }
   const auto better = [](const ScoredNode& a, const ScoredNode& b) {
     if (a.score != b.score) return a.score > b.score;
     return a.node < b.node;
   };
-  if (scored.size() > k) {
-    std::partial_sort(scored.begin(), scored.begin() + k, scored.end(),
-                      better);
-    scored.resize(k);
-  } else {
-    std::sort(scored.begin(), scored.end(), better);
+  // A heap of the best k seen so far under `better`, whose front is the
+  // worst of them: a candidate replaces the front only if it beats it.
+  std::vector<ScoredNode> top;
+  if (k == 0) return top;
+  top.reserve(std::min(k, estimate.nnz()));
+  const double offset = estimate.degree_offset();
+  for (const auto& e : estimate.entries()) {
+    const uint32_t d = graph.Degree(e.key);
+    if (d == 0 || e.value <= 0.0) continue;
+    // ValueWithOffset(e.key, d), without looking the value up again.
+    const ScoredNode candidate{e.key, (e.value + offset * d) / d};
+    if (top.size() < k) {
+      top.push_back(candidate);
+      std::push_heap(top.begin(), top.end(), better);
+    } else if (better(candidate, top.front())) {
+      std::pop_heap(top.begin(), top.end(), better);
+      top.back() = candidate;
+      std::push_heap(top.begin(), top.end(), better);
+    }
   }
-  return scored;
+  std::sort_heap(top.begin(), top.end(), better);
+  return top;
 }
 
 std::vector<ScoredNode> TopKQuery(const Graph& graph,

@@ -18,7 +18,7 @@ ApproxParams ApplyParamOverrides(const ApproxParams& base,
 }
 
 bool ServableParams(const ApproxParams& params) {
-  return std::isfinite(params.t) && params.t > 0.0 && params.t <= 1000.0 &&
+  return std::isfinite(params.t) && params.t > 0.0 && params.t <= 700.0 &&
          std::isfinite(params.eps_r) && params.eps_r > 0.0 &&
          params.eps_r < 1.0 && std::isfinite(params.delta) &&
          params.delta > 0.0 && std::isfinite(params.p_f) && params.p_f > 0.0 &&

@@ -566,7 +566,7 @@ void CommandProcessor::ExecuteParams(std::istringstream& in,
   }
   if (!clear && !show &&
       !ServableParams(ApplyParamOverrides(params_, overrides))) {
-    out += "err params out of range (t in (0,1000], eps in (0,1), "
+    out += "err params out of range (t in (0,700], eps in (0,1), "
            "delta > 0)\n";
     return;
   }

@@ -47,7 +47,7 @@ AsyncQueryService::AsyncQueryService(GraphSnapshot snapshot,
   // happens to trigger plan resolution first (ResolveQueryPlan reports
   // rather than aborts, relying on this construction-time validation).
   HKPR_CHECK(ServableParams(params))
-      << "service ApproxParams out of range (t in (0, 1000], eps_r in "
+      << "service ApproxParams out of range (t in (0, 700], eps_r in "
          "(0, 1), delta > 0, p_f in (0, 1))";
   const Graph& graph = *snapshot_.graph;
   // Snapshot-level routing features, computed once: the graph is immutable
@@ -122,7 +122,7 @@ bool AsyncQueryService::SetDefaultBackend(std::string_view backend) {
 
 void AsyncQueryService::SetDefaultParams(const ApproxParams& params) {
   HKPR_CHECK(ServableParams(params))
-      << "default ApproxParams out of range (t in (0, 1000], eps_r in "
+      << "default ApproxParams out of range (t in (0, 700], eps_r in "
          "(0, 1), delta > 0, p_f in (0, 1))";
   std::lock_guard<std::mutex> lock(config_mu_);
   defaults_.params = params;

@@ -14,7 +14,7 @@ MultiGraphService::MultiGraphService(GraphStore& store,
   // reports out-of-range params instead of aborting, so the defaults must
   // be validated before any request can reach it.
   HKPR_CHECK(ServableParams(params_))
-      << "service ApproxParams out of range (t in (0, 1000], eps_r in "
+      << "service ApproxParams out of range (t in (0, 700], eps_r in "
          "(0, 1), delta > 0, p_f in (0, 1))";
 }
 

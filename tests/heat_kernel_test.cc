@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "common/random.h"
 #include "hkpr/heat_kernel.h"
@@ -42,6 +44,40 @@ TEST(HeatKernelTest, EtaMatchesClosedForm) {
     const double expected = std::exp(-t) * std::pow(t, k) / factorial;
     EXPECT_NEAR(hk.Eta(k), expected, 1e-12 * (1.0 + expected)) << k;
   }
+}
+
+TEST(HeatKernelTest, ReserveFractionBelowOneAtEveryPushedHop) {
+  // Up to the servable cap t = 700 (ServableParams), a push at any hop
+  // k < MaxHop() keeps part of its residue moving, so every residue add is
+  // strictly positive; e^{-t} is still a normal double there.
+  std::vector<double> ts = {700.0};
+  for (double t = 1e-3; t < 700.0; t *= 1.02) ts.push_back(t);
+  for (double t : ts) {
+    HeatKernel hk(t);
+    ASSERT_GE(hk.Eta(0), std::numeric_limits<double>::min()) << "t=" << t;
+    for (uint32_t k = 0; k < hk.MaxHop(); ++k) {
+      ASSERT_LT(hk.ReserveFraction(k), 1.0) << "t=" << t << " k=" << k;
+    }
+  }
+}
+
+TEST(HeatKernelTest, TableEndsWhereTheCdfStallsAboveTheTolerance) {
+  // At these t the summed cdf stops short of 1 - 1e-15 by its own rounding
+  // error, so a table grown until 1 - cdf <= 1e-15 never ended. It ends
+  // once a term no longer changes the cdf, still past the mode and with
+  // weights summing to 1.
+  for (double t : {19.69, 24.36, 57.0}) {
+    HeatKernel hk(t);
+    EXPECT_GT(static_cast<double>(hk.MaxHop()), t);
+    EXPECT_LT(hk.Eta(hk.MaxHop()), 1e-16) << "t=" << t;
+    double sum = 0.0;
+    for (uint32_t k = 0; k <= hk.MaxHop(); ++k) sum += hk.Eta(k);
+    EXPECT_NEAR(sum, 1.0, 1e-12) << "t=" << t;
+    EXPECT_NEAR(hk.Psi(0), 1.0, 1e-12) << "t=" << t;
+  }
+  // Elsewhere the table is unchanged (MaxHop 31 at t = 5, 65 at t = 20).
+  EXPECT_EQ(HeatKernel(5.0).MaxHop(), 31u);
+  EXPECT_EQ(HeatKernel(20.0).MaxHop(), 65u);
 }
 
 TEST(HeatKernelTest, MaxHopBeyondMode) {

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <vector>
 
@@ -76,6 +79,43 @@ TEST(TopKTest, KLargerThanSupport) {
   est.Add(3, 0.25);
   const auto top = TopKNormalized(g, est, 100);
   EXPECT_EQ(top.size(), 2u);
+}
+
+TEST(TopKTest, MatchesFullSortWithTiesAndLargeK) {
+  // Scores take four values (dyadic, so (c*d + offset*d)/d is exactly
+  // c + offset), so most ranks are decided by the node-id tie break; zero
+  // entries and an offset are mixed in. The top k must be the first k of a
+  // full sort under (score descending, node ascending), bit for bit, for
+  // every k up to past the support.
+  Graph g = PowerlawCluster(300, 3, 0.3, 6);
+  SparseVector est;
+  for (NodeId v = 2; v < g.NumNodes(); v += 3) {
+    const double c = std::ldexp(1.0 + v % 4, -10);
+    est.Add(v, v % 7 == 0 ? 0.0 : c * g.Degree(v));
+  }
+  est.set_degree_offset(std::ldexp(1.0, -12));
+  std::vector<ScoredNode> sorted;
+  for (const auto& e : est.entries()) {
+    if (e.value <= 0.0) continue;
+    const uint32_t d = g.Degree(e.key);
+    sorted.push_back({e.key, est.ValueWithOffset(e.key, d) / d});
+  }
+  std::sort(sorted.begin(), sorted.end(),
+            [](const ScoredNode& a, const ScoredNode& b) {
+              if (a.score != b.score) return a.score > b.score;
+              return a.node < b.node;
+            });
+  ASSERT_GT(sorted.size(), 50u);
+  for (size_t k = 0; k <= sorted.size() + 3; ++k) {
+    const auto top = TopKNormalized(g, est, k);
+    ASSERT_EQ(top.size(), std::min(k, sorted.size())) << "k " << k;
+    for (size_t i = 0; i < top.size(); ++i) {
+      ASSERT_EQ(top[i].node, sorted[i].node) << "k " << k << " rank " << i;
+      ASSERT_EQ(std::bit_cast<uint64_t>(top[i].score),
+                std::bit_cast<uint64_t>(sorted[i].score))
+          << "k " << k << " rank " << i;
+    }
+  }
 }
 
 TEST(TopKTest, IncludesDegreeOffsetInScores) {

@@ -331,6 +331,32 @@ TEST(ServerProtocolTest, GraphLoadOfUnservableIdAnswersErr) {
   EXPECT_EQ(server.Quit(), 0);
 }
 
+TEST(ServerProtocolTest, HeatConstantPastTheServableCapAnswersErr) {
+  // e^{-t} is subnormal from t ~ 708 and 0 from t ~ 746, where building the
+  // heat kernel's table aborted the server. Servable t stops at 700.
+  ServerProcess server;
+  ASSERT_TRUE(server.Start({"--nodes=400", "--workers=2", "--seed=19"}));
+  ASSERT_TRUE(StartsWith(server.ReadLine(), "ok hkpr_server"));
+
+  std::string reply = server.Command("topk 5 10 t=800");
+  EXPECT_TRUE(StartsWith(reply, "err")) << reply;
+  reply = server.Command("topk 5 10 t=740");
+  EXPECT_TRUE(StartsWith(reply, "err")) << reply;
+  reply = server.Command("params default t=800");
+  EXPECT_TRUE(StartsWith(reply, "err params out of range (t in (0,700]"))
+      << reply;
+  reply = server.Command("graph list");
+  EXPECT_TRUE(StartsWith(reply, "ok graphs=1")) << reply;
+  reply = server.Command("topk 5 10");
+  EXPECT_TRUE(StartsWith(reply, "ok graph=default")) << reply;
+  reply = server.Command("topk 5 10 t=700");
+  EXPECT_TRUE(StartsWith(reply, "ok graph=default")) << reply;
+  // 19.69 is one of the t whose kernel table never ended before.
+  reply = server.Command("topk 5 10 t=19.69");
+  EXPECT_TRUE(StartsWith(reply, "ok graph=default")) << reply;
+  EXPECT_EQ(server.Quit(), 0);
+}
+
 TEST(ServerProtocolTest, PerQueryPlanTokensAndParamsCommand) {
   ServerProcess server;
   ASSERT_TRUE(server.Start({"--nodes=500", "--workers=2", "--seed=13"}));
