@@ -8,11 +8,14 @@
 // processes each entry at most once — this is how the "while exists (v,k)
 // above threshold" loops are realized.
 //
-// While hop k drains from its entry array, the neighbor shares go into the
-// residue table's node-indexed frontier, which holds hop k+1 (see
-// hkpr/residue.h). The frontier is sealed into hop k+1's entry array when
-// the drain moves on, and at every exit (full drain, early exit, budget),
-// so the table is complete whenever a push routine returns.
+// While hop k drains, the neighbor shares go into the residue table's
+// node-indexed frontier, which holds hop k+1 (see hkpr/residue.h). Every
+// share is strictly positive, which is what lets the frontier find a
+// node's first touch from its value alone. When hop k has drained, hop k+1
+// is sealed into its entry array, and the seal lists the entries above the
+// push threshold (the next hop's drain walks that list) and returns the
+// hop's max r/d(v), its term of Inequality (11). The table is complete
+// whenever a push routine returns.
 
 #ifndef HKPR_HKPR_PUSH_H_
 #define HKPR_HKPR_PUSH_H_
@@ -36,9 +39,9 @@ struct PushResult {
   uint64_t push_operations = 0;
   /// (node, hop) entries converted.
   uint64_t entries_processed = 0;
-  /// HK-Push+ only: true when the increase-only bound certified
-  /// Inequality (11) with eps_a = eps_r * delta inside the loop. The exact
-  /// test that ends a drain past the hop cap does not set it.
+  /// HK-Push+ only: true when the per-hop bound certified Inequality (11)
+  /// with eps_a = eps_r * delta at the end of a hop. The exact test that
+  /// ends a drain past the hop cap does not set it.
   bool hit_absolute_target = false;
   /// HK-Push+ only: true when the push budget n_p was exhausted.
   bool hit_budget = false;
@@ -62,8 +65,8 @@ struct HkPushPlusOptions {
   /// Push-operation budget n_p; the loop stops once this many neighbor
   /// updates have been performed.
   uint64_t push_budget = 1'000'000;
-  /// Enables the in-loop early-exit test on the residue bound (Line 6).
-  /// Disabled only by the ablation benchmark.
+  /// Enables the early-exit test on the residue bound (Line 6), run once
+  /// per hop. Disabled only by the ablation benchmark.
   bool enable_early_exit = true;
   /// Keeps draining past the hop cap while Inequality (11) fails. Off is
   /// the paper's Algorithm 4, which stops at hop K; see HkPushPlus.
@@ -72,18 +75,22 @@ struct HkPushPlusOptions {
 
 /// Algorithm 4: pushes entries with residue above (eps_r*delta/K) * d(v) at
 /// hops k < K, stopping early when the push budget is exhausted or when an
-/// increase-only upper bound on sum_k max_v r_k[v]/d(v) certifies
-/// Inequality (11) with eps_a = eps_r * delta.
+/// upper bound on sum_k max_v r_k[v]/d(v) certifies Inequality (11) with
+/// eps_a = eps_r * delta. The bound sums, over the hops, each sealed hop's
+/// max r/d(v), clamped to the threshold once the hop has drained. It only
+/// grows while a hop drains, so it is tested once per hop, after the next
+/// hop is sealed; Line 6's per-push test could pass only after the seed's
+/// own push, which is the whole of hop 0.
 ///
-/// With `drain_past_hop_cap`, a drain that reaches hop K uncertified seals
-/// the table and runs the exact test (11). While it fails, hops K, K+1, ...
-/// are drained one at a time, with the same threshold and in-loop bound,
-/// and the exact test is re-run after each. The drain stops when the test
-/// passes, the budget runs out, hop kernel.MaxHop() is reached or a hop
-/// receives no residue, after which nothing can change. A seed that
-/// certifies at K gets exactly the hard cap's result: the table then only
-/// has more (empty) hops. Extra pushes keep the Lemma 1 invariant, so
-/// whatever residue is left is still a valid input to the walk phase.
+/// With `drain_past_hop_cap`, a drain that reaches hop K uncertified runs
+/// the exact test (11) on the sealed table. While it fails, hops K, K+1, ...
+/// are drained one at a time, with the same threshold and bound, and the
+/// exact test is re-run after each. The drain stops when the test passes,
+/// the budget runs out, hop kernel.MaxHop() is reached or a hop receives no
+/// residue, after which nothing can change. A seed that certifies at K
+/// gets exactly the hard cap's result: the table then only has more
+/// (empty) hops. Extra pushes keep the Lemma 1 invariant, so whatever
+/// residue is left is still a valid input to the walk phase.
 PushResult HkPushPlus(const Graph& graph, const HeatKernel& kernel,
                       NodeId seed, const HkPushPlusOptions& options);
 

@@ -92,18 +92,22 @@ class ResidueTable {
     frontier_hop_ = k;
   }
 
-  /// The push operation's inner loop: adds `share` > 0 to r_k[u] at the
+  /// The push operation's inner loop: adds `share` to r_k[u] at the
   /// frontier hop k for each u of `nodes`, in order, appending first
   /// touches to hop k's entries and adding to HopSum(k); calls
   /// on_add(u, before, after) with r_k[u] before and after each add, so a
-  /// node's first touch is the call whose `before` is 0.0. The array and
-  /// the running hop sum are held in locals so that they stay in registers
+  /// node's first touch is the call whose `before` is 0.0. A zero share
+  /// moves no residue and is skipped, which keeps every add strictly
+  /// positive; it arises only from a reserve fraction that rounds to 1, as
+  /// at hop 0 for t below about 1e-16, or from underflow. The array and the
+  /// running hop sum are held in locals so that they stay in registers
   /// across the stores.
   template <typename OnAdd>
   void SpreadToFrontier(std::span<const NodeId> nodes, double share,
                         OnAdd&& on_add) {
     HKPR_DCHECK(frontier_hop_ != kNoHop);
-    HKPR_DCHECK(share > 0.0);
+    HKPR_DCHECK(share >= 0.0);
+    if (share == 0.0) return;
     double* const value = frontier_.data();
     std::vector<Entry>& hop = hops_[frontier_hop_];
     double sum = hop_sum_[frontier_hop_];

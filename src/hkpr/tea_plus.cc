@@ -73,7 +73,7 @@ const SparseVector& TeaPlusEstimator::EstimateInto(NodeId seed,
   }
 
   // Line 7: if Inequality (11) holds with eps_a = eps_r*delta, the reserve
-  // alone is a (d,eps_r,delta)-approximation (Theorem 2). The in-loop bound
+  // alone is a (d,eps_r,delta)-approximation (Theorem 2). The push's bound
   // certificate implies the exact test, so check it first (free).
   const bool absolute_ok =
       push.hit_absolute_target ||

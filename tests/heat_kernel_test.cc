@@ -47,11 +47,11 @@ TEST(HeatKernelTest, EtaMatchesClosedForm) {
 }
 
 TEST(HeatKernelTest, ReserveFractionBelowOneAtEveryPushedHop) {
-  // Up to the servable cap t = 700 (ServableParams), a push at any hop
-  // k < MaxHop() keeps part of its residue moving, so every residue add is
-  // strictly positive; e^{-t} is still a normal double there.
+  // From t = 1e-15 up to the servable cap t = 700 (ServableParams), a push
+  // at any hop k < MaxHop() keeps part of its residue moving; e^{-t} is
+  // still a normal double at the cap.
   std::vector<double> ts = {700.0};
-  for (double t = 1e-3; t < 700.0; t *= 1.02) ts.push_back(t);
+  for (double t = 1e-15; t < 700.0; t *= 1.02) ts.push_back(t);
   for (double t : ts) {
     HeatKernel hk(t);
     ASSERT_GE(hk.Eta(0), std::numeric_limits<double>::min()) << "t=" << t;

@@ -67,7 +67,8 @@ struct MapPush {
   MapResidues residues{0};
   PushCounters counters;
   Stop stop = Stop::kLastHop;
-  /// The hop whose drain was next when the push stopped.
+  /// The hop the drain loop was at when the push stopped; the last hop
+  /// when it ran out of hops.
   uint32_t stop_hop = 0;
 };
 

@@ -204,6 +204,23 @@ TEST(HkPushPlusTest, MassConservation) {
   EXPECT_NEAR(push.reserve.Sum() + push.residues.TotalSum(), 1.0, 1e-9);
 }
 
+TEST(HkPushPlusTest, ReserveFractionOfOneSpreadsNothing) {
+  // At t = 1e-17, e^{-t} rounds to 1, so the seed's push at hop 0 converts
+  // all of its residue: the zero shares are skipped, not added.
+  Graph g = testing::MakeBarbell(5);
+  HeatKernel kernel(1e-17);
+  ASSERT_EQ(kernel.ReserveFraction(0), 1.0);
+  HkPushPlusOptions options;
+  options.delta = 1e-3;
+  options.drain_past_hop_cap = true;
+  PushResult push = HkPushPlus(g, kernel, 2, options);
+  EXPECT_EQ(push.entries_processed, 1u);
+  EXPECT_EQ(push.reserve.Get(2), 1.0);
+  EXPECT_EQ(push.reserve.nnz(), 1u);
+  EXPECT_EQ(push.residues.TotalNonZeros(), 0u);
+  EXPECT_EQ(push.residues.TotalSum(), 0.0);
+}
+
 /// HK-Push+ at TEA+'s hop cap and push budget (c = 2.5) on an R-MAT graph
 /// at delta = 0.1/n, where a few seeds of 0..199 leave residue at hop K
 /// that keeps Inequality (11) from certifying.

@@ -351,8 +351,11 @@ TEST(ServerProtocolTest, HeatConstantPastTheServableCapAnswersErr) {
   EXPECT_TRUE(StartsWith(reply, "ok graph=default")) << reply;
   reply = server.Command("topk 5 10 t=700");
   EXPECT_TRUE(StartsWith(reply, "ok graph=default")) << reply;
-  // 19.69 is one of the t whose kernel table never ended before.
+  // 19.69 is one of the t whose kernel table never ended before; at 1e-17
+  // e^{-t} rounds to 1 and hop 0 converts all of its residue.
   reply = server.Command("topk 5 10 t=19.69");
+  EXPECT_TRUE(StartsWith(reply, "ok graph=default")) << reply;
+  reply = server.Command("topk 5 10 t=1e-17");
   EXPECT_TRUE(StartsWith(reply, "ok graph=default")) << reply;
   EXPECT_EQ(server.Quit(), 0);
 }
