@@ -84,9 +84,9 @@ ApproxParams ApplyParamOverrides(const ApproxParams& base,
 /// fields finite, 0 < t <= 700, eps_r in (0, 1), delta > 0, p_f in (0, 1).
 /// The cap on t keeps the heat kernel's first weight e^{-t} a normal
 /// double: it turns subnormal from t ~ 708, and from t ~ 746 it is 0 and
-/// building the kernel's table aborts. Below the cap every hop a push
-/// drains converts a fraction ReserveFraction(k) < 1 to reserve, so every
-/// residue add is strictly positive, which the push frontier relies on
+/// building the kernel's table aborts. Up to the cap (and from t ~ 1e-16
+/// on) every hop a push drains keeps part of its residue moving,
+/// ReserveFraction(k) < 1, which the push frontier's positive adds rely on
 /// (hkpr/residue.h). Plan resolution rejects out-of-range
 /// *request* overrides with this predicate instead of letting a lazily
 /// built estimator's constructor check-fail the serving process.

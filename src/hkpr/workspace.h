@@ -2,12 +2,13 @@
 //
 // Every query needs the same family of buffers: a reserve/result
 // vector, a multi-hop residue table with its node-indexed push frontier,
-// the push list of the hop being drained, flattened walk-start arrays with
-// their alias table, and the per-walk end-node buffer. Allocating these afresh
-// per query is the dominant fixed cost of small queries; a QueryWorkspace
-// owns all of them and is reset — never reallocated — between queries, so
-// a steady-state query stream performs zero heap allocations (verified by
-// the workspace tests with the AllocCounters hook in common/mem_tracker.h).
+// the push list of the hop being drained, flattened walk-start arrays
+// with their alias table, and the per-walk end-node buffer. Allocating
+// these afresh per query is the dominant fixed cost of small queries; a
+// QueryWorkspace owns all of them and is reset — never reallocated —
+// between queries, so a steady-state query stream performs zero heap
+// allocations (verified by the workspace tests with the AllocCounters hook
+// in common/mem_tracker.h).
 // The frontier is sized to the node count of the largest graph the
 // workspace has served, so one workspace can move between graphs; it only
 // allocates when a larger graph arrives.
