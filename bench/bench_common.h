@@ -173,6 +173,20 @@ inline Graph PrepareScaledGraph(const std::string& size_name,
   return std::move(dataset.graph);
 }
 
+/// argv joined with spaces, escaped for a JSON string: the "command" field
+/// that lets a committed BENCH_*.json be regenerated.
+inline std::string JsonCommandLine(int argc, char** argv) {
+  std::string out;
+  for (int i = 0; i < argc; ++i) {
+    if (i > 0) out += ' ';
+    for (const char* c = argv[i]; *c != '\0'; ++c) {
+      if (*c == '"' || *c == '\\') out += '\\';
+      out += *c;
+    }
+  }
+  return out;
+}
+
 /// Prints the standard dataset banner.
 inline void PrintDatasetBanner(const Dataset& dataset) {
   std::printf("\n### %s (stand-in for %s): n=%s m=%s avg-deg=%.2f\n",

@@ -59,19 +59,6 @@ double TimeQueries(uint32_t num_queries, const std::vector<NodeId>& seeds,
   return timer.ElapsedSeconds();
 }
 
-/// argv joined with spaces, escaped for a JSON string.
-std::string JsonCommandLine(int argc, char** argv) {
-  std::string out;
-  for (int i = 0; i < argc; ++i) {
-    if (i > 0) out += ' ';
-    for (const char* c = argv[i]; *c != '\0'; ++c) {
-      if (*c == '"' || *c == '\\') out += '\\';
-      out += *c;
-    }
-  }
-  return out;
-}
-
 void WriteThroughputJson(const std::string& path, const std::string& command,
                          const std::vector<Dataset>& datasets,
                          uint32_t num_queries,

@@ -14,11 +14,9 @@
 //             the cache disabled — the sharded submission queues and
 //             work-stealing path; the "stolen" column shows rebalancing
 //
-// Graphs are prepared the way a production loader would: generated (or
-// mmap'd from a cached binary CSR snapshot, --graph-cache=DIR) and passed
-// through RelabelByDegree so hub rows pack together (--no-relabel for the
-// A/B). Uniform-random seeds keep the cacheless runs compute-bound and
-// coalescing-free.
+// Graphs are generated, or mmap'd from a cached binary CSR snapshot
+// (--graph-cache=DIR). Uniform-random seeds keep the cacheless runs
+// compute-bound and coalescing-free.
 //
 // Regression gate: after the sweep, for each graph the largest measured
 // thread count T that the hardware can actually run in parallel
@@ -30,7 +28,7 @@
 //
 // Flags: --sizes=a,b,c (default small,medium,large; --smoke: small),
 // --queries=N per (graph, threads, path) run, --threads=a,b,c (default
-// 1,2,4,8), --floor=F, --graph-cache=DIR, --no-relabel, --json=PATH
+// 1,2,4,8), --floor=F, --graph-cache=DIR, --json=PATH
 // (BENCH_scaling.json), --smoke (CI-sized run).
 
 #include <algorithm>
@@ -45,7 +43,6 @@
 #include "bench_common.h"
 #include "common/timer.h"
 #include "graph/graph_io.h"
-#include "graph/relabel.h"
 #include "hkpr/queries.h"
 #include "parallel/parallel_for.h"
 #include "service/async_query_service.h"
@@ -59,8 +56,7 @@ struct ScalingRow {
   std::string graph;
   uint32_t nodes = 0;
   uint64_t edges = 0;
-  std::string layout;  // "degree-ordered" or "standard"
-  std::string path;    // "executor" or "service"
+  std::string path;  // "executor" or "service"
   uint32_t threads = 0;
   uint32_t queries = 0;
   double seconds = 0.0;
@@ -151,15 +147,15 @@ void WriteScalingJson(const std::string& path, uint32_t hardware_threads,
     std::fprintf(
         f,
         "    {\"graph\": \"%s\", \"nodes\": %u, \"edges\": %llu, "
-        "\"layout\": \"%s\", \"path\": \"%s\", \"threads\": %u, "
+        "\"path\": \"%s\", \"threads\": %u, "
         "\"queries\": %u, \"seconds\": %.6f, \"qps\": %.1f, "
         "\"stolen\": %llu, \"p50_ms\": %.3f, \"p99_ms\": %.3f, "
         "\"queue_ms\": %.4f, \"cache_ms\": %.4f, \"compute_ms\": %.4f, "
         "\"total_ms\": %.4f}%s\n",
         r.graph.c_str(), r.nodes, static_cast<unsigned long long>(r.edges),
-        r.layout.c_str(), r.path.c_str(), r.threads, r.queries, r.seconds,
-        r.qps(), static_cast<unsigned long long>(r.stolen), r.p50_ms,
-        r.p99_ms, r.queue_ms, r.cache_ms, r.compute_ms, r.total_ms,
+        r.path.c_str(), r.threads, r.queries, r.seconds, r.qps(),
+        static_cast<unsigned long long>(r.stolen), r.p50_ms, r.p99_ms,
+        r.queue_ms, r.cache_ms, r.compute_ms, r.total_ms,
         i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -190,7 +186,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> sizes = {"small", "medium", "large"};
   std::vector<uint32_t> thread_counts = {1, 2, 4, 8};
   double floor8 = 1.3;  // required 8-thread/1-thread QPS ratio
-  bool relabel = true;
   bool smoke = false;
   bool sizes_overridden = false;
   uint32_t num_queries = 0;
@@ -215,7 +210,6 @@ int main(int argc, char** argv) {
     if (std::strncmp(argv[i], "--floor=", 8) == 0) {
       floor8 = std::atof(argv[i] + 8);
     }
-    if (std::strcmp(argv[i], "--no-relabel") == 0) relabel = false;
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
   }
   if (smoke && !sizes_overridden) sizes = {"small"};
@@ -232,16 +226,8 @@ int main(int argc, char** argv) {
   TablePrinter table({"graph", "edges", "path", "threads", "q/s", "speedup",
                       "stolen", "p99 ms"});
   for (const std::string& size_name : sizes) {
-    Graph loaded = PrepareScaledGraph(size_name, cache_dir, config.rng_seed);
-    std::string layout = "standard";
-    Graph graph = std::move(loaded);
-    if (relabel) {
-      WallTimer timer;
-      graph = RelabelByDegree(graph).graph;
-      layout = "degree-ordered";
-      std::printf("  %s: degree-ordered relabel in %.1fs\n", size_name.c_str(),
-                  timer.ElapsedSeconds());
-    }
+    const Graph graph =
+        PrepareScaledGraph(size_name, cache_dir, config.rng_seed);
     const std::string graph_name = "rmat-" + size_name;
 
     // Serving-grade accuracy, scaled to the graph; walk phase forced so
@@ -262,7 +248,6 @@ int main(int argc, char** argv) {
         row.graph = graph_name;
         row.nodes = graph.NumNodes();
         row.edges = graph.NumEdges();
-        row.layout = layout;
         row.path = path == 0 ? "executor" : "service";
         row.threads = threads;
         row.queries = num_queries;

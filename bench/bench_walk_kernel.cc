@@ -22,9 +22,9 @@
 // 300000), --reps=N timed reps, best kept (default 3), --widths=a,b,c
 // (default 1,4,8,16), --floor=F smoke-gate speedup floor (default 1.0),
 // --graph-cache=DIR binary snapshot cache (same keys as
-// bench_serve_scaling), --no-relabel, --json=PATH (BENCH_walk.json),
-// --smoke (CI-sized run; exits 1 when interleaved width-8 steps/sec <
-// floor * scalar on the largest graph).
+// bench_serve_scaling), --json=PATH (BENCH_walk.json, with the hardware
+// thread count and the command line), --smoke (CI-sized run; exits 1 when
+// interleaved width-8 steps/sec < floor * scalar on the largest graph).
 
 #include <algorithm>
 #include <cstdio>
@@ -35,10 +35,10 @@
 
 #include "bench_common.h"
 #include "common/timer.h"
-#include "graph/relabel.h"
 #include "hkpr/heat_kernel.h"
 #include "hkpr/random_walk.h"
 #include "hkpr/walk_kernel.h"
+#include "parallel/parallel_for.h"
 
 using namespace hkpr;
 using namespace hkpr::bench;
@@ -82,13 +82,17 @@ uint64_t RunScalar(const Graph& graph, const HeatKernel& kernel, NodeId seed,
   return steps;
 }
 
-void WriteWalkJson(const std::string& path, const std::vector<WalkRow>& rows) {
+void WriteWalkJson(const std::string& path, const std::string& command,
+                   const std::vector<WalkRow>& rows) {
   std::FILE* f = path.empty() ? stdout : std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
     return;
   }
-  std::fprintf(f, "{\n  \"benchmark\": \"walk_kernel\",\n  \"rows\": [\n");
+  std::fprintf(f, "{\n  \"benchmark\": \"walk_kernel\",\n");
+  std::fprintf(f, "  \"hardware_threads\": %u,\n", HardwareThreads());
+  std::fprintf(f, "  \"command\": \"%s\",\n", command.c_str());
+  std::fprintf(f, "  \"rows\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
     const WalkRow& r = rows[i];
     std::fprintf(
@@ -133,7 +137,6 @@ int main(int argc, char** argv) {
   uint64_t num_walks = 0;
   uint32_t reps = 3;
   double floor = 1.0;
-  bool relabel = true;
   bool smoke = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--json=", 7) == 0) json_path = argv[i] + 7;
@@ -158,7 +161,6 @@ int main(int argc, char** argv) {
     if (std::strncmp(argv[i], "--floor=", 8) == 0) {
       floor = std::atof(argv[i] + 8);
     }
-    if (std::strcmp(argv[i], "--no-relabel") == 0) relabel = false;
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
   }
   if (sizes.empty()) {
@@ -178,14 +180,13 @@ int main(int argc, char** argv) {
   std::string gate_msg;
 
   for (const std::string& size_name : sizes) {
-    Graph graph = PrepareScaledGraph(size_name, cache_dir, config.rng_seed);
-    if (relabel) graph = RelabelByDegree(graph).graph;
+    const Graph graph =
+        PrepareScaledGraph(size_name, cache_dir, config.rng_seed);
     const std::string graph_name = "rmat-" + size_name;
-    std::printf("\n### %s: n=%u m=%llu avg-deg=%.2f%s\n", graph_name.c_str(),
+    std::printf("\n### %s: n=%u m=%llu avg-deg=%.2f\n", graph_name.c_str(),
                 graph.NumNodes(),
                 static_cast<unsigned long long>(graph.NumEdges()),
-                graph.AverageDegree(),
-                relabel ? " (degree-ordered)" : "");
+                graph.AverageDegree());
 
     // All walks start at one well-connected node — the Monte-Carlo
     // workload. Deterministic pick: the max-degree node.
@@ -277,7 +278,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  WriteWalkJson(json_path, rows);
+  WriteWalkJson(json_path, JsonCommandLine(argc, argv), rows);
   if (smoke) {
     std::printf("\nGATE %s: %s\n", gate_ok ? "OK" : "FAIL", gate_msg.c_str());
     if (!gate_ok) return 1;

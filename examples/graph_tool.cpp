@@ -61,7 +61,7 @@ int Generate(const std::string& kind, const std::string& path, uint32_t n) {
 
 Result<Graph> LoadAny(const std::string& path) {
   if (path.size() > 4 && path.substr(path.size() - 4) == ".bin") {
-    return LoadBinary(path);
+    return MapBinary(path);
   }
   return LoadEdgeList(path);
 }

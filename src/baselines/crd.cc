@@ -55,7 +55,7 @@ double UnitFlow(const Graph& graph, DiffusionState& state,
     uint32_t& lv = state.label[v];
     if (lv >= options.height_cap) continue;
 
-    const uint64_t row_begin = graph.RowStart(v);
+    const uint64_t row_begin = graph.offsets()[v];
     auto nbrs = graph.Neighbors(v);
     bool admissible_found = false;
     for (size_t i = 0; i < nbrs.size() && ex > 1e-12; ++i) {

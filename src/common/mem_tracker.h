@@ -1,17 +1,18 @@
-// Deterministic byte accounting for algorithm state.
+// Heap-allocation counters for the zero-allocation tests.
 //
 // The paper's Figure 5 reports memory overhead per algorithm. Process RSS is
 // noisy and allocator-dependent, so estimators instead report the bytes held
 // by their major data structures (residue tables, reserve vectors, alias
-// structures, walk buffers) through this tracker. The dataset registry adds
-// the graph's own bytes, mirroring the paper's "including the input graph"
-// accounting.
+// structures, walk buffers) as EstimatorStats::peak_bytes, and the benches
+// add the graph's Graph::MemoryBytes(), mirroring the paper's "including
+// the input graph" accounting. This header counts something else: heap
+// allocations, so tests can prove that a steady-state workspace query
+// allocates nothing.
 
 #ifndef HKPR_COMMON_MEM_TRACKER_H_
 #define HKPR_COMMON_MEM_TRACKER_H_
 
 #include <atomic>
-#include <cstddef>
 #include <cstdint>
 
 namespace hkpr {
@@ -47,38 +48,6 @@ class AllocCounters {
  private:
   inline static std::atomic<uint64_t> allocations_{0};
   inline static std::atomic<uint64_t> deallocations_{0};
-};
-
-/// Tracks current and peak logical bytes of a single algorithm run.
-class MemTracker {
- public:
-  /// Registers `bytes` as currently allocated.
-  void Add(size_t bytes) {
-    current_ += bytes;
-    if (current_ > peak_) peak_ = current_;
-  }
-
-  /// Registers `bytes` as released.
-  void Release(size_t bytes) { current_ = bytes > current_ ? 0 : current_ - bytes; }
-
-  /// Replaces the current figure for a component: call with the previous and
-  /// new sizes of a container as it grows.
-  void Update(size_t old_bytes, size_t new_bytes) {
-    Release(old_bytes);
-    Add(new_bytes);
-  }
-
-  size_t current_bytes() const { return current_; }
-  size_t peak_bytes() const { return peak_; }
-
-  void Reset() {
-    current_ = 0;
-    peak_ = 0;
-  }
-
- private:
-  size_t current_ = 0;
-  size_t peak_ = 0;
 };
 
 }  // namespace hkpr

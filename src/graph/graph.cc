@@ -8,26 +8,22 @@ namespace hkpr {
 struct Graph::OwnedStorage {
   std::vector<uint64_t> offsets;
   std::vector<NodeId> adjacency;
-  std::vector<uint64_t> row_starts;  // empty in the standard layout
 };
 
 namespace {
 
 #ifndef NDEBUG
-/// Full structural validation shared by the owned-storage constructors:
-/// per-row sortedness, id range, no self-loops. `row_starts` is the
-/// physical placement (== offsets for the standard layout).
+/// Full structural validation of an owned CSR: per-row sortedness, id
+/// range, no self-loops.
 void DebugValidateRows(std::span<const uint64_t> offsets,
-                       std::span<const NodeId> adjacency,
-                       std::span<const uint64_t> row_starts) {
+                       std::span<const NodeId> adjacency) {
   const uint32_t n = static_cast<uint32_t>(offsets.size() - 1);
   for (uint32_t v = 0; v < n; ++v) {
     HKPR_DCHECK(offsets[v] <= offsets[v + 1]);
-    const uint64_t degree = offsets[v + 1] - offsets[v];
-    const uint64_t begin = row_starts[v];
-    HKPR_DCHECK(begin + degree <= adjacency.size())
-        << "row placement exceeds adjacency";
-    for (uint64_t i = begin; i < begin + degree; ++i) {
+    const uint64_t begin = offsets[v];
+    const uint64_t end = offsets[v + 1];
+    HKPR_DCHECK(end <= adjacency.size()) << "row exceeds adjacency";
+    for (uint64_t i = begin; i < end; ++i) {
       HKPR_DCHECK(adjacency[i] < n) << "neighbor id out of range";
       HKPR_DCHECK(adjacency[i] != v) << "self-loop in CSR";
       if (i > begin) {
@@ -53,52 +49,8 @@ Graph Graph::FromCsr(std::vector<uint64_t> offsets,
   Graph g;
   g.offsets_ = storage->offsets;
   g.adjacency_ = storage->adjacency;
-  g.row_starts_ = g.offsets_.first(g.offsets_.size() - 1);
 #ifndef NDEBUG
-  DebugValidateRows(g.offsets_, g.adjacency_, g.row_starts_);
-#endif
-  g.storage_ = std::move(storage);
-  return g;
-}
-
-Graph Graph::FromPermutedCsr(std::vector<uint64_t> offsets,
-                             std::vector<NodeId> adjacency,
-                             std::vector<uint64_t> row_starts) {
-  HKPR_CHECK(!offsets.empty()) << "offsets must have at least one entry";
-  HKPR_CHECK(offsets.front() == 0);
-  HKPR_CHECK(offsets.back() == adjacency.size());
-  HKPR_CHECK(row_starts.size() == offsets.size() - 1)
-      << "need one physical row start per node";
-#ifndef NDEBUG
-  {
-    // The permuted rows must tile the adjacency exactly: sorted row starts
-    // with each row ending where the next begins.
-    const uint32_t n = static_cast<uint32_t>(offsets.size() - 1);
-    std::vector<std::pair<uint64_t, uint64_t>> placed;  // (start, degree)
-    placed.reserve(n);
-    for (uint32_t v = 0; v < n; ++v) {
-      placed.emplace_back(row_starts[v], offsets[v + 1] - offsets[v]);
-    }
-    std::sort(placed.begin(), placed.end());
-    uint64_t cursor = 0;
-    for (const auto& [start, degree] : placed) {
-      HKPR_DCHECK(start == cursor) << "permuted rows leave a gap or overlap";
-      cursor += degree;
-    }
-    HKPR_DCHECK(cursor == adjacency.size());
-  }
-#endif
-  auto storage = std::make_shared<OwnedStorage>();
-  storage->offsets = std::move(offsets);
-  storage->adjacency = std::move(adjacency);
-  storage->row_starts = std::move(row_starts);
-
-  Graph g;
-  g.offsets_ = storage->offsets;
-  g.adjacency_ = storage->adjacency;
-  g.row_starts_ = storage->row_starts;
-#ifndef NDEBUG
-  DebugValidateRows(g.offsets_, g.adjacency_, g.row_starts_);
+  DebugValidateRows(g.offsets_, g.adjacency_);
 #endif
   g.storage_ = std::move(storage);
   return g;
@@ -106,7 +58,6 @@ Graph Graph::FromPermutedCsr(std::vector<uint64_t> offsets,
 
 Graph Graph::FromExternal(std::span<const uint64_t> offsets,
                           std::span<const NodeId> adjacency,
-                          std::span<const uint64_t> row_starts,
                           std::shared_ptr<const void> storage) {
   HKPR_CHECK(!offsets.empty()) << "offsets must have at least one entry";
   HKPR_CHECK(offsets.front() == 0);
@@ -114,13 +65,6 @@ Graph Graph::FromExternal(std::span<const uint64_t> offsets,
   Graph g;
   g.offsets_ = offsets;
   g.adjacency_ = adjacency;
-  if (row_starts.empty()) {
-    g.row_starts_ = offsets.first(offsets.size() - 1);
-  } else {
-    HKPR_CHECK(row_starts.size() == offsets.size() - 1)
-        << "need one physical row start per node";
-    g.row_starts_ = row_starts;
-  }
   g.storage_ = std::move(storage);
   g.mmap_backed_ = true;
   return g;

@@ -6,7 +6,7 @@
 // from disk (src/graph/graph_io.h) or produced by a synthetic generator
 // (src/graph/generators.h).
 //
-// Storage model: a Graph is a cheap handle — three read-only spans over a
+// Storage model: a Graph is a cheap handle — two read-only spans over a
 // shared, immutable backing payload. The payload is either heap vectors
 // (FromCsr / GraphBuilder) or an mmap'd binary snapshot (MapBinary in
 // graph_io.h), so a GraphStore holding many multi-million-edge graphs can
@@ -14,14 +14,6 @@
 // copies. Copying a Graph shares the payload (it is immutable); the payload
 // is freed when the last Graph referencing it dies — which is what lets
 // in-flight queries outlive a GraphStore::Remove().
-//
-// Layout model: `offsets_` is always the standard prefix-degree array in
-// node-id order (so Degree() is one subtraction), while `row_starts_` gives
-// the *physical* position of each adjacency row. In the standard layout the
-// two coincide (row_starts_ aliases offsets_); a degree-ordered layout
-// (graph/relabel.h) permutes row placement so hub rows pack together while
-// node ids — and therefore every query result, seed id and cache key — are
-// unchanged bit for bit.
 
 #ifndef HKPR_GRAPH_GRAPH_H_
 #define HKPR_GRAPH_GRAPH_H_
@@ -42,10 +34,9 @@ using NodeId = uint32_t;
 /// An immutable simple undirected graph in CSR layout.
 ///
 /// `offsets()` has NumNodes()+1 entries; the neighbors of node v occupy
-/// `adjacency()[RowStart(v) .. RowStart(v) + Degree(v))`, sorted ascending.
-/// Every edge {u, v} appears twice (u in v's list and v in u's list). In the
-/// standard layout RowStart(v) == offsets()[v]; a degree-ordered layout
-/// permutes physical row placement only (see graph/relabel.h).
+/// `adjacency()[offsets()[v] .. offsets()[v+1])`, sorted ascending. Every
+/// edge {u, v} appears twice (u in v's list and v in u's list), so
+/// offsets()[v] + i is a unique id for the arc to v's i-th neighbor.
 class Graph {
  public:
   Graph() = default;
@@ -58,22 +49,11 @@ class Graph {
   static Graph FromCsr(std::vector<uint64_t> offsets,
                        std::vector<NodeId> adjacency);
 
-  /// Assembles a graph whose adjacency rows are physically permuted:
-  /// `offsets` are the standard prefix sums in id order (degrees), and row v
-  /// occupies `adjacency[row_starts[v] .. row_starts[v] + degree(v))`. The
-  /// row placement must tile `adjacency` exactly (no gaps, no overlap).
-  /// This is the constructor behind the degree-ordered layout.
-  static Graph FromPermutedCsr(std::vector<uint64_t> offsets,
-                               std::vector<NodeId> adjacency,
-                               std::vector<uint64_t> row_starts);
-
   /// Wraps externally owned CSR sections (an mmap'd binary snapshot). The
-  /// spans must stay valid for as long as `storage` is alive; `row_starts`
-  /// may be empty (standard layout) or hold NumNodes() physical row starts.
-  /// The caller (graph_io) is responsible for having validated the data.
+  /// spans must stay valid for as long as `storage` is alive. The caller
+  /// (graph_io) is responsible for having validated the data.
   static Graph FromExternal(std::span<const uint64_t> offsets,
                             std::span<const NodeId> adjacency,
-                            std::span<const uint64_t> row_starts,
                             std::shared_ptr<const void> storage);
 
   /// Number of nodes n (including isolated nodes).
@@ -100,22 +80,13 @@ class Graph {
     return static_cast<uint32_t>(offsets_[v + 1] - offsets_[v]);
   }
 
-  /// Physical position of v's adjacency row within adjacency(). Equals
-  /// offsets()[v] in the standard layout; under a degree-ordered layout it
-  /// is the permuted placement. Stable unique arc ids: RowStart(v) + i for
-  /// the i-th neighbor.
-  uint64_t RowStart(NodeId v) const {
-    HKPR_DCHECK(v < NumNodes());
-    return row_starts_[v];
-  }
-
   /// Maximum degree over all nodes (0 for the empty graph).
   uint32_t MaxDegree() const;
 
   /// Neighbors of v, sorted ascending.
   std::span<const NodeId> Neighbors(NodeId v) const {
     HKPR_DCHECK(v < NumNodes());
-    return {adjacency_.data() + row_starts_[v], Degree(v)};
+    return {adjacency_.data() + offsets_[v], Degree(v)};
   }
 
   /// True if the undirected edge {u, v} exists. O(log d(u)).
@@ -127,11 +98,11 @@ class Graph {
   NodeId RandomNeighbor(NodeId v, RngT& rng) const {
     const uint32_t d = Degree(v);
     HKPR_DCHECK(d > 0);
-    return adjacency_[row_starts_[v] + rng.UniformInt(d)];
+    return adjacency_[offsets_[v] + rng.UniformInt(d)];
   }
 
-  /// Cheap prefetch hint: pulls v's offsets/row-start words toward cache so
-  /// a Degree()/RowStart() issued a few dozen cycles later does not stall on
+  /// Cheap prefetch hint: pulls v's offsets words toward cache so a
+  /// Degree() or row read issued a few dozen cycles later does not stall on
   /// DRAM. No-op outside GCC/Clang. The interleaved walk kernel issues one
   /// of these per in-flight walk per round; on graphs larger than LLC this
   /// is what turns the walk phase from latency-bound to bandwidth-bound.
@@ -139,18 +110,17 @@ class Graph {
     HKPR_DCHECK(v < NumNodes());
 #if defined(__GNUC__)
     __builtin_prefetch(&offsets_[v], 0, 1);
-    if (degree_ordered()) __builtin_prefetch(&row_starts_[v], 0, 1);
 #endif
   }
 
   /// Prefetch hint for the cache line holding v's i-th neighbor (i.e. the
   /// adjacency word RandomNeighbor would read for index i). Requires v's
-  /// row start to be resident — pair with an earlier PrefetchNode(v).
+  /// offsets word to be resident — pair with an earlier PrefetchNode(v).
   void PrefetchNeighbors(NodeId v, uint32_t i = 0) const {
     HKPR_DCHECK(v < NumNodes());
     HKPR_DCHECK(i < Degree(v) || Degree(v) == 0);
 #if defined(__GNUC__)
-    __builtin_prefetch(&adjacency_[row_starts_[v] + i], 0, 1);
+    __builtin_prefetch(&adjacency_[offsets_[v] + i], 0, 1);
 #endif
   }
 
@@ -166,24 +136,13 @@ class Graph {
   /// accounting). For an mmap-backed graph these bytes are page-cache-backed
   /// and shared, not private heap — see mmap_backed().
   size_t MemoryBytes() const {
-    size_t bytes = offsets_.size_bytes() + adjacency_.size_bytes();
-    if (degree_ordered()) bytes += row_starts_.size_bytes();
-    return bytes;
+    return offsets_.size_bytes() + adjacency_.size_bytes();
   }
 
-  /// The standard prefix-degree array (NumNodes()+1 entries, id order).
+  /// The prefix-degree array (NumNodes()+1 entries, id order).
   std::span<const uint64_t> offsets() const { return offsets_; }
-  /// The adjacency arcs (2m entries); physical row order is row_starts().
+  /// The adjacency arcs (2m entries), rows in node-id order.
   std::span<const NodeId> adjacency() const { return adjacency_; }
-  /// Physical row starts (NumNodes() entries); aliases offsets() in the
-  /// standard layout.
-  std::span<const uint64_t> row_starts() const { return row_starts_; }
-
-  /// True when the physical row placement differs from id order (a
-  /// degree-ordered layout produced by RelabelByDegree).
-  bool degree_ordered() const {
-    return !offsets_.empty() && row_starts_.data() != offsets_.data();
-  }
 
   /// True when the backing payload is an mmap'd file region rather than
   /// private heap vectors.
@@ -197,7 +156,6 @@ class Graph {
   std::shared_ptr<const void> storage_;
   std::span<const uint64_t> offsets_;
   std::span<const NodeId> adjacency_;
-  std::span<const uint64_t> row_starts_;
   bool mmap_backed_ = false;
 };
 

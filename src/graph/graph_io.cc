@@ -22,7 +22,6 @@ constexpr char kMagicV2[8] = {'H', 'K', 'P', 'R', 'C', 'S', 'R', '2'};
 constexpr uint32_t kFormatVersion = 2;
 constexpr uint32_t kEndianCheck = 0x01020304u;
 constexpr uint64_t kSectionAlign = 64;
-constexpr uint64_t kFlagRowStarts = 1ull << 0;
 
 struct FileCloser {
   void operator()(std::FILE* f) const {
@@ -41,7 +40,7 @@ struct BinaryHeader {
   uint64_t flags;
   uint64_t offsets_pos;
   uint64_t adjacency_pos;
-  uint64_t row_starts_pos;
+  uint64_t reserved;  // written as 0, not read
 };
 static_assert(sizeof(BinaryHeader) == kSectionAlign,
               "v2 header must fill exactly one aligned block");
@@ -68,10 +67,8 @@ struct MappedFile {
   }
 };
 
+/// Checks a header whose magic has been checked already.
 Status HeaderError(const std::string& path, const BinaryHeader& header) {
-  if (std::memcmp(header.magic, kMagicV2, sizeof(kMagicV2)) != 0) {
-    return Status::IOError(path + ": bad magic (not an hkpr binary graph)");
-  }
   if (header.endian_check != kEndianCheck) {
     return Status::IOError(path +
                            ": byte-order mismatch (file written on a "
@@ -81,34 +78,38 @@ Status HeaderError(const std::string& path, const BinaryHeader& header) {
     return Status::IOError(path + ": unsupported format version " +
                            std::to_string(header.version));
   }
+  if (header.flags != 0) {
+    return Status::IOError(path + ": unsupported section flags " +
+                           std::to_string(header.flags));
+  }
   if (header.num_nodes > 0xFFFFFFFFull - 1) {
     return Status::OutOfRange(path + ": node count exceeds 32 bits");
   }
   return Status::OK();
 }
 
-/// Validates that a section [pos, pos + bytes) lies inside the file and is
-/// aligned for in-place pointing.
+/// Validates that a section of `count` elements of `size` bytes at `pos`
+/// lies inside the file and is aligned for in-place pointing. The count is
+/// bounded by the bytes left divided by `size`: a product could wrap.
 Status CheckSection(const std::string& path, const char* what, uint64_t pos,
-                    uint64_t bytes, uint64_t file_size) {
+                    uint64_t count, uint64_t size, uint64_t file_size) {
   if (pos % kSectionAlign != 0) {
     return Status::IOError(path + ": misaligned " + std::string(what) +
                            " section");
   }
-  if (pos > file_size || bytes > file_size - pos) {
+  if (pos > file_size || count > (file_size - pos) / size) {
     return Status::IOError(path + ": truncated " + std::string(what) +
                            " section");
   }
   return Status::OK();
 }
 
-/// Structural sanity of loaded/mapped CSR sections; linear scans, done once
-/// per load so a corrupt file can never become an out-of-bounds read on the
+/// Structural sanity of mapped CSR sections; linear scans, done once per
+/// load so a corrupt file can never become an out-of-bounds read on the
 /// query path.
 Status ValidateCsrSections(const std::string& path,
                            std::span<const uint64_t> offsets,
-                           std::span<const NodeId> adjacency,
-                           std::span<const uint64_t> row_starts) {
+                           std::span<const NodeId> adjacency) {
   const uint64_t n = offsets.size() - 1;
   if (offsets.front() != 0 || offsets.back() != adjacency.size()) {
     return Status::IOError(path + ": offsets do not span the adjacency");
@@ -122,16 +123,6 @@ Status ValidateCsrSections(const std::string& path,
   for (const NodeId u : adjacency) {
     if (u >= n) {
       return Status::IOError(path + ": adjacency id out of range");
-    }
-  }
-  if (!row_starts.empty()) {
-    for (uint64_t v = 0; v < n; ++v) {
-      const uint64_t degree = offsets[v + 1] - offsets[v];
-      if (row_starts[v] > adjacency.size() ||
-          degree > adjacency.size() - row_starts[v]) {
-        return Status::IOError(path + ": row placement out of bounds at node " +
-                               std::to_string(v));
-      }
     }
   }
   return Status::OK();
@@ -305,7 +296,6 @@ Status SaveBinary(const Graph& graph, const std::string& path) {
 
   const uint64_t n = graph.NumNodes();
   const uint64_t arcs = graph.adjacency().size();
-  const bool with_rows = graph.degree_ordered();
 
   BinaryHeader header = {};
   std::memcpy(header.magic, kMagicV2, sizeof(kMagicV2));
@@ -313,12 +303,9 @@ Status SaveBinary(const Graph& graph, const std::string& path) {
   header.endian_check = kEndianCheck;
   header.num_nodes = n;
   header.num_arcs = arcs;
-  header.flags = with_rows ? kFlagRowStarts : 0;
   header.offsets_pos = sizeof(BinaryHeader);
   header.adjacency_pos =
       AlignUp(header.offsets_pos + (n + 1) * sizeof(uint64_t));
-  header.row_starts_pos =
-      with_rows ? AlignUp(header.adjacency_pos + arcs * sizeof(NodeId)) : 0;
 
   if (std::fwrite(&header, sizeof(header), 1, f.get()) != 1 ||
       std::fwrite(graph.offsets().data(), sizeof(uint64_t), n + 1, f.get()) !=
@@ -329,38 +316,28 @@ Status SaveBinary(const Graph& graph, const std::string& path) {
                                f.get()) != arcs)) {
     return Status::IOError("short write to " + path);
   }
-  if (with_rows) {
-    if (!WritePadding(f.get(), header.adjacency_pos + arcs * sizeof(NodeId),
-                      header.row_starts_pos) ||
-        std::fwrite(graph.row_starts().data(), sizeof(uint64_t), n, f.get()) !=
-            n) {
-      return Status::IOError("short write to " + path);
-    }
-  }
   return Status::OK();
 }
 
-Result<Graph> LoadBinary(const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (!f) return Status::IOError("cannot open " + path);
-
-  char magic[8];
-  if (std::fread(magic, 1, sizeof(magic), f.get()) != sizeof(magic)) {
-    return Status::IOError(path + ": truncated header");
+Result<Graph> MapBinary(const std::string& path) {
+  ScopedFd fd(::open(path.c_str(), O_RDONLY));
+  if (fd.get() < 0) return Status::IOError("cannot open " + path);
+  struct stat st = {};
+  if (::fstat(fd.get(), &st) != 0) {
+    return Status::IOError("cannot stat " + path);
   }
+  const uint64_t file_size = static_cast<uint64_t>(st.st_size);
 
+  // The header is checked before anything is mapped. The magic comes first,
+  // so a short non-graph file reports "bad magic", not "truncated".
   BinaryHeader header = {};
-  std::memcpy(header.magic, magic, sizeof(magic));
-  if (std::fread(reinterpret_cast<char*>(&header) + sizeof(magic),
-                 sizeof(header) - sizeof(magic), 1, f.get()) != 1) {
-    // Still diagnose bad magic first: a short non-graph file should say
-    // "bad magic", not "truncated".
-    BinaryHeader magic_only = {};
-    std::memcpy(magic_only.magic, magic, sizeof(magic));
-    magic_only.endian_check = kEndianCheck;
-    magic_only.version = kFormatVersion;
-    Status status = HeaderError(path, magic_only);
-    if (!status.ok()) return status;
+  const ssize_t got =
+      ReadRetry(fd.get(), reinterpret_cast<char*>(&header), sizeof(header));
+  if (got >= static_cast<ssize_t>(sizeof(kMagicV2)) &&
+      std::memcmp(header.magic, kMagicV2, sizeof(kMagicV2)) != 0) {
+    return Status::IOError(path + ": bad magic (not an hkpr binary graph)");
+  }
+  if (got != static_cast<ssize_t>(sizeof(header))) {
     return Status::IOError(path + ": truncated header");
   }
   Status status = HeaderError(path, header);
@@ -368,102 +345,32 @@ Result<Graph> LoadBinary(const std::string& path) {
 
   const uint64_t n = header.num_nodes;
   const uint64_t arcs = header.num_arcs;
-  std::vector<uint64_t> offsets(n + 1);
-  std::vector<NodeId> adjacency(arcs);
-  std::vector<uint64_t> row_starts;
-  if (std::fseek(f.get(), static_cast<long>(header.offsets_pos), SEEK_SET) !=
-          0 ||
-      std::fread(offsets.data(), sizeof(uint64_t), n + 1, f.get()) != n + 1) {
-    return Status::IOError(path + ": truncated offsets");
-  }
-  if (std::fseek(f.get(), static_cast<long>(header.adjacency_pos), SEEK_SET) !=
-          0 ||
-      (arcs > 0 &&
-       std::fread(adjacency.data(), sizeof(NodeId), arcs, f.get()) != arcs)) {
-    return Status::IOError(path + ": truncated adjacency");
-  }
-  if (header.flags & kFlagRowStarts) {
-    row_starts.resize(n);
-    if (std::fseek(f.get(), static_cast<long>(header.row_starts_pos),
-                   SEEK_SET) != 0 ||
-        (n > 0 && std::fread(row_starts.data(), sizeof(uint64_t), n,
-                             f.get()) != n)) {
-      return Status::IOError(path + ": truncated row_starts");
-    }
-  }
-  Status valid = ValidateCsrSections(path, offsets, adjacency, row_starts);
-  if (!valid.ok()) return valid;
-  if (row_starts.empty()) {
-    return Graph::FromCsr(std::move(offsets), std::move(adjacency));
-  }
-  return Graph::FromPermutedCsr(std::move(offsets), std::move(adjacency),
-                                std::move(row_starts));
-}
+  status = CheckSection(path, "offsets", header.offsets_pos, n + 1,
+                        sizeof(uint64_t), file_size);
+  if (!status.ok()) return status;
+  status = CheckSection(path, "adjacency", header.adjacency_pos, arcs,
+                        sizeof(NodeId), file_size);
+  if (!status.ok()) return status;
 
-Result<Graph> MapBinary(const std::string& path, bool validate) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return Status::IOError("cannot open " + path);
-  struct stat st = {};
-  if (::fstat(fd, &st) != 0) {
-    ::close(fd);
-    return Status::IOError("cannot stat " + path);
-  }
-  const uint64_t file_size = static_cast<uint64_t>(st.st_size);
-  if (file_size < sizeof(BinaryHeader)) {
-    ::close(fd);
-    return Status::IOError(path + ": truncated header");
-  }
-
-  void* mapping = ::mmap(nullptr, file_size, PROT_READ, MAP_PRIVATE, fd, 0);
-  // The mapping pins the file contents; the descriptor is no longer needed.
-  ::close(fd);
+  void* mapping =
+      ::mmap(nullptr, file_size, PROT_READ, MAP_PRIVATE, fd.get(), 0);
   if (mapping == MAP_FAILED) {
     return Status::IOError("mmap failed for " + path + ": " +
                            std::strerror(errno));
   }
+  // The mapping pins the file contents; the descriptor closes on return.
   auto region = std::make_shared<MappedFile>();
   region->data = mapping;
   region->size = file_size;
-
-  BinaryHeader header = {};
-  std::memcpy(&header, mapping, sizeof(header));
-  Status status = HeaderError(path, header);
-  if (!status.ok()) return status;
-
-  const uint64_t n = header.num_nodes;
-  const uint64_t arcs = header.num_arcs;
-  status = CheckSection(path, "offsets", header.offsets_pos,
-                        (n + 1) * sizeof(uint64_t), file_size);
-  if (!status.ok()) return status;
-  status = CheckSection(path, "adjacency", header.adjacency_pos,
-                        arcs * sizeof(NodeId), file_size);
-  if (!status.ok()) return status;
-  const bool with_rows = (header.flags & kFlagRowStarts) != 0;
-  if (with_rows) {
-    status = CheckSection(path, "row_starts", header.row_starts_pos,
-                          n * sizeof(uint64_t), file_size);
-    if (!status.ok()) return status;
-  }
 
   const char* base = static_cast<const char*>(mapping);
   std::span<const uint64_t> offsets(
       reinterpret_cast<const uint64_t*>(base + header.offsets_pos), n + 1);
   std::span<const NodeId> adjacency(
       reinterpret_cast<const NodeId*>(base + header.adjacency_pos), arcs);
-  std::span<const uint64_t> row_starts;
-  if (with_rows) {
-    row_starts = std::span<const uint64_t>(
-        reinterpret_cast<const uint64_t*>(base + header.row_starts_pos), n);
-  }
-  if (offsets.front() != 0 || offsets.back() != arcs) {
-    return Status::IOError(path + ": offsets do not span the adjacency");
-  }
-  if (validate) {
-    status = ValidateCsrSections(path, offsets, adjacency, row_starts);
-    if (!status.ok()) return status;
-  }
-  return Graph::FromExternal(offsets, adjacency, row_starts,
-                             std::move(region));
+  status = ValidateCsrSections(path, offsets, adjacency);
+  if (!status.ok()) return status;
+  return Graph::FromExternal(offsets, adjacency, std::move(region));
 }
 
 }  // namespace hkpr

@@ -9,21 +9,19 @@
 //                  instead of deserializing garbage
 //   byte [16, 24)  u64 n (node count)
 //   byte [24, 32)  u64 arcs (2m adjacency entries)
-//   byte [32, 40)  u64 section flags (bit 0: row_starts section present —
-//                  a degree-ordered layout, see graph/relabel.h)
+//   byte [32, 40)  u64 section flags; must be 0
 //   byte [40, 48)  u64 file offset of the offsets section
 //   byte [48, 56)  u64 file offset of the adjacency section
-//   byte [56, 64)  u64 file offset of the row_starts section (0 if absent)
-//   sections       offsets: (n+1) x u64; adjacency: arcs x u32;
-//                  row_starts: n x u64 — each beginning at a 64-byte-aligned
-//                  file offset (zero padding between sections)
+//   byte [56, 64)  reserved, written as 0 and not read
+//   sections       offsets: (n+1) x u64; adjacency: arcs x u32 — each
+//                  beginning at a 64-byte-aligned file offset (zero padding
+//                  between sections)
 //
 // The 64-byte alignment means the sections can be pointed at *in place* by
 // MapBinary(): the graph's CSR spans alias the mmap'd region, so loading a
 // multi-gigabyte snapshot is O(1) page-table work, the resident cost is
 // shared page cache (many processes / many GraphStore entries, one copy),
-// and eviction under memory pressure is the kernel's problem. LoadBinary()
-// reads the same format into private heap vectors.
+// and eviction under memory pressure is the kernel's problem.
 
 #ifndef HKPR_GRAPH_GRAPH_IO_H_
 #define HKPR_GRAPH_GRAPH_IO_H_
@@ -60,25 +58,20 @@ Result<Graph> LoadEdgeList(const std::string& path);
 /// undirected edge (u < v), preceded by a comment header.
 Status SaveEdgeList(const Graph& graph, const std::string& path);
 
-/// Writes the binary CSR snapshot format (v2, see the header comment). A
-/// degree-ordered graph keeps its layout: the row_starts section rides
-/// along, so a relabeled graph round-trips bit-identically.
+/// Writes the binary CSR snapshot format (v2, see the header comment).
 Status SaveBinary(const Graph& graph, const std::string& path);
-
-/// Loads a v2 binary CSR snapshot into private heap vectors. Corrupt,
-/// truncated, bad-magic and wrong-endian files report a clean Status error
-/// (never abort).
-Result<Graph> LoadBinary(const std::string& path);
 
 /// Maps a v2 binary CSR snapshot read-only into memory and returns a Graph
 /// whose CSR spans alias the mapping (zero copy; the mapping is unmapped
 /// when the last Graph copy dies, so a GraphStore::Remove() under in-flight
-/// queries is safe). With `validate` (the default) the sections are scanned
-/// once for structural sanity — offsets monotone, adjacency ids < n, row
-/// placements in bounds — so a corrupt file is an error here rather than an
-/// out-of-bounds read on the query path. Fails with a clean error on
-/// anything but a v2 file.
-Result<Graph> MapBinary(const std::string& path, bool validate = true);
+/// queries is safe). The header is checked before anything is mapped, and
+/// the sections are scanned once for structural sanity — offsets monotone
+/// and spanning the adjacency, adjacency ids < n — so every row of the
+/// returned graph lies inside adjacency(). Corrupt, truncated, bad-magic,
+/// wrong-endian and non-v2 files, and files with nonzero section flags,
+/// report a clean Status error (never abort), with no allocation sized
+/// from the file.
+Result<Graph> MapBinary(const std::string& path);
 
 }  // namespace hkpr
 

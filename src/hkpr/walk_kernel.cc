@@ -142,7 +142,7 @@ uint64_t RunInterleavedWalks(const Graph& graph, const HeatKernel& kernel,
           break;
         }
         const uint64_t idx = s.rng.UniformInt(d);
-        s.pos = graph.RowStart(s.node) + idx;
+        s.pos = graph.offsets()[s.node] + idx;
 #if defined(__GNUC__)
         __builtin_prefetch(&adjacency[s.pos], 0, 1);
 #endif

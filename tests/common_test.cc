@@ -1,11 +1,10 @@
-// Tests for Status/Result, Rng, WallTimer and MemTracker.
+// Tests for Status/Result, Rng and WallTimer.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
 
-#include "common/mem_tracker.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "common/timer.h"
@@ -147,42 +146,6 @@ TEST(WallTimerTest, RestartResets) {
   const double before = timer.ElapsedSeconds();
   timer.Restart();
   EXPECT_LE(timer.ElapsedSeconds(), before + 1.0);
-}
-
-TEST(MemTrackerTest, TracksPeak) {
-  MemTracker t;
-  t.Add(100);
-  t.Add(200);
-  EXPECT_EQ(t.current_bytes(), 300u);
-  EXPECT_EQ(t.peak_bytes(), 300u);
-  t.Release(250);
-  EXPECT_EQ(t.current_bytes(), 50u);
-  EXPECT_EQ(t.peak_bytes(), 300u);
-  t.Add(100);
-  EXPECT_EQ(t.peak_bytes(), 300u);
-}
-
-TEST(MemTrackerTest, UpdateReplacesComponent) {
-  MemTracker t;
-  t.Add(128);
-  t.Update(128, 512);
-  EXPECT_EQ(t.current_bytes(), 512u);
-  EXPECT_EQ(t.peak_bytes(), 512u);
-}
-
-TEST(MemTrackerTest, ReleaseBelowZeroClamps) {
-  MemTracker t;
-  t.Add(10);
-  t.Release(100);
-  EXPECT_EQ(t.current_bytes(), 0u);
-}
-
-TEST(MemTrackerTest, ResetClearsEverything) {
-  MemTracker t;
-  t.Add(10);
-  t.Reset();
-  EXPECT_EQ(t.current_bytes(), 0u);
-  EXPECT_EQ(t.peak_bytes(), 0u);
 }
 
 }  // namespace

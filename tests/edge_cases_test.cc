@@ -38,7 +38,7 @@ TEST(GraphIoEdgeTest, BinaryTruncatedHeaderFails) {
   std::ofstream out(path, std::ios::binary);
   out << "HKPRGRPH";  // magic only, no sizes
   out.close();
-  EXPECT_FALSE(LoadBinary(path).ok());
+  EXPECT_FALSE(MapBinary(path).ok());
 }
 
 TEST(GraphIoEdgeTest, BinaryTruncatedOffsetsFails) {
@@ -53,7 +53,7 @@ TEST(GraphIoEdgeTest, BinaryTruncatedOffsetsFails) {
 #else
   ASSERT_EQ(ftruncate(fileno(f), 128), 0);
   std::fclose(f);
-  EXPECT_FALSE(LoadBinary(path).ok());
+  EXPECT_FALSE(MapBinary(path).ok());
 #endif
 }
 

@@ -7,13 +7,16 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/random.h"
 #include "graph/community.h"
 #include "graph/generators.h"
+#include "graph/graph_builder.h"
 #include "graph/graph_io.h"
-#include "graph/relabel.h"
 #include "service/graph_store.h"
 #include "test_util.h"
 
@@ -187,7 +190,7 @@ TEST(GraphIoTest, BinaryRoundTrip) {
   Graph g = PowerlawCluster(500, 3, 0.4, 7);
   const std::string path = TempPath("plc.bin");
   ASSERT_TRUE(SaveBinary(g, path).ok());
-  auto loaded = LoadBinary(path);
+  auto loaded = MapBinary(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(loaded.value().NumNodes(), g.NumNodes());
   EXPECT_TRUE(std::ranges::equal(loaded.value().adjacency(), g.adjacency()));
@@ -199,7 +202,7 @@ TEST(GraphIoTest, BinaryRejectsWrongMagic) {
   std::ofstream out(path, std::ios::binary);
   out << "NOTAGRAPHFILE";
   out.close();
-  auto loaded = LoadBinary(path);
+  auto loaded = MapBinary(path);
   EXPECT_FALSE(loaded.ok());
 }
 
@@ -209,7 +212,7 @@ TEST(GraphIoTest, BinaryEmptyGraph) {
   g = b.Build();
   const std::string path = TempPath("empty.bin");
   ASSERT_TRUE(SaveBinary(g, path).ok());
-  auto loaded = LoadBinary(path);
+  auto loaded = MapBinary(path);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded.value().NumNodes(), 4u);
   EXPECT_EQ(loaded.value().NumEdges(), 0u);
@@ -248,11 +251,16 @@ TEST(BinaryCsrTest, V2FileStartsWithMagicAndRoundTripsBitIdentically) {
   ASSERT_GE(bytes.size(), 64u);
   EXPECT_EQ(std::memcmp(bytes.data(), "HKPRCSR2", 8), 0);
 
-  auto loaded = LoadBinary(path);
+  uint64_t flags = 1, reserved = 1;
+  std::memcpy(&flags, bytes.data() + 32, 8);
+  std::memcpy(&reserved, bytes.data() + 56, 8);
+  EXPECT_EQ(flags, 0u);
+  EXPECT_EQ(reserved, 0u);
+
+  auto loaded = MapBinary(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_TRUE(std::ranges::equal(loaded.value().offsets(), g.offsets()));
   EXPECT_TRUE(std::ranges::equal(loaded.value().adjacency(), g.adjacency()));
-  EXPECT_FALSE(loaded.value().degree_ordered());
 
   // A second save of the loaded graph must be byte-identical: the format
   // has no timestamps or other nondeterminism.
@@ -264,37 +272,18 @@ TEST(BinaryCsrTest, V2FileStartsWithMagicAndRoundTripsBitIdentically) {
 TEST(BinaryCsrTest, SectionsAre64ByteAligned) {
   Graph g = testing::MakeBarbell(5);  // (n+1)*8 not a multiple of 64
   const std::string path = TempPath("aligned.bin");
-  ASSERT_TRUE(SaveBinary(RelabelByDegree(g).graph, path).ok());
+  ASSERT_TRUE(SaveBinary(g, path).ok());
   const std::vector<char> bytes = ReadFileBytes(path);
-  uint64_t offsets_pos = 0, adjacency_pos = 0, row_starts_pos = 0;
+  uint64_t offsets_pos = 0, adjacency_pos = 0;
   std::memcpy(&offsets_pos, bytes.data() + 40, 8);
   std::memcpy(&adjacency_pos, bytes.data() + 48, 8);
-  std::memcpy(&row_starts_pos, bytes.data() + 56, 8);
   EXPECT_EQ(offsets_pos % 64, 0u);
   EXPECT_EQ(adjacency_pos % 64, 0u);
-  EXPECT_EQ(row_starts_pos % 64, 0u);
-  EXPECT_GT(row_starts_pos, adjacency_pos);
+  EXPECT_GE(adjacency_pos, offsets_pos + (g.NumNodes() + 1) * 8);
+  EXPECT_EQ(bytes.size(), adjacency_pos + g.adjacency().size() * 4);
 }
 
-TEST(BinaryCsrTest, DegreeOrderedLayoutRoundTrips) {
-  Graph g = PowerlawCluster(600, 3, 0.4, 22);
-  DegreeOrderedLayout layout = RelabelByDegree(g);
-  ASSERT_TRUE(layout.graph.degree_ordered());
-
-  const std::string path = TempPath("ordered.bin");
-  ASSERT_TRUE(SaveBinary(layout.graph, path).ok());
-  auto loaded = LoadBinary(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_TRUE(loaded.value().degree_ordered());
-  EXPECT_TRUE(
-      std::ranges::equal(loaded.value().offsets(), layout.graph.offsets()));
-  EXPECT_TRUE(
-      std::ranges::equal(loaded.value().adjacency(), layout.graph.adjacency()));
-  EXPECT_TRUE(std::ranges::equal(loaded.value().row_starts(),
-                                 layout.graph.row_starts()));
-}
-
-TEST(BinaryCsrTest, MapBinaryMatchesLoadBinary) {
+TEST(BinaryCsrTest, MapBinaryMatchesSavedGraph) {
   Graph g = PowerlawCluster(700, 4, 0.2, 23);
   const std::string path = TempPath("mapped.bin");
   ASSERT_TRUE(SaveBinary(g, path).ok());
@@ -304,32 +293,20 @@ TEST(BinaryCsrTest, MapBinaryMatchesLoadBinary) {
   EXPECT_TRUE(mapped.value().mmap_backed());
   EXPECT_TRUE(std::ranges::equal(mapped.value().offsets(), g.offsets()));
   EXPECT_TRUE(std::ranges::equal(mapped.value().adjacency(), g.adjacency()));
-  // Copies share the mapping rather than duplicating it.
-  Graph copy = mapped.value();
-  EXPECT_EQ(copy.adjacency().data(), mapped.value().adjacency().data());
-}
-
-TEST(BinaryCsrTest, MapBinaryDegreeOrdered) {
-  Graph g = PowerlawCluster(400, 3, 0.5, 24);
-  DegreeOrderedLayout layout = RelabelByDegree(g);
-  const std::string path = TempPath("mapped_ordered.bin");
-  ASSERT_TRUE(SaveBinary(layout.graph, path).ok());
-
-  auto mapped = MapBinary(path);
-  ASSERT_TRUE(mapped.ok()) << mapped.status();
-  EXPECT_TRUE(mapped.value().mmap_backed());
-  EXPECT_TRUE(mapped.value().degree_ordered());
   for (NodeId v = 0; v < g.NumNodes(); ++v) {
     EXPECT_TRUE(
         std::ranges::equal(mapped.value().Neighbors(v), g.Neighbors(v)))
         << v;
   }
+  // Copies share the mapping rather than duplicating it.
+  Graph copy = mapped.value();
+  EXPECT_EQ(copy.adjacency().data(), mapped.value().adjacency().data());
 }
 
 TEST(BinaryCsrTest, BadMagicDiagnosedEvenWhenFileIsShort) {
   const std::string path = TempPath("shortbad.bin");
   WriteFileBytes(path, {'N', 'O', 'T', 'A', 'F', 'I', 'L', 'E'});
-  auto loaded = LoadBinary(path);
+  auto loaded = MapBinary(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_NE(loaded.status().message().find("bad magic"), std::string::npos)
       << loaded.status();
@@ -343,11 +320,10 @@ TEST(BinaryCsrTest, WrongEndianRejected) {
   const uint32_t swapped = 0x04030201u;
   const std::string bad =
       PatchedCopy(path, 12, &swapped, sizeof(swapped), "endian_bad.bin");
-  auto loaded = LoadBinary(bad);
+  auto loaded = MapBinary(bad);
   ASSERT_FALSE(loaded.ok());
   EXPECT_NE(loaded.status().message().find("byte-order"), std::string::npos)
       << loaded.status();
-  EXPECT_FALSE(MapBinary(bad).ok());
 }
 
 TEST(BinaryCsrTest, UnsupportedVersionRejected) {
@@ -357,10 +333,9 @@ TEST(BinaryCsrTest, UnsupportedVersionRejected) {
   const uint32_t future_version = 99;
   const std::string bad = PatchedCopy(path, 8, &future_version,
                                       sizeof(future_version), "ver_bad.bin");
-  auto loaded = LoadBinary(bad);
+  auto loaded = MapBinary(bad);
   ASSERT_FALSE(loaded.ok());
   EXPECT_NE(loaded.status().message().find("version"), std::string::npos);
-  EXPECT_FALSE(MapBinary(bad).ok());
 }
 
 TEST(BinaryCsrTest, TruncatedFilesRejectedAtEveryCut) {
@@ -376,7 +351,6 @@ TEST(BinaryCsrTest, TruncatedFilesRejectedAtEveryCut) {
         TempPath("trunc_" + std::to_string(cut) + ".bin");
     WriteFileBytes(cut_path,
                    std::vector<char>(bytes.begin(), bytes.begin() + cut));
-    EXPECT_FALSE(LoadBinary(cut_path).ok()) << "cut=" << cut;
     EXPECT_FALSE(MapBinary(cut_path).ok()) << "cut=" << cut;
   }
 }
@@ -391,7 +365,6 @@ TEST(BinaryCsrTest, CorruptAdjacencyIdRejected) {
   const NodeId bogus = 0xFFFFFFF0u;  // far beyond NumNodes()
   const std::string bad = PatchedCopy(path, adjacency_pos, &bogus,
                                       sizeof(bogus), "adj_bad.bin");
-  EXPECT_FALSE(LoadBinary(bad).ok());
   EXPECT_FALSE(MapBinary(bad).ok());
 }
 
@@ -405,13 +378,12 @@ TEST(BinaryCsrTest, NonMonotoneOffsetsRejected) {
   const uint64_t bogus = g.adjacency().size() + 1000;
   const std::string bad =
       PatchedCopy(path, offsets_pos + 8, &bogus, sizeof(bogus), "off_bad.bin");
-  EXPECT_FALSE(LoadBinary(bad).ok());
   EXPECT_FALSE(MapBinary(bad).ok());
 }
 
 TEST(BinaryCsrTest, LegacyV1FilesAreRejectedCleanly) {
-  // The pre-v2 "HKPRGRPH" layout is no longer read: both loaders fail
-  // with a Status instead of aborting.
+  // The pre-v2 "HKPRGRPH" layout is no longer read: MapBinary fails with
+  // a Status instead of aborting.
   Graph g = testing::MakeBarbell(5);
   const std::string path = TempPath("legacy_v1.bin");
   {
@@ -426,11 +398,149 @@ TEST(BinaryCsrTest, LegacyV1FilesAreRejectedCleanly) {
     out.write(reinterpret_cast<const char*>(g.adjacency().data()),
               static_cast<std::streamsize>(arcs * sizeof(NodeId)));
   }
-  auto loaded = LoadBinary(path);
+  auto loaded = MapBinary(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_NE(loaded.status().message().find("bad magic"), std::string::npos)
       << loaded.status();
-  EXPECT_FALSE(MapBinary(path).ok());
+}
+
+TEST(BinaryCsrTest, NonzeroFlagsRejected) {
+  // No section flag is defined: a file that sets any bit, bit 0 included,
+  // fails instead of mapping.
+  Graph g = testing::MakeBarbell(5);
+  const std::string path = TempPath("flags_src.bin");
+  ASSERT_TRUE(SaveBinary(g, path).ok());
+  for (const uint64_t flags :
+       {uint64_t{1}, uint64_t{2}, uint64_t{1} << 63, ~uint64_t{0}}) {
+    const std::string bad =
+        PatchedCopy(path, 32, &flags, sizeof(flags), "flags_bad.bin");
+    auto mapped = MapBinary(bad);
+    ASSERT_FALSE(mapped.ok()) << flags;
+    EXPECT_EQ(mapped.status().code(), StatusCode::kIOError);
+    EXPECT_NE(mapped.status().message().find("section flags"),
+              std::string::npos)
+        << mapped.status();
+  }
+}
+
+TEST(BinaryCsrTest, ForgedArcCountRejected) {
+  // arcs = 2^62 with the last offset patched to match: arcs * 4 wraps to 0,
+  // so only a bound on the count itself keeps the last row, 2^62 ids long,
+  // from being handed to the query path.
+  Graph g = PowerlawCluster(100, 3, 0.4, 7);
+  const std::string path = TempPath("forged_src.bin");
+  ASSERT_TRUE(SaveBinary(g, path).ok());
+  std::vector<char> bytes = ReadFileBytes(path);
+  ASSERT_EQ(bytes.size(), 3136u);
+  uint64_t offsets_pos = 0;
+  std::memcpy(&offsets_pos, bytes.data() + 40, 8);
+  const uint64_t forged = uint64_t{1} << 62;
+  std::memcpy(bytes.data() + 24, &forged, 8);
+  std::memcpy(bytes.data() + offsets_pos + 8 * g.NumNodes(), &forged, 8);
+  const std::string bad = TempPath("forged_arcs.bin");
+  WriteFileBytes(bad, bytes);
+
+  auto mapped = MapBinary(bad);
+  ASSERT_FALSE(mapped.ok());
+  EXPECT_EQ(mapped.status().code(), StatusCode::kIOError);
+  EXPECT_NE(mapped.status().message().find("truncated adjacency"),
+            std::string::npos)
+      << mapped.status();
+}
+
+/// Overwrites `width` bytes at `pos` with the low bytes of `value`.
+void PutWord(std::vector<char>& bytes, size_t pos, uint64_t value,
+             size_t width = 8) {
+  std::memcpy(&bytes[pos], &value, width);
+}
+
+/// Every row inside adjacency() and every id < n. Each neighbour is read
+/// once, as a query would read it.
+::testing::AssertionResult RowsInBounds(const Graph& g) {
+  const std::span<const NodeId> adjacency = g.adjacency();
+  for (NodeId v = 0; v < g.NumNodes(); ++v) {
+    const std::span<const NodeId> row = g.Neighbors(v);
+    if (row.data() < adjacency.data() ||
+        row.data() + row.size() > adjacency.data() + adjacency.size()) {
+      return ::testing::AssertionFailure() << "row " << v << " outside";
+    }
+    for (const NodeId u : row) {
+      if (u >= g.NumNodes()) {
+        return ::testing::AssertionFailure() << "arc " << v << " -> " << u;
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(BinaryCsrTest, MutatedSnapshotsFailCleanlyOrMapInBounds) {
+  // Seeded mutations of saved graphs: single bytes anywhere, header fields
+  // and offset words set to edge values, the arcs/last-offset pair set
+  // together, and truncation. Each file either fails MapBinary with a
+  // Status or maps a graph whose rows all lie inside its adjacency.
+  const std::vector<Graph> graphs = {
+      PowerlawCluster(100, 3, 0.4, 7), testing::MakeBarbell(5),
+      GraphBuilder(4).Build(), GraphBuilder(1).Build()};
+  std::vector<std::vector<char>> bases;
+  for (const Graph& g : graphs) {
+    const std::string path = TempPath("mutation_src.bin");
+    ASSERT_TRUE(SaveBinary(g, path).ok());
+    bases.push_back(ReadFileBytes(path));
+  }
+  const std::string path = TempPath("mutated.bin");
+  Rng rng(22);
+  size_t mapped_ok = 0;
+  size_t failed = 0;
+  for (int i = 0; i < 4000; ++i) {
+    const size_t which = rng.UniformInt(bases.size());
+    std::vector<char> bytes = bases[which];
+    const uint64_t n = graphs[which].NumNodes();
+    uint64_t offsets_pos = 0;
+    std::memcpy(&offsets_pos, bytes.data() + 40, 8);
+    const uint64_t edge_values[] = {
+        0, 1, n, uint64_t{1} << 32, uint64_t{1} << 62, ~uint64_t{0}};
+    const uint64_t value = edge_values[rng.UniformInt(std::size(edge_values))];
+    switch (rng.UniformInt(5)) {
+      case 0:  // one byte anywhere
+        bytes[rng.UniformInt(bytes.size())] =
+            static_cast<char>(rng.UniformInt(256));
+        break;
+      case 1: {  // a header field: version, byte order, or a u64 word
+        const size_t field = rng.UniformInt(8);
+        if (field < 2) {
+          PutWord(bytes, 8 + 4 * field, value, 4);
+        } else {
+          PutWord(bytes, 8 * field, value);
+        }
+        break;
+      }
+      case 2:  // an offset word
+        PutWord(bytes, offsets_pos + 8 * rng.UniformInt(n + 1), value);
+        break;
+      case 3:  // the arc count with the last offset to match
+        PutWord(bytes, 24, value);
+        PutWord(bytes, offsets_pos + 8 * n, value);
+        break;
+      default:
+        bytes.resize(rng.UniformInt(bytes.size()));
+        break;
+    }
+    WriteFileBytes(path, bytes);
+    Result<Graph> mapped = MapBinary(path);
+    if (!mapped.ok()) {
+      const StatusCode code = mapped.status().code();
+      ASSERT_TRUE(code == StatusCode::kIOError ||
+                  code == StatusCode::kOutOfRange)
+          << mapped.status();
+      ++failed;
+      continue;
+    }
+    ++mapped_ok;
+    ASSERT_TRUE(RowsInBounds(mapped.value())) << "mutation " << i;
+  }
+  // Both outcomes are exercised: at seed 22, 498 files map and 3502 fail.
+  EXPECT_GT(mapped_ok, 300u);
+  EXPECT_GT(failed, 2000u);
 }
 
 TEST(BinaryCsrTest, MappedSnapshotSurvivesGraphStoreRemove) {
