@@ -11,7 +11,9 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "bench_util/datasets.h"
@@ -140,9 +142,10 @@ inline Dataset MakeScaledGraph(const std::string& scale_name, uint64_t seed) {
 
 /// Loads (mmap) or generates+saves one --graph-scale preset graph. The
 /// cache file is the v2 binary CSR snapshot, so a cache hit exercises the
-/// production mmap loader; a generated graph is saved back so the next run
-/// (and the CI cache) reuses it. Shared by bench_serve_scaling and
-/// bench_walk_kernel, which deliberately use the same cache keys.
+/// production mmap loader; a generated graph is saved back, creating the
+/// cache directory if needed, so the next run (and the CI cache) reuses
+/// it. Shared by bench_serve_scaling and bench_walk_kernel, which
+/// deliberately use the same cache keys.
 inline Graph PrepareScaledGraph(const std::string& size_name,
                                 const std::string& cache_dir, uint64_t seed) {
   const std::string cache_path =
@@ -161,6 +164,14 @@ inline Graph PrepareScaledGraph(const std::string& size_name,
   std::printf("  %s: generated in %.1fs\n", size_name.c_str(),
               timer.ElapsedSeconds());
   if (!cache_path.empty()) {
+    std::error_code dir_error;
+    std::filesystem::create_directories(cache_dir, dir_error);
+    if (dir_error) {
+      std::fprintf(stderr, "  %s: cannot create cache directory %s: %s\n",
+                   size_name.c_str(), cache_dir.c_str(),
+                   dir_error.message().c_str());
+      return std::move(dataset.graph);
+    }
     const Status saved = SaveBinary(dataset.graph, cache_path);
     if (saved.ok()) {
       std::printf("  %s: snapshot cached to %s\n", size_name.c_str(),

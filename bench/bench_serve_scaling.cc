@@ -63,22 +63,14 @@ struct ScalingRow {
   uint64_t stolen = 0;  // service path only
   double p50_ms = 0.0;  // service path only
   double p99_ms = 0.0;  // service path only
-  // Per-stage mean latencies (service path with tracing on; zero
-  // otherwise). Stages are disjoint, so queue+cache+compute <= total.
+  // Per-stage mean latencies (service path only). Stages are disjoint, so
+  // queue+cache+compute <= total.
   double queue_ms = 0.0;
   double cache_ms = 0.0;
   double compute_ms = 0.0;
   double total_ms = 0.0;
   double qps() const { return queries / (seconds + 1e-12); }
 };
-
-/// Mean of one stage histogram in ms (each service is fresh per run, so the
-/// cumulative snapshot is the per-run total).
-double StageMeanMs(const StageLatencySnapshot& stage) {
-  if (stage.count == 0) return 0.0;
-  return static_cast<double>(stage.total_us) /
-         static_cast<double>(stage.count) / 1000.0;
-}
 
 /// Executor path: the whole seed list through BatchQueryEngine with
 /// `threads` threads (queries sharded across per-thread executors).
@@ -262,14 +254,14 @@ int main(int argc, char** argv) {
           row.stolen = stats.stolen;
           row.p50_ms = latencies.PercentileMs(0.50);
           row.p99_ms = latencies.PercentileMs(0.99);
-          if (stats.stage_tracing) {
-            row.queue_ms = StageMeanMs(stats.queue_wait);
-            row.cache_ms = StageMeanMs(stats.cache_lookup);
-            row.compute_ms = StageMeanMs(stats.compute);
-            if (stats.latency_count > 0) {
-              row.total_ms = static_cast<double>(stats.traced_total_us) /
-                             static_cast<double>(stats.latency_count) / 1000.0;
-            }
+          // Each service is fresh per run, so its cumulative snapshot is
+          // the per-run total.
+          row.queue_ms = stats.queue_wait.mean_ms();
+          row.cache_ms = stats.cache_lookup.mean_ms();
+          row.compute_ms = stats.compute.mean_ms();
+          if (stats.latency_count > 0) {
+            row.total_ms = static_cast<double>(stats.traced_total_us) /
+                           static_cast<double>(stats.latency_count) / 1000.0;
           }
         }
         if (threads == 1) base_qps[path] = row.qps();

@@ -40,18 +40,14 @@
 // small-graph ones; --walk-width=N sets the walk kernel's interleave
 // width for every backend in the sweep; --smoke shrinks the router sweep
 // to a seconds-long CI validation run (tiny query count, one thread count)
-// that still emits every row; --trace-overhead skips the sweep and instead
-// runs interleaved traced/untraced reps of the smoke workload, exiting
-// non-zero when stage tracing costs >= 2% process CPU time per query (the
-// telemetry hot-path regression gate). The shared --full, --seeds=N and
-// --rng=S flags are accepted too; any other argument exits 1 with the flag
-// list.
+// that still emits every row. The shared --full, --seeds=N and --rng=S
+// flags are accepted too; any other argument exits 1 with the flag list.
 //
 // The JSON records the machine's hardware thread count at the top level.
 // Every row also carries per-stage mean latencies (queue_ms, cache_ms,
-// compute_ms, total_ms) from the service's stage-tracing counters; the
-// stages are disjoint, so their sum is <= total_ms per row (CI asserts
-// this on the smoke run).
+// compute_ms, total_ms) from the service's stage counters; the stages are
+// disjoint, so their sum is <= total_ms per row (CI asserts this on the
+// smoke run).
 //
 // Regenerate the committed numbers with
 //   ./build/bench_service --json=BENCH_service.json
@@ -59,7 +55,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <ctime>
 #include <map>
 #include <memory>
 #include <string>
@@ -191,7 +186,7 @@ ServiceRow MakeRow(const std::string& backend, const std::string& graph,
   row.p95_ms = latencies.PercentileMs(0.95);
   row.p99_ms = latencies.PercentileMs(0.99);
   const uint64_t traced = after.latency_count - before.latency_count;
-  if (after.stage_tracing && traced > 0) {
+  if (traced > 0) {
     // Not the compute stage's own count, which covers computed queries
     // only: one denominator keeps the columns a decomposition of total_ms.
     const auto mean_ms = [&](uint64_t after_us, uint64_t before_us) {
@@ -364,83 +359,10 @@ int RunMultiGraphSweep(const BenchConfig& config, const std::string& json_path,
   return 0;
 }
 
-/// CPU time of every thread of this process, in seconds.
-double ProcessCpuSeconds() {
-  timespec ts;
-  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         1e-9 * static_cast<double>(ts.tv_nsec);
-}
-
-/// Trace-overhead guard: interleaved traced/untraced reps of the smoke
-/// workload (cold pass on a fresh service + warm replay, closed loop),
-/// compared by process CPU time per query. CPU time leaves out the time a
-/// shared host takes the CPU away, which moves wall-clock QPS by up to 15%
-/// from run to run. The reps run in ABBA order, so a steady drift in the
-/// machine's speed weighs on both arms alike, and each arm's CPU time is
-/// summed over its reps. Exits non-zero when tracing costs >= 2% CPU per
-/// query — the regression gate for keeping the telemetry hot path
-/// wait-free and cheap.
-int RunTraceOverheadGuard(const BenchConfig& config, uint32_t num_queries) {
-  Rng rng(config.rng_seed);
-  Dataset dataset = MakeDataset("twitter", config.scale, config.rng_seed);
-  PrintDatasetBanner(dataset);
-
-  ApproxParams params;
-  params.t = 5.0;
-  params.eps_r = 0.5;
-  params.delta = 20.0 * DefaultDelta(dataset.graph);
-  params.p_f = 1e-6;
-  const uint32_t threads = 2;
-  const std::vector<NodeId> seeds =
-      MixedDegreeZipfianSeeds(dataset.graph, num_queries, 256, 1.0, rng);
-
-  // One rep is ~30 ms of CPU and its CPU time per query spreads ~7% rep
-  // to rep on a shared host; 100 reps per arm put the noise of the
-  // compared ratio near 1%.
-  constexpr int kRepsPerArm = 100;
-  double traced_s = 0.0, untraced_s = 0.0;
-  for (int rep = 0; rep < 2 * kRepsPerArm; ++rep) {
-    const bool traced = (rep % 2 == 0) == (rep / 2 % 2 == 0);
-    ServiceOptions opts;
-    opts.backend.name = "tea+";
-    opts.backend.context.tea_plus.c = 1.0;
-    opts.backend.context.walk_kernel = g_walk_kernel;
-    opts.cache_capacity = 8192;
-    opts.max_queue_depth = 1u << 20;
-    opts.num_workers = threads;
-    opts.telemetry.enabled = traced;
-    AsyncQueryService service(dataset.graph, params, config.rng_seed, opts);
-
-    LatencyHistogram cold_lat, warm_lat;
-    const double start = ProcessCpuSeconds();
-    RunClosedLoop(service, seeds, threads, cold_lat);
-    RunClosedLoop(service, seeds, threads, warm_lat);
-    (traced ? traced_s : untraced_s) += ProcessCpuSeconds() - start;
-  }
-  const double queries = 2.0 * num_queries * kRepsPerArm;
-  const double on_us = 1e6 * traced_s / queries;
-  const double off_us = 1e6 * untraced_s / queries;
-  const double overhead = on_us / off_us - 1.0;
-  std::printf(
-      "trace overhead guard: traced=%.2f us/q untraced=%.2f us/q CPU "
-      "overhead=%.2f%% (threshold 2%%, %d reps per arm)\n",
-      on_us, off_us, 100.0 * overhead, kRepsPerArm);
-  if (overhead >= 0.02) {
-    std::fprintf(stderr,
-                 "FAIL: tracing costs %.2f%% CPU per query (>= 2%% "
-                 "threshold)\n",
-                 100.0 * overhead);
-    return 1;
-  }
-  std::printf("trace overhead guard: PASS\n");
-  return 0;
-}
-
 constexpr const char* kUsage =
     "usage: bench_service [--json=PATH] [--queries=N] [--backend=NAME|auto]\n"
     "                     [--graphs=N] [--graph-scale=small|medium|large]\n"
-    "                     [--walk-width=N] [--smoke] [--trace-overhead]\n"
+    "                     [--walk-width=N] [--smoke]\n"
     "                     [--full] [--seeds=N] [--rng=S] [--help]\n";
 
 }  // namespace
@@ -451,7 +373,6 @@ int main(int argc, char** argv) {
   std::string graph_scale;
   uint32_t num_graphs = 0;
   bool smoke = false;
-  bool trace_overhead = false;
   uint32_t num_queries = 0;
   bool queries_overridden = false;
   for (int i = 1; i < argc; ++i) {
@@ -477,8 +398,6 @@ int main(int argc, char** argv) {
       g_walk_kernel.width = static_cast<uint32_t>(width);
     } else if (std::strcmp(arg, "--smoke") == 0) {
       smoke = true;
-    } else if (std::strcmp(arg, "--trace-overhead") == 0) {
-      trace_overhead = true;
     } else if (std::strcmp(arg, "--help") == 0) {
       std::printf("%s", kUsage);
       return 0;
@@ -494,11 +413,6 @@ int main(int argc, char** argv) {
   const BenchConfig config = BenchConfig::FromArgs(argc, argv);
   if (!queries_overridden) {
     num_queries = smoke ? 200 : config.full ? 4000 : 1500;
-  }
-
-  if (trace_overhead) {
-    std::printf("== Trace overhead guard (traced vs untraced service) ==\n");
-    return RunTraceOverheadGuard(config, num_queries);
   }
 
   // Default sweep: the rule router against every fixed backend of the

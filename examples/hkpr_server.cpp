@@ -6,7 +6,6 @@
 //                                 [--seed=S] [--backend=NAME|auto]
 //                                 [--walk-width=N]
 //                                 [--listen=PORT] [--net-executors=N]
-//                                 [--no-trace]
 //
 // Loads one or more named graphs into a GraphStore (--graphs takes a
 // comma-separated name=path list of SNAP edge-lists; --graph=PATH loads a
@@ -47,9 +46,9 @@
 //                           latency counters
 //   stats [<name>] [--json] aggregate (or one graph's) counters/latency:
 //                           every ServiceStatsSnapshot field plus the
-//                           queue-wait/cache/compute stage breakdown when
-//                           tracing is on; --json emits the same fields
-//                           as one JSON object after the "ok "
+//                           queue-wait/cache/compute stage breakdown;
+//                           --json emits the same fields as one JSON
+//                           object after the "ok "
 //   metrics                 Prometheus-style text: per-graph counters,
 //                           stage/latency quantiles, per-(graph, backend)
 //                           dimensioned rows and per-tenant
@@ -67,9 +66,9 @@
 // registry; responses for a given command stream are byte-identical
 // across them.
 //
-// Stage tracing and the per-backend metrics registry are on by default;
-// --no-trace disables both (stats then reports only the flat counter
-// block — the pre-telemetry shape).
+// Every completed query is traced through its pipeline stages and
+// counted on its resolved backend's row (service/service_stats.h); there
+// is no switch to turn that off.
 //
 // --walk-width=N sets how many walks the walk kernel (hkpr/walk_kernel.h)
 // keeps in flight per worker in every randomized backend. It changes speed
@@ -111,7 +110,7 @@ namespace {
 constexpr const char* kValidFlags =
     "--graphs=name=path,... --graph=PATH --nodes=N --workers=W --cache=CAP "
     "--seed=S --backend=NAME|auto --walk-width=N --listen=PORT "
-    "--net-executors=N --no-trace";
+    "--net-executors=N";
 
 /// Parses "name=path,name=path,..." into pairs; returns false on syntax
 /// errors (missing '=' or empty name/path).
@@ -175,16 +174,13 @@ int main(int argc, char** argv) {
   uint64_t seed = 42;
   std::string backend = "tea+";
   WalkKernelOptions walk_kernel;
-  bool trace = true;
   bool listen_set = false;
   uint64_t listen_port = 0;
   uint64_t net_executors = 4;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     std::optional<std::string> v;
-    if (std::strcmp(arg, "--no-trace") == 0) {
-      trace = false;
-    } else if ((v = FlagValue(arg, "--graphs="))) {
+    if ((v = FlagValue(arg, "--graphs="))) {
       graphs_flag = *v;
     } else if ((v = FlagValue(arg, "--graph="))) {
       graph_path = *v;
@@ -285,7 +281,6 @@ int main(int argc, char** argv) {
   // TEA+ drains past its hop cap until Inequality (11) certifies rather
   // than falling back to walks; the (d, eps_r, delta) guarantee is the same.
   options.service.backend.context.tea_plus.drain_past_hop_cap = true;
-  options.service.telemetry.enabled = trace;
   MultiGraphService service(store, params, seed, options);
 
   TenantRegistry tenants;

@@ -107,9 +107,12 @@ PushCounters DrainPlus(const Graph& graph, const HeatKernel& kernel,
     // test skips zeroed entries, so a drained hop's maintained sum, which
     // can read a few ulps below zero, never enters the decision. An empty
     // hop k means hop k-1 pushed nothing, so the table is final.
-    if (k >= cap && (residues.Hop(k).empty() ||
-                     residues.MaxNormalizedResidueSum(graph) <= eps_a)) {
-      return out;
+    if (k >= cap) {
+      if (residues.Hop(k).empty()) return out;
+      if (residues.MaxNormalizedResidueSum(graph) <= eps_a) {
+        out.passed_exact_test = true;
+        return out;
+      }
     }
     residues.OpenFrontier(k + 1, n);
     if (!DrainHop(graph, kernel, k, options.push_budget, ws, out)) return out;

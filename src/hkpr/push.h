@@ -101,6 +101,10 @@ struct PushCounters {
   uint64_t entries_processed = 0;
   bool hit_absolute_target = false;
   bool hit_budget = false;
+  /// A drain past the hop cap stopped because the exact test (11) passed
+  /// on the sealed table, so a caller need not run it again.
+  /// hit_absolute_target stays false on that exit.
+  bool passed_exact_test = false;
 };
 
 /// Algorithm 1 into a reusable workspace: the reserve is accumulated into

@@ -74,9 +74,10 @@ const SparseVector& TeaPlusEstimator::EstimateInto(NodeId seed,
 
   // Line 7: if Inequality (11) holds with eps_a = eps_r*delta, the reserve
   // alone is a (d,eps_r,delta)-approximation (Theorem 2). The push's bound
-  // certificate implies the exact test, so check it first (free).
+  // certificate implies the exact test, and a drain past the hop cap may
+  // have just passed it on this same table, so check those first (free).
   const bool absolute_ok =
-      push.hit_absolute_target ||
+      push.hit_absolute_target || push.passed_exact_test ||
       ws.residues.MaxNormalizedResidueSum(graph_) <= eps_delta;
   if (absolute_ok) {
     if (stats != nullptr) {

@@ -9,7 +9,6 @@
 #include "common/parse.h"
 #include "graph/graph_io.h"
 #include "hkpr/backend.h"
-#include "service/telemetry.h"
 
 namespace hkpr {
 
@@ -70,9 +69,9 @@ std::string FmtOverride(const std::optional<double>& value) {
 
 /// Appends the full-field single-line `stats` reply: every
 /// ServiceStatsSnapshot counter (the operator view must never silently
-/// lose a field — asserted by the protocol test), the stage breakdown
-/// when tracing is on, and the service-wide reject counters for the
-/// aggregate scope (`service` non-null).
+/// lose a field — asserted by the protocol test), the stage breakdown,
+/// and the service-wide reject counters for the aggregate scope
+/// (`service` non-null).
 void AppendStatsLine(std::string& out, const std::string& scope,
                      const ServiceStatsSnapshot& s,
                      const MultiGraphService* service) {
@@ -103,18 +102,15 @@ void AppendStatsLine(std::string& out, const std::string& scope,
   }
   Appendf(out, " p50_ms=%.3f p95_ms=%.3f p99_ms=%.3f", s.latency_p50_ms,
           s.latency_p95_ms, s.latency_p99_ms);
-  if (s.stage_tracing) {
-    Appendf(out,
-            " queue_wait_mean_ms=%.3f queue_wait_p50_ms=%.3f "
-            "queue_wait_p99_ms=%.3f cache_mean_ms=%.3f cache_p50_ms=%.3f "
-            "cache_p99_ms=%.3f compute_mean_ms=%.3f compute_p50_ms=%.3f "
-            "compute_p99_ms=%.3f",
-            s.queue_wait.mean_ms(), s.queue_wait.p50_ms, s.queue_wait.p99_ms,
-            s.cache_lookup.mean_ms(), s.cache_lookup.p50_ms,
-            s.cache_lookup.p99_ms, s.compute.mean_ms(), s.compute.p50_ms,
-            s.compute.p99_ms);
-  }
-  out += "\n";
+  Appendf(out,
+          " queue_wait_mean_ms=%.3f queue_wait_p50_ms=%.3f "
+          "queue_wait_p99_ms=%.3f cache_mean_ms=%.3f cache_p50_ms=%.3f "
+          "cache_p99_ms=%.3f compute_mean_ms=%.3f compute_p50_ms=%.3f "
+          "compute_p99_ms=%.3f\n",
+          s.queue_wait.mean_ms(), s.queue_wait.p50_ms, s.queue_wait.p99_ms,
+          s.cache_lookup.mean_ms(), s.cache_lookup.p50_ms,
+          s.cache_lookup.p99_ms, s.compute.mean_ms(), s.compute.p50_ms,
+          s.compute.p99_ms);
 }
 
 void AppendJsonField(std::string& out, const char* key, double value) {
@@ -178,14 +174,12 @@ std::string StatsJson(const std::string& scope, const ServiceStatsSnapshot& s,
   AppendJsonField(out, "p50_ms", s.latency_p50_ms);
   AppendJsonField(out, "p95_ms", s.latency_p95_ms);
   AppendJsonField(out, "p99_ms", s.latency_p99_ms);
-  if (s.stage_tracing) {
-    out += ",\"stages\":{";
-    AppendJsonStage(out, "queue_wait", s.queue_wait);
-    AppendJsonStage(out, "cache", s.cache_lookup);
-    AppendJsonStage(out, "compute", s.compute);
-    out += "}";
-    AppendJsonField(out, "traced_total_us", u64(s.traced_total_us));
-  }
+  out += ",\"stages\":{";
+  AppendJsonStage(out, "queue_wait", s.queue_wait);
+  AppendJsonStage(out, "cache", s.cache_lookup);
+  AppendJsonStage(out, "compute", s.compute);
+  out += "}";
+  AppendJsonField(out, "traced_total_us", u64(s.traced_total_us));
   out += "}";
   return out;
 }
@@ -760,26 +754,24 @@ size_t CommandProcessor::AppendMetricsForScope(const std::string& scope,
   quantile("hkpr_latency_ms", "0.5", s.latency_p50_ms, nullptr);
   quantile("hkpr_latency_ms", "0.95", s.latency_p95_ms, nullptr);
   quantile("hkpr_latency_ms", "0.99", s.latency_p99_ms, nullptr);
-  if (s.stage_tracing) {
-    const struct {
-      const char* name;
-      const StageLatencySnapshot* stage;
-    } stages[] = {{"queue_wait", &s.queue_wait},
-                  {"cache", &s.cache_lookup},
-                  {"compute", &s.compute}};
-    for (const auto& [stage_name, stage] : stages) {
-      quantile("hkpr_stage_latency_ms", "0.5", stage->p50_ms, stage_name);
-      quantile("hkpr_stage_latency_ms", "0.99", stage->p99_ms, stage_name);
-      AppendMetricLine(out, "hkpr_stage_latency_mean_ms", "graph", scope,
-                       std::string("stage=\"") + stage_name + "\"",
-                       stage->mean_ms());
-      ++lines;
-    }
+  const struct {
+    const char* name;
+    const StageLatencySnapshot* stage;
+  } stages[] = {{"queue_wait", &s.queue_wait},
+                {"cache", &s.cache_lookup},
+                {"compute", &s.compute}};
+  for (const auto& [stage_name, stage] : stages) {
+    quantile("hkpr_stage_latency_ms", "0.5", stage->p50_ms, stage_name);
+    quantile("hkpr_stage_latency_ms", "0.99", stage->p99_ms, stage_name);
+    AppendMetricLine(out, "hkpr_stage_latency_mean_ms", "graph", scope,
+                     std::string("stage=\"") + stage_name + "\"",
+                     stage->mean_ms());
+    ++lines;
   }
   // The (graph, backend) dimensions: what each resolved backend actually
-  // served on this graph, cumulative across hot-swaps.
-  const TelemetrySnapshot telemetry = service_.TelemetryFor(scope);
-  for (const BackendStatsSnapshot& row : telemetry.backends) {
+  // served on this graph, cumulative across hot-swaps. They come from the
+  // same snapshot as the totals above, so they sum to them.
+  for (const BackendStatsSnapshot& row : s.backends) {
     const std::string backend_label = "backend=\"" + row.backend + "\"";
     const auto dim = [&](const char* name, uint64_t value) {
       AppendMetricLine(out, name, "graph", scope, backend_label, value);

@@ -11,10 +11,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-double SecondsBetween(Clock::time_point begin, Clock::time_point end) {
-  return std::chrono::duration<double>(end - begin).count();
-}
-
 }  // namespace
 
 const char* QueryStatusName(QueryStatus status) {
@@ -40,8 +36,7 @@ AsyncQueryService::AsyncQueryService(GraphSnapshot snapshot,
                                      const ServiceOptions& options)
     : snapshot_(std::move(snapshot)),
       params_(params),
-      options_(options),
-      telemetry_(options.telemetry) {
+      options_(options) {
   HKPR_CHECK(snapshot_.graph != nullptr) << "service needs a graph snapshot";
   // Die at startup on out-of-range defaults, not on whichever request
   // happens to trigger plan resolution first (ResolveQueryPlan reports
@@ -201,10 +196,10 @@ std::optional<QueryHandle> AsyncQueryService::Enqueue(
   Request request;
   request.seed = seed;
   request.k = k;
-  request.submit_time = Clock::now();
+  request.trace.submit = Clock::now();
   request.deadline = submit.timeout == Clock::duration::zero()
                          ? Clock::time_point::max()
-                         : request.submit_time + submit.timeout;
+                         : request.trace.submit + submit.timeout;
   request.cancelled = handle.cancel_;
 
   // Resolve the request into its plan now — a queued request is immune to
@@ -234,10 +229,7 @@ std::optional<QueryHandle> AsyncQueryService::Enqueue(
     request.plan = *std::move(plan);
   }
   request.key = MakeKey(request.plan, seed);
-  if (telemetry_.enabled()) {
-    request.trace.submit = request.submit_time;
-    request.trace.plan_resolved = Clock::now();
-  }
+  request.trace.plan_resolved = Clock::now();
 
   if (stopping_.load()) {
     if (stale_if_stopping) return std::nullopt;
@@ -369,14 +361,13 @@ void AsyncQueryService::WorkerLoop(uint32_t worker_id) {
     // so blocking on a leader mid-batch would stall unrelated requests
     // that no idle worker can steal back.
     for (Deferred& wait : deferred) {
-      Fulfill(wait.request, wait.pending.get(), /*from_cache=*/true);
+      Fulfill(wait.request, wait.pending.get());
     }
   }
 }
 
 SparseVector AsyncQueryService::Compute(QueryExecutor& executor,
                                         const Request& request) {
-  stats_.RecordComputed();
   // The executor re-seeds the plan's backend from (engine seed, query
   // index) — the exact BatchQueryEngine derivation — so the async and
   // batch paths are bit-identical per plan, and a routed plan is
@@ -388,8 +379,7 @@ SparseVector AsyncQueryService::Compute(QueryExecutor& executor,
 
 void AsyncQueryService::Process(QueryExecutor& executor, Request& request,
                                 std::vector<Deferred>& deferred) {
-  const bool traced = telemetry_.enabled();
-  if (traced) request.trace.dequeue = Clock::now();
+  request.trace.dequeue = Clock::now();
   if (request.cancelled->load(std::memory_order_relaxed)) {
     QueryResult result;
     result.status = QueryStatus::kCancelled;
@@ -407,54 +397,47 @@ void AsyncQueryService::Process(QueryExecutor& executor, Request& request,
   }
 
   CachedEstimate estimate;
-  bool from_cache = false;
   if (cache_) {
     ResultCache::Lookup lookup = cache_->LookupOrStartCompute(request.key);
-    if (traced) request.trace.cache_done = Clock::now();
+    request.trace.cache_done = Clock::now();
     switch (lookup.outcome) {
       case ResultCache::Outcome::kHit:
-        stats_.RecordCacheHit();
         request.cache_outcome = CacheOutcome::kHit;
         estimate = std::move(lookup.value);
-        from_cache = true;
         break;
       case ResultCache::Outcome::kInFlight:
         // Single-flight: another worker is computing this key. Park the
         // request for resolution after the rest of the batch; the leader
         // never waits on this key, so the eventual get() cannot deadlock.
-        stats_.RecordCoalesced();
         request.cache_outcome = CacheOutcome::kCoalesced;
         deferred.push_back(
             Deferred{std::move(request), std::move(lookup.pending)});
         return;
       case ResultCache::Outcome::kMiss:
-        stats_.RecordCacheMiss();
         request.cache_outcome = CacheOutcome::kMiss;
-        if (traced) request.trace.compute_begin = Clock::now();
+        request.trace.compute_begin = Clock::now();
         estimate = std::make_shared<const SparseVector>(
             Compute(executor, request));
-        if (traced) request.trace.compute_end = Clock::now();
+        request.trace.compute_end = Clock::now();
         cache_->Complete(request.key, lookup.leader, estimate);
         break;
     }
   } else {
     // No cache: the lookup stage is zero-width by definition.
     request.cache_outcome = CacheOutcome::kNone;
-    if (traced) {
-      request.trace.cache_done = request.trace.dequeue;
-      request.trace.compute_begin = Clock::now();
-    }
+    request.trace.cache_done = request.trace.dequeue;
+    request.trace.compute_begin = Clock::now();
     estimate =
         std::make_shared<const SparseVector>(Compute(executor, request));
-    if (traced) request.trace.compute_end = Clock::now();
+    request.trace.compute_end = Clock::now();
   }
-  Fulfill(request, std::move(estimate), from_cache);
+  Fulfill(request, std::move(estimate));
 }
 
-void AsyncQueryService::Fulfill(Request& request, CachedEstimate estimate,
-                                bool from_cache) {
+void AsyncQueryService::Fulfill(Request& request, CachedEstimate estimate) {
   QueryResult result;
-  result.from_cache = from_cache;
+  result.from_cache = request.cache_outcome == CacheOutcome::kHit ||
+                      request.cache_outcome == CacheOutcome::kCoalesced;
   result.graph_version = snapshot_.version;
   result.backend = std::move(request.plan.backend);
   result.backend_id = request.plan.backend_id;
@@ -463,14 +446,12 @@ void AsyncQueryService::Fulfill(Request& request, CachedEstimate estimate,
   }
   result.estimate = std::move(estimate);
   result.status = QueryStatus::kOk;
-  const Clock::time_point complete = Clock::now();
-  const double latency_s = SecondsBetween(request.submit_time, complete);
-  result.latency_ms = latency_s * 1000.0;
-  stats_.RecordCompleted(latency_s);
-  if (telemetry_.enabled()) {
-    request.trace.complete = complete;
-    telemetry_.Record(result.backend_id, request.cache_outcome, request.trace);
-  }
+  request.trace.complete = Clock::now();
+  result.latency_ms = std::chrono::duration<double, std::milli>(
+                          request.trace.complete - request.trace.submit)
+                          .count();
+  stats_.RecordCompleted(result.backend_id, request.cache_outcome,
+                         request.trace);
   request.promise.set_value(std::move(result));
 }
 
@@ -481,12 +462,7 @@ void AsyncQueryService::InvalidateCache() {
 ServiceStatsSnapshot AsyncQueryService::Stats() const {
   ServiceStatsSnapshot snap = stats_.TakeSnapshot();
   snap.queue_depth = queue_depth();
-  telemetry_.FillStages(snap);
   return snap;
-}
-
-TelemetrySnapshot AsyncQueryService::Telemetry() const {
-  return telemetry_.Snapshot();
 }
 
 size_t AsyncQueryService::queue_depth() const { return pending_.load(); }

@@ -42,8 +42,9 @@
 // (backend id + every parameter), so two distinct plans can never serve
 // each other's entries — and the same resolved plan reached via routing,
 // an explicit override, or the default shares one entry, which is exactly
-// the dedup a cache wants. ServiceStats counts every stage; Stats()
-// returns a snapshot with p50/p95/p99 latencies.
+// the dedup a cache wants. ServiceStats counts every stage and records
+// each completed query's trace once; Stats() returns a snapshot with
+// p50/p95/p99 latencies, the stage breakdown and per-backend rows.
 //
 // The service answers on one immutable GraphSnapshot (service/graph_store.h)
 // which it co-owns for its whole lifetime: hot-swapping a graph means
@@ -87,11 +88,12 @@
 #include "service/graph_store.h"
 #include "service/result_cache.h"
 #include "service/service_stats.h"
-#include "service/telemetry.h"
 
 namespace hkpr {
 
-/// Serving configuration.
+/// Serving configuration. Stats need none: every service stamps each
+/// request's QueryTrace and records each completed query once in its
+/// stats block (service/service_stats.h).
 struct ServiceOptions {
   /// Worker threads; 0 uses all hardware threads.
   uint32_t num_workers = 0;
@@ -114,11 +116,6 @@ struct ServiceOptions {
   /// backends never share a cache entry. `backend.context` also supplies
   /// the shared tuning every lazily built plan estimator reads.
   BackendSpec backend;
-  /// Stage tracing and per-backend dimensioned metrics
-  /// (service/telemetry.h). Enabled by default; disabling degrades
-  /// Stats() to the flat single-histogram snapshot and costs nothing on
-  /// the hot path.
-  TelemetryOptions telemetry;
 };
 
 /// Terminal state of one submitted query.
@@ -270,17 +267,10 @@ class AsyncQueryService {
   /// The current default parameters.
   ApproxParams default_params() const;
 
-  /// Counter snapshot including the current queue depth; with stage
-  /// tracing on (the default) the per-stage queue-wait/cache/compute
-  /// breakdown rides along (stage_tracing, queue_wait, cache_lookup,
-  /// compute, traced_total_us).
+  /// The stats block's snapshot (service/service_stats.h) plus the
+  /// current queue depth: counters, latency percentiles, the
+  /// queue-wait/cache/compute stage breakdown and the per-backend rows.
   ServiceStatsSnapshot Stats() const;
-
-  /// Per-backend dimensioned metrics; no rows when tracing is off.
-  TelemetrySnapshot Telemetry() const;
-
-  /// True when this service stamps stage traces.
-  bool tracing_enabled() const { return telemetry_.enabled(); }
 
   size_t queue_depth() const;
   uint32_t num_workers() const {
@@ -310,7 +300,6 @@ class AsyncQueryService {
     NodeId seed = 0;
     size_t k = 0;  // 0 = full-vector query
     uint64_t query_index = 0;
-    std::chrono::steady_clock::time_point submit_time;
     std::chrono::steady_clock::time_point deadline;  // max() = none
     std::shared_ptr<std::atomic<bool>> cancelled;
     std::promise<QueryResult> promise;
@@ -318,7 +307,7 @@ class AsyncQueryService {
     /// switch never retroactively changes what a queued request runs.
     QueryPlan plan;
     ResultCacheKey key;
-    /// Stage timestamps (only stamped when tracing is enabled) and how
+    /// Stage timestamps (trace.submit is the submission time) and how
     /// the cache treated the query.
     QueryTrace trace;
     CacheOutcome cache_outcome = CacheOutcome::kNone;
@@ -364,7 +353,7 @@ class AsyncQueryService {
                    uint32_t max_batch);
   void Process(QueryExecutor& executor, Request& request,
                std::vector<Deferred>& deferred);
-  void Fulfill(Request& request, CachedEstimate estimate, bool from_cache);
+  void Fulfill(Request& request, CachedEstimate estimate);
   SparseVector Compute(QueryExecutor& executor, const Request& request);
   ResultCacheKey MakeKey(const QueryPlan& plan, NodeId seed) const;
   PlanDefaults GetDefaults() const;
@@ -379,9 +368,6 @@ class AsyncQueryService {
   uint32_t backend_id_ = 0;
   std::unique_ptr<ResultCache> cache_;  // null when disabled
   ServiceStats stats_;
-  /// Stage histograms and per-backend dims; inert (no clock stamps, no
-  /// recording) when options.telemetry disables it.
-  ServiceTelemetry telemetry_;
 
   /// Guards the serving defaults only (never held with mu_): submissions
   /// read a copy, config updates replace it — neither path touches the

@@ -148,12 +148,10 @@ void MultiGraphService::FinishRetire(
   // are final once the workers have joined.
   service->Shutdown();
   const ServiceStatsSnapshot final_stats = service->Stats();
-  const TelemetrySnapshot final_telemetry = service->Telemetry();
   std::lock_guard<std::mutex> lock(mu_);
   // Fold and unpark in one critical section, so a stats reader sees this
   // service's history in exactly one of `retiring_` / `retired_stats_`.
-  AddSnapshotCounters(retired_stats_[std::string(name)], final_stats);
-  MergeTelemetry(retired_telemetry_[std::string(name)], final_telemetry);
+  MergeSnapshot(retired_stats_[std::string(name)], final_stats);
   auto it = retiring_.find(name);
   if (it != retiring_.end()) {
     std::vector<std::shared_ptr<AsyncQueryService>>& draining = it->second;
@@ -397,19 +395,10 @@ ServiceStatsSnapshot MultiGraphService::StatsFor(
     auto folded = retired_stats_.find(name);
     if (folded != retired_stats_.end()) total = folded->second;
   }
-  if (live != nullptr) {
-    const ServiceStatsSnapshot snap = live->Stats();
-    AddSnapshotCounters(total, snap);
-    total.queue_depth += snap.queue_depth;
-  }
-  for (const auto& service : draining) {
-    const ServiceStatsSnapshot snap = service->Stats();
-    AddSnapshotCounters(total, snap);
-    total.queue_depth += snap.queue_depth;
-  }
-  // Percentiles over the graph's whole history (live + draining + every
-  // folded incarnation), from the merged buckets.
-  RecomputeSnapshotPercentiles(total);
+  // Totals, rows and percentiles over the graph's whole history (live +
+  // draining + every folded incarnation), from the merged snapshots.
+  if (live != nullptr) MergeSnapshot(total, live->Stats());
+  for (const auto& service : draining) MergeSnapshot(total, service->Stats());
   return total;
 }
 
@@ -423,37 +412,9 @@ ServiceStatsSnapshot MultiGraphService::AggregateStats() const {
     for (const auto& [name, draining] : retiring_) {
       for (const auto& service : draining) counting.push_back(service);
     }
-    for (const auto& [name, snap] : retired_stats_) AddSnapshotCounters(total, snap);
+    for (const auto& [name, snap] : retired_stats_) MergeSnapshot(total, snap);
   }
-  for (const auto& service : counting) {
-    const ServiceStatsSnapshot snap = service->Stats();
-    AddSnapshotCounters(total, snap);
-    total.queue_depth += snap.queue_depth;
-  }
-  RecomputeSnapshotPercentiles(total);
-  return total;
-}
-
-TelemetrySnapshot MultiGraphService::TelemetryFor(
-    std::string_view name) const {
-  TelemetrySnapshot total;
-  std::shared_ptr<AsyncQueryService> live;
-  std::vector<std::shared_ptr<AsyncQueryService>> draining;
-  {
-    // Same one-critical-section discipline as StatsFor: a service's
-    // history is read from exactly one of retired/retiring/live.
-    std::lock_guard<std::mutex> lock(mu_);
-    auto folded = retired_telemetry_.find(name);
-    if (folded != retired_telemetry_.end()) total = folded->second;
-    auto it = services_.find(name);
-    if (it != services_.end()) live = it->second;
-    auto retiring_it = retiring_.find(name);
-    if (retiring_it != retiring_.end()) draining = retiring_it->second;
-  }
-  if (live != nullptr) MergeTelemetry(total, live->Telemetry());
-  for (const auto& service : draining) {
-    MergeTelemetry(total, service->Telemetry());
-  }
+  for (const auto& service : counting) MergeSnapshot(total, service->Stats());
   return total;
 }
 

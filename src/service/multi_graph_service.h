@@ -144,20 +144,18 @@ class MultiGraphService {
   std::string default_backend() const;
 
   /// Cumulative per-graph stats: retired services' totals (across every
-  /// hot-swap and drop of `name`) plus the live service's, with latency
-  /// percentiles recomputed from the merged histogram buckets — they
-  /// cover the graph's whole history. Queue depth is the live service's.
+  /// hot-swap and drop of `name`) plus the live and still-draining
+  /// services', with latency percentiles recomputed from the merged
+  /// histogram buckets — they cover the graph's whole history. The
+  /// per-backend rows, merged by backend id, are the (graph, backend)
+  /// dimensions of the server's Prometheus-style `metrics` output; each
+  /// service contributes totals and rows from one snapshot, so the two
+  /// always agree. Queue depth sums the live and draining queues.
   ServiceStatsSnapshot StatsFor(std::string_view name) const;
 
   /// Totals summed over every graph ever served (live + retired), with
   /// percentiles over the merged buckets; queue_depth sums live queues.
   ServiceStatsSnapshot AggregateStats() const;
-
-  /// Cumulative per-(graph, backend) dimensioned metrics: every retired
-  /// incarnation of `name` (folded at drain time, like retired stats)
-  /// plus the live and still-draining services, merged by backend id.
-  /// The rows behind the server's Prometheus-style `metrics` output.
-  TelemetrySnapshot TelemetryFor(std::string_view name) const;
 
   /// Every graph name with observable history: currently in the store,
   /// still draining, or with folded retired stats. The scope list the
@@ -283,11 +281,9 @@ class MultiGraphService {
   std::map<std::string, std::vector<std::shared_ptr<AsyncQueryService>>,
            std::less<>>
       retiring_;
-  /// Final counters of fully-drained retired services, per graph.
+  /// Final stats (counters and per-backend rows) of fully-drained retired
+  /// services, per graph.
   std::map<std::string, ServiceStatsSnapshot, std::less<>> retired_stats_;
-  /// Final per-backend telemetry of retired services, folded alongside
-  /// retired_stats_ in FinishRetire's critical section.
-  std::map<std::string, TelemetrySnapshot, std::less<>> retired_telemetry_;
 };
 
 }  // namespace hkpr

@@ -148,6 +148,7 @@ MapPush MapHkPushPlus(const Graph& graph, const HeatKernel& kernel,
         return out;
       }
       if (MapMaxNormalizedResidueSum(graph, out.residues) <= eps_a) {
+        c.passed_exact_test = true;
         out.stop = Stop::kExactTest;
         return out;
       }
@@ -201,6 +202,7 @@ void ExpectSamePush(const PushCounters& got_counters, const QueryWorkspace& ws,
   EXPECT_EQ(got_counters.hit_absolute_target,
             want.counters.hit_absolute_target);
   EXPECT_EQ(got_counters.hit_budget, want.counters.hit_budget);
+  EXPECT_EQ(got_counters.passed_exact_test, want.counters.passed_exact_test);
   {
     SCOPED_TRACE("reserve");
     testing::ExpectBitIdentical(ws.result, want.reserve);

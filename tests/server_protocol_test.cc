@@ -486,6 +486,7 @@ TEST(ServerProtocolTest, StatsFieldsJsonShapeAndMetricsExposition) {
 
   bool saw_submitted = false, saw_backend_dim = false, saw_quantile = false,
        saw_stage = false, saw_tenant = false;
+  double completed_total = -1.0, backend_completed_sum = 0.0;
   for (const std::string& line : lines) {
     // Every exposition line is `name{label="value",...} number`. Graph
     // scopes carry a graph label; the per-tenant rows a tenant label.
@@ -510,9 +511,13 @@ TEST(ServerProtocolTest, StatsFieldsJsonShapeAndMetricsExposition) {
       saw_submitted = true;
       EXPECT_EQ(value, "3") << line;
     }
+    if (StartsWith(line, "hkpr_completed_total{")) {
+      completed_total = std::strtod(value.c_str(), nullptr);
+    }
     if (StartsWith(line, "hkpr_backend_completed_total{")) {
       saw_backend_dim = true;
       EXPECT_TRUE(Contains(line, "backend=\"")) << line;
+      backend_completed_sum += std::strtod(value.c_str(), nullptr);
     }
     if (Contains(line, "quantile=\"0.99\"")) saw_quantile = true;
     // The server keeps no routing event log, so it exports no rows for one.
@@ -524,29 +529,12 @@ TEST(ServerProtocolTest, StatsFieldsJsonShapeAndMetricsExposition) {
   }
   EXPECT_TRUE(saw_submitted);
   EXPECT_TRUE(saw_backend_dim);  // the (graph, backend) dimension rows
+  // The rows come from the same snapshot as the scope's totals.
+  EXPECT_EQ(completed_total, 3.0);
+  EXPECT_EQ(backend_completed_sum, completed_total);
   EXPECT_TRUE(saw_quantile);
   EXPECT_TRUE(saw_stage);
   EXPECT_TRUE(saw_tenant);  // per-tenant rows for the default tenant
-
-  EXPECT_EQ(server.Quit(), 0);
-}
-
-TEST(ServerProtocolTest, NoTraceFlagDisablesStagesButKeepsServing) {
-  ServerProcess server;
-  ASSERT_TRUE(
-      server.Start({"--nodes=400", "--workers=2", "--seed=19", "--no-trace"}));
-  ASSERT_TRUE(StartsWith(server.ReadLine(), "ok hkpr_server"));
-
-  ASSERT_TRUE(StartsWith(server.Command("query 1"), "ok"));
-  ASSERT_TRUE(StartsWith(server.Command("query 2"), "ok"));
-
-  // Flat counters still flow; the stage columns vanish with tracing off.
-  const std::string reply = server.Command("stats");
-  EXPECT_TRUE(StartsWith(reply, "ok scope=all")) << reply;
-  EXPECT_TRUE(Contains(reply, "submitted=2")) << reply;
-  EXPECT_TRUE(Contains(reply, "latency_count=2")) << reply;
-  EXPECT_FALSE(Contains(reply, "queue_wait_mean_ms=")) << reply;
-  EXPECT_FALSE(Contains(reply, "compute_p99_ms=")) << reply;
 
   EXPECT_EQ(server.Quit(), 0);
 }
@@ -620,10 +608,11 @@ TEST(ServerProtocolTest, UnknownFlagsAreRejectedNotIgnored) {
   // default worker budget instead of erroring.
   EXPECT_EQ(RunServerExpectExit({"--worker=8"}), 1);
   EXPECT_EQ(RunServerExpectExit({"--nodes=400", "--bogus"}), 1);
-  // The server has no --router or --hedge flag: passing one must fail
-  // loudly, not quietly serve with the defaults.
+  // The server has no --router, --hedge or --no-trace flag: passing one
+  // must fail loudly, not quietly serve with the defaults.
   EXPECT_EQ(RunServerExpectExit({"--router=rule"}), 1);
   EXPECT_EQ(RunServerExpectExit({"--hedge=off"}), 1);
+  EXPECT_EQ(RunServerExpectExit({"--no-trace"}), 1);
   // Valid flags still start and exit 0 on stdin EOF.
   EXPECT_EQ(RunServerExpectExit({"--nodes=400", "--workers=2"}), 0);
 }

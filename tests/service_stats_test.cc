@@ -1,20 +1,24 @@
-// Tests for the serving-stack telemetry layer: the bounded-cardinality
-// per-backend dimension table, the monotone clamping of stage stamps, the
-// disabled-mode degradation contract, stage tracing through a live
-// AsyncQueryService (every completed query counted once per stage, stage
-// sums within the traced total, one row per resolved backend), and the
-// traced MultiGraphService under concurrent hot-swaps (TSan-clean,
-// counts survive retirement).
+// Tests for the service's stats block (service/service_stats.h): the log2
+// latency histogram and bucket-summed percentiles, the bounded-cardinality
+// per-backend slot table, the monotone clamping of stage stamps, merging
+// snapshots by backend id, allocation-free recording, stage tracing
+// through a live AsyncQueryService (every completed query counted once
+// per stage, stage sums within the traced total, one row per resolved
+// backend), and MultiGraphService under concurrent hot-swaps (TSan-clean,
+// counts survive retirement, totals always equal the rows' sums).
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/mem_tracker.h"
 #include "graph/generators.h"
 #include "hkpr/backend.h"
 #include "hkpr/queries.h"
@@ -22,7 +26,7 @@
 #include "service/async_query_service.h"
 #include "service/graph_store.h"
 #include "service/multi_graph_service.h"
-#include "service/telemetry.h"
+#include "service/service_stats.h"
 #include "test_util.h"
 
 namespace hkpr {
@@ -56,19 +60,97 @@ QueryTrace MissTrace() {
   return trace;
 }
 
-// ---------------------------------------------------------------------------
-// ServiceTelemetry: backend dimension table + disabled degradation.
+/// Sums of `completed` and `latency_count` over a snapshot's rows.
+CompletionStats RowSums(const ServiceStatsSnapshot& snap) {
+  CompletionStats sums;
+  for (const BackendStatsSnapshot& row : snap.backends) {
+    sums.completed += row.completed;
+    sums.latency_count += row.latency_count;
+  }
+  return sums;
+}
 
-TEST(ServiceTelemetryTest, BackendDimensionsBoundedWithOverflowSlot) {
-  ServiceTelemetry telemetry(TelemetryOptions{});
+// ---------------------------------------------------------------------------
+// Latency histogram.
+
+TEST(ServiceStatsTest, HistogramPercentilesAreOrderedAndBucketed) {
+  LatencyHistogram histogram;
+  for (int i = 0; i < 99; ++i) histogram.Record(1e-3);  // 1ms
+  histogram.Record(1.0);                                // one 1s outlier
+  EXPECT_EQ(histogram.TotalCount(), 100u);
+
+  const double p50 = histogram.PercentileMs(0.50);
+  const double p99 = histogram.PercentileMs(0.99);
+  const double p100 = histogram.PercentileMs(1.0);
+  EXPECT_LE(p50, p99);
+  EXPECT_LT(p99, p100);
+  // 1ms lands in the [512us, 1024us) bucket; its upper bound is ~1.023ms.
+  EXPECT_NEAR(p50, 1.023, 0.001);
+  EXPECT_GT(p100, 500.0);  // the outlier dominates the last percentile
+}
+
+TEST(ServiceStatsTest, SummedBucketPercentilesMatchCombinedHistogram) {
+  // The aggregation contract MergeSnapshot relies on: summing raw bucket
+  // counts from N independent histograms and running LatencyPercentileMs
+  // over the sums yields exactly the percentiles of one histogram that saw
+  // every sample. (Percentile *values* do not add; bucket counts do.)
+  constexpr int kServices = 3;
+  LatencyHistogram shards[kServices];
+  LatencyHistogram combined;
+  // Distinct latency mixes per shard, spanning several log2 buckets.
+  const double samples[kServices][4] = {
+      {1e-4, 2e-4, 1e-3, 5e-3},   // fast shard
+      {1e-3, 1e-3, 2e-2, 2e-2},   // medium shard
+      {5e-3, 1e-1, 1e-1, 1.0},    // slow shard with an outlier
+  };
+  for (int s = 0; s < kServices; ++s) {
+    for (double v : samples[s]) {
+      shards[s].Record(v);
+      combined.Record(v);
+    }
+  }
+
+  std::array<uint64_t, LatencyHistogram::kBuckets> summed{};
+  for (int s = 0; s < kServices; ++s) {
+    const auto counts = shards[s].BucketCounts();
+    for (size_t b = 0; b < counts.size(); ++b) summed[b] += counts[b];
+  }
+
+  for (double q : {0.5, 0.95, 0.99, 1.0}) {
+    EXPECT_DOUBLE_EQ(LatencyPercentileMs(summed, q), combined.PercentileMs(q))
+        << "q=" << q;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// ServiceStats: counters, backend slot table, stage clamping, merging.
+
+TEST(ServiceStatsTest, SnapshotFoldsCounters) {
+  ServiceStats stats;
+  stats.RecordSubmitted();
+  stats.RecordSubmitted();
+  QueryTrace hit;
+  hit.submit = QueryTrace::Clock::now();
+  hit.complete = After(hit, 2000);  // 2 ms
+  stats.RecordCompleted(3, CacheOutcome::kHit, hit);
+  const ServiceStatsSnapshot snap = stats.TakeSnapshot();
+  EXPECT_EQ(snap.submitted, 2u);
+  EXPECT_EQ(snap.cache_hits, 1u);
+  EXPECT_EQ(snap.completed, 1u);
+  EXPECT_EQ(snap.latency_count, 1u);
+  EXPECT_GT(snap.latency_p50_ms, 0.0);
+}
+
+TEST(ServiceStatsTest, BackendDimensionsBoundedWithOverflowSlot) {
+  ServiceStats stats;
 
   // 20 distinct ids: 16 claim slots, 4 fold into the "other" overflow row.
   for (uint32_t id = 1; id <= 20; ++id) {
     // Twice, so per-row completed == 2.
-    telemetry.Record(id, CacheOutcome::kMiss, MissTrace());
-    telemetry.Record(id, CacheOutcome::kMiss, MissTrace());
+    stats.RecordCompleted(id, CacheOutcome::kMiss, MissTrace());
+    stats.RecordCompleted(id, CacheOutcome::kMiss, MissTrace());
   }
-  const TelemetrySnapshot snap = telemetry.Snapshot();
+  const ServiceStatsSnapshot snap = stats.TakeSnapshot();
   ASSERT_EQ(snap.backends.size(), 17u);  // 16 claimed + overflow
 
   uint64_t total_completed = 0;
@@ -87,33 +169,22 @@ TEST(ServiceTelemetryTest, BackendDimensionsBoundedWithOverflowSlot) {
   ASSERT_NE(overflow, nullptr);
   EXPECT_EQ(overflow->completed, 8u);  // 4 overflowed ids x 2 records
   EXPECT_EQ(total_completed, 40u);     // nothing lost to the bound
+  // The service-wide figures are the rows' sums.
+  EXPECT_EQ(snap.completed, 40u);
+  EXPECT_EQ(snap.cache_misses, 40u);
+  EXPECT_EQ(snap.computed, 40u);
+  EXPECT_EQ(snap.latency_count, 40u);
 }
 
-TEST(ServiceTelemetryTest, DisabledTelemetryDegradesToFlatStats) {
-  TelemetryOptions options;
-  options.enabled = false;
-  ServiceTelemetry telemetry(options);
-  EXPECT_FALSE(telemetry.enabled());
+TEST(ServiceStatsTest, MergeFoldsRowsByBackendId) {
+  ServiceStats a, b;
+  a.RecordCompleted(5, CacheOutcome::kMiss, MissTrace());
+  a.RecordCompleted(5, CacheOutcome::kMiss, MissTrace());
+  b.RecordCompleted(5, CacheOutcome::kMiss, MissTrace());
+  b.RecordCompleted(9, CacheOutcome::kMiss, MissTrace());
 
-  ServiceStatsSnapshot snap;
-  telemetry.FillStages(snap);
-  EXPECT_FALSE(snap.stage_tracing);
-  EXPECT_EQ(snap.queue_wait.count, 0u);
-  EXPECT_EQ(snap.traced_total_us, 0u);
-
-  const TelemetrySnapshot t = telemetry.Snapshot();
-  EXPECT_TRUE(t.backends.empty());
-}
-
-TEST(ServiceTelemetryTest, MergeFoldsRowsByBackendId) {
-  ServiceTelemetry a(TelemetryOptions{}), b(TelemetryOptions{});
-  a.Record(5, CacheOutcome::kMiss, MissTrace());
-  a.Record(5, CacheOutcome::kMiss, MissTrace());
-  b.Record(5, CacheOutcome::kMiss, MissTrace());
-  b.Record(9, CacheOutcome::kMiss, MissTrace());
-
-  TelemetrySnapshot into = a.Snapshot();
-  MergeTelemetry(into, b.Snapshot());
+  ServiceStatsSnapshot into = a.TakeSnapshot();
+  MergeSnapshot(into, b.TakeSnapshot());
   ASSERT_EQ(into.backends.size(), 2u);
   EXPECT_EQ(into.backends[0].backend_id, 5u);
   EXPECT_EQ(into.backends[0].completed, 3u);  // 2 from a + 1 from b
@@ -121,10 +192,15 @@ TEST(ServiceTelemetryTest, MergeFoldsRowsByBackendId) {
   EXPECT_EQ(into.backends[1].completed, 1u);
   EXPECT_EQ(into.backends[0].latency_count, 3u);
   EXPECT_GT(into.backends[0].latency_p99_ms, 0.0);
+  EXPECT_EQ(into.completed, 4u);
+  EXPECT_EQ(into.latency_count, 4u);
+  EXPECT_GT(into.latency_p99_ms, 0.0);
+  EXPECT_EQ(into.compute.count, 4u);
+  EXPECT_EQ(into.compute.total_us, 32u);  // 4 misses x 8 µs
 }
 
-TEST(ServiceTelemetryTest, RecordClampsStampsToMonotoneStages) {
-  ServiceTelemetry telemetry(TelemetryOptions{});
+TEST(ServiceStatsTest, RecordClampsStampsToMonotoneStages) {
+  ServiceStats stats;
 
   // A hit: the compute stamps stay unset, as the service leaves them.
   QueryTrace hit;
@@ -133,7 +209,7 @@ TEST(ServiceTelemetryTest, RecordClampsStampsToMonotoneStages) {
   hit.dequeue = After(hit, 20);
   hit.cache_done = After(hit, 30);
   hit.complete = After(hit, 40);
-  telemetry.Record(7, CacheOutcome::kHit, hit);
+  stats.RecordCompleted(7, CacheOutcome::kHit, hit);
 
   // A miss whose stamps arrive out of order: dequeue before plan, compute
   // end before compute begin, complete before compute end.
@@ -145,11 +221,9 @@ TEST(ServiceTelemetryTest, RecordClampsStampsToMonotoneStages) {
   miss.compute_begin = After(miss, 80);
   miss.compute_end = After(miss, 60);
   miss.complete = After(miss, 70);
-  telemetry.Record(7, CacheOutcome::kMiss, miss);
+  stats.RecordCompleted(7, CacheOutcome::kMiss, miss);
 
-  ServiceStatsSnapshot snap;
-  telemetry.FillStages(snap);
-  ASSERT_TRUE(snap.stage_tracing);
+  const ServiceStatsSnapshot snap = stats.TakeSnapshot();
   EXPECT_EQ(snap.queue_wait.count, 2u);
   EXPECT_EQ(snap.cache_lookup.count, 2u);
   // Only the miss ran an estimator, and its compute clamps to zero width.
@@ -162,11 +236,38 @@ TEST(ServiceTelemetryTest, RecordClampsStampsToMonotoneStages) {
                 snap.compute.total_us,
             snap.traced_total_us);
 
-  const TelemetrySnapshot t = telemetry.Snapshot();
-  ASSERT_EQ(t.backends.size(), 1u);
-  EXPECT_EQ(t.backends[0].completed, 2u);
-  EXPECT_EQ(t.backends[0].cache_hits, 1u);
-  EXPECT_EQ(t.backends[0].computed, 1u);
+  ASSERT_EQ(snap.backends.size(), 1u);
+  EXPECT_EQ(snap.backends[0].completed, 2u);
+  EXPECT_EQ(snap.backends[0].cache_hits, 1u);
+  EXPECT_EQ(snap.backends[0].computed, 1u);
+}
+
+TEST(ServiceStatsTest, RecordCompletedAllocatesNothing) {
+  // The counting operator new in workspace_test.cc feeds AllocCounters for
+  // the whole test binary.
+  const auto stats = std::make_unique<ServiceStats>();
+  const QueryTrace trace = MissTrace();
+  constexpr CacheOutcome kOutcomes[] = {CacheOutcome::kNone, CacheOutcome::kHit,
+                                        CacheOutcome::kCoalesced,
+                                        CacheOutcome::kMiss};
+  constexpr uint32_t kIds = 20;  // 16 slots, the rest in the overflow row
+  constexpr uint32_t kRounds = 1000;
+
+  const uint64_t before = AllocCounters::Allocations();
+  for (uint32_t round = 0; round < kRounds; ++round) {
+    for (uint32_t id = 1; id <= kIds; ++id) {
+      stats->RecordCompleted(id, kOutcomes[round % 4], trace);
+    }
+  }
+  EXPECT_EQ(AllocCounters::Allocations(), before);
+
+  const ServiceStatsSnapshot snap = stats->TakeSnapshot();
+  EXPECT_EQ(snap.backends.size(), 17u);
+  EXPECT_EQ(snap.completed, uint64_t{kIds} * kRounds);
+  EXPECT_EQ(snap.cache_hits, snap.completed / 4);
+  EXPECT_EQ(snap.coalesced, snap.completed / 4);
+  EXPECT_EQ(snap.cache_misses, snap.completed / 4);
+  EXPECT_EQ(snap.computed, snap.completed / 2);  // misses + cache disabled
 }
 
 // ---------------------------------------------------------------------------
@@ -179,7 +280,6 @@ TEST(TracedServiceTest, EveryCompletedQueryProducesOneMonotoneEvent) {
   options.cache_capacity = 64;
   options.backend.name = "tea+";
   AsyncQueryService service(g, TestParams(1e-5), 77, options);
-  ASSERT_TRUE(service.tracing_enabled());
 
   // Distinct seeds plus a tail of repeats: misses, then hits/coalesced.
   std::vector<NodeId> seeds = {1, 5, 9, 22, 60, 120, 350};
@@ -192,7 +292,6 @@ TEST(TracedServiceTest, EveryCompletedQueryProducesOneMonotoneEvent) {
 
   const ServiceStatsSnapshot stats = service.Stats();
   ASSERT_EQ(stats.completed, seeds.size());
-  EXPECT_TRUE(stats.stage_tracing);
   EXPECT_EQ(stats.cache_misses + stats.cache_hits + stats.coalesced,
             stats.completed);
 
@@ -212,15 +311,15 @@ TEST(TracedServiceTest, EveryCompletedQueryProducesOneMonotoneEvent) {
   EXPECT_LE(stage_sum, stats.traced_total_us);
 
   // Per-backend dimension row: everything landed on tea+.
-  const TelemetrySnapshot telemetry = service.Telemetry();
-  ASSERT_EQ(telemetry.backends.size(), 1u);
-  EXPECT_EQ(telemetry.backends[0].backend, "tea+");
-  EXPECT_EQ(telemetry.backends[0].backend_id, StableBackendId("tea+"));
-  EXPECT_EQ(telemetry.backends[0].completed, seeds.size());
-  EXPECT_EQ(telemetry.backends[0].computed, stats.cache_misses);
-  EXPECT_EQ(telemetry.backends[0].cache_hits, stats.cache_hits);
-  EXPECT_EQ(telemetry.backends[0].coalesced, stats.coalesced);
-  EXPECT_EQ(telemetry.backends[0].latency_count, seeds.size());
+  ASSERT_EQ(stats.backends.size(), 1u);
+  const BackendStatsSnapshot& row = stats.backends[0];
+  EXPECT_EQ(row.backend, "tea+");
+  EXPECT_EQ(row.backend_id, StableBackendId("tea+"));
+  EXPECT_EQ(row.completed, seeds.size());
+  EXPECT_EQ(row.computed, stats.cache_misses);
+  EXPECT_EQ(row.cache_hits, stats.cache_hits);
+  EXPECT_EQ(row.coalesced, stats.coalesced);
+  EXPECT_EQ(row.latency_count, seeds.size());
 }
 
 TEST(TracedServiceTest, QueriesLandOnTheirResolvedBackendRows) {
@@ -250,37 +349,20 @@ TEST(TracedServiceTest, QueriesLandOnTheirResolvedBackendRows) {
 
   // Each backend gets its own row, counting exactly the queries that ran
   // it; with the cache off every one of them computed.
-  const TelemetrySnapshot telemetry = service.Telemetry();
-  ASSERT_EQ(telemetry.backends.size(), 2u);
-  for (const BackendStatsSnapshot& row : telemetry.backends) {
+  const ServiceStatsSnapshot stats = service.Stats();
+  ASSERT_EQ(stats.backends.size(), 2u);
+  for (const BackendStatsSnapshot& row : stats.backends) {
     EXPECT_EQ(row.backend_id, StableBackendId(row.backend));
     EXPECT_EQ(row.completed, ran[row.backend]) << row.backend;
     EXPECT_EQ(row.computed, row.completed) << row.backend;
     EXPECT_EQ(row.cache_hits + row.coalesced, 0u) << row.backend;
   }
-}
-
-TEST(TracedServiceTest, DisabledTracingKeepsServingAndFlatStats) {
-  Graph g = PowerlawCluster(200, 3, 0.3, 3);
-  ServiceOptions options;
-  options.num_workers = 2;
-  options.telemetry.enabled = false;
-  AsyncQueryService service(g, TestParams(1e-4), 11, options);
-  EXPECT_FALSE(service.tracing_enabled());
-
-  for (NodeId seed : {0u, 1u, 2u, 1u}) {
-    ASSERT_EQ(service.Submit(seed).result.get().status, QueryStatus::kOk);
-  }
-  const ServiceStatsSnapshot stats = service.Stats();
-  EXPECT_EQ(stats.completed, 4u);
-  EXPECT_EQ(stats.latency_count, 4u);  // the flat histogram still works
-  EXPECT_FALSE(stats.stage_tracing);
-  EXPECT_EQ(stats.queue_wait.count, 0u);
-  EXPECT_TRUE(service.Telemetry().backends.empty());
+  EXPECT_EQ(stats.computed, 3u);
+  EXPECT_EQ(stats.cache_misses, 0u);
 }
 
 // ---------------------------------------------------------------------------
-// Traced MultiGraphService under hot-swaps (run under TSan in CI).
+// MultiGraphService under hot-swaps (run under TSan in CI).
 
 TEST(TracedMultiGraphStressTest, HotSwapsPreserveEventsAndMonotonicity) {
   constexpr uint32_t kBaseNodes = 120;
@@ -296,6 +378,7 @@ TEST(TracedMultiGraphStressTest, HotSwapsPreserveEventsAndMonotonicity) {
       service.Publish("g", PowerlawCluster(kBaseNodes, 3, 0.3, 0));
 
   std::atomic<uint64_t> completed{0};
+  std::atomic<bool> serving{true};
   std::vector<std::thread> clients;
   for (uint32_t c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
@@ -307,33 +390,50 @@ TEST(TracedMultiGraphStressTest, HotSwapsPreserveEventsAndMonotonicity) {
       }
     });
   }
+  // A reader races the clients and the publisher: every snapshot's totals
+  // are its rows' sums, and the cumulative count never goes back, across
+  // retirements included.
+  uint64_t reads = 0;
+  std::thread reader([&] {
+    uint64_t last_completed = 0;
+    while (serving.load(std::memory_order_relaxed)) {
+      const ServiceStatsSnapshot snap = service.StatsFor("g");
+      const CompletionStats sums = RowSums(snap);
+      EXPECT_EQ(snap.completed, sums.completed);
+      EXPECT_EQ(snap.latency_count, sums.latency_count);
+      EXPECT_GE(snap.completed, last_completed);
+      last_completed = snap.completed;
+      ++reads;
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
   // Publisher races the clients: each Publish retires the live service,
-  // whose telemetry must fold into the graph's aggregate instead of
-  // vanishing.
+  // whose stats must fold into the graph's aggregate instead of vanishing.
   for (uint32_t k = 1; k <= kPublishes; ++k) {
     service.Publish("g", PowerlawCluster(kBaseNodes + k, 3, 0.3, k));
   }
   for (std::thread& t : clients) t.join();
+  serving.store(false, std::memory_order_relaxed);
+  reader.join();
+  EXPECT_GT(reads, 0u);
   ASSERT_EQ(completed.load(), kClients * kPerClient);
   ASSERT_EQ(store.Get("g").version, v_first + kPublishes);
 
   // The dimension rows aggregate across every retired generation: every
   // completed query is on the one tea+ row.
-  const TelemetrySnapshot telemetry = service.TelemetryFor("g");
-  ASSERT_EQ(telemetry.backends.size(), 1u);
-  EXPECT_EQ(telemetry.backends[0].backend, "tea+");
-  EXPECT_EQ(telemetry.backends[0].completed, completed.load());
+  const ServiceStatsSnapshot stats = service.StatsFor("g");
+  ASSERT_EQ(stats.backends.size(), 1u);
+  EXPECT_EQ(stats.backends[0].backend, "tea+");
+  EXPECT_EQ(stats.backends[0].completed, completed.load());
 
   // Aggregated per-graph stage stats survived the swaps too: one trace
   // per completed query, compute only on misses, and the stage sums
   // within the traced total.
-  const ServiceStatsSnapshot stats = service.StatsFor("g");
-  EXPECT_TRUE(stats.stage_tracing);
   EXPECT_EQ(stats.completed, completed.load());
   EXPECT_EQ(stats.queue_wait.count, completed.load());
   EXPECT_EQ(stats.cache_lookup.count, completed.load());
   EXPECT_EQ(stats.compute.count, stats.cache_misses);
-  EXPECT_EQ(telemetry.backends[0].computed, stats.cache_misses);
+  EXPECT_EQ(stats.backends[0].computed, stats.cache_misses);
   EXPECT_LE(stats.queue_wait.total_us + stats.cache_lookup.total_us +
                 stats.compute.total_us,
             stats.traced_total_us);

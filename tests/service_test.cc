@@ -1,7 +1,8 @@
 // Tests for the async serving subsystem: AsyncQueryService determinism
 // against the synchronous batch path, the result cache (hits never
 // recompute, single-flight dedup, LRU bounds, invalidation), admission
-// control, deadlines, cancellation, and the stats/latency plumbing.
+// control, deadlines and cancellation, as the service's counters see them.
+// The stats block itself is tested in service_stats_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -499,73 +500,6 @@ TEST(ResultCacheTest, CompleteAfterInvalidateStillWakesFollowers) {
   // The stale completion must not resurrect a cache entry.
   EXPECT_EQ(cache.LookupOrStartCompute(MakeKey(5)).outcome,
             ResultCache::Outcome::kMiss);
-}
-
-// ---------------------------------------------------------------------------
-// ServiceStats / latency histogram.
-
-TEST(ServiceStatsTest, HistogramPercentilesAreOrderedAndBucketed) {
-  LatencyHistogram histogram;
-  for (int i = 0; i < 99; ++i) histogram.Record(1e-3);  // 1ms
-  histogram.Record(1.0);                                // one 1s outlier
-  EXPECT_EQ(histogram.TotalCount(), 100u);
-
-  const double p50 = histogram.PercentileMs(0.50);
-  const double p99 = histogram.PercentileMs(0.99);
-  const double p100 = histogram.PercentileMs(1.0);
-  EXPECT_LE(p50, p99);
-  EXPECT_LT(p99, p100);
-  // 1ms lands in the [512us, 1024us) bucket; its upper bound is ~1.023ms.
-  EXPECT_NEAR(p50, 1.023, 0.001);
-  EXPECT_GT(p100, 500.0);  // the outlier dominates the last percentile
-}
-
-TEST(ServiceStatsTest, SummedBucketPercentilesMatchCombinedHistogram) {
-  // The aggregation contract MultiGraphService and the telemetry merge
-  // rely on: summing raw bucket counts from N independent histograms and
-  // running LatencyPercentileMs over the sums yields exactly the
-  // percentiles of one histogram that saw every sample. (Percentile
-  // *values* do not add; bucket counts do.)
-  constexpr int kServices = 3;
-  LatencyHistogram shards[kServices];
-  LatencyHistogram combined;
-  // Distinct latency mixes per shard, spanning several log2 buckets.
-  const double samples[kServices][4] = {
-      {1e-4, 2e-4, 1e-3, 5e-3},   // fast shard
-      {1e-3, 1e-3, 2e-2, 2e-2},   // medium shard
-      {5e-3, 1e-1, 1e-1, 1.0},    // slow shard with an outlier
-  };
-  for (int s = 0; s < kServices; ++s) {
-    for (double v : samples[s]) {
-      shards[s].Record(v);
-      combined.Record(v);
-    }
-  }
-
-  std::array<uint64_t, LatencyHistogram::kBuckets> summed{};
-  for (int s = 0; s < kServices; ++s) {
-    const auto counts = shards[s].BucketCounts();
-    for (size_t b = 0; b < counts.size(); ++b) summed[b] += counts[b];
-  }
-
-  for (double q : {0.5, 0.95, 0.99, 1.0}) {
-    EXPECT_DOUBLE_EQ(LatencyPercentileMs(summed, q), combined.PercentileMs(q))
-        << "q=" << q;
-  }
-}
-
-TEST(ServiceStatsTest, SnapshotFoldsCounters) {
-  ServiceStats stats;
-  stats.RecordSubmitted();
-  stats.RecordSubmitted();
-  stats.RecordCacheHit();
-  stats.RecordCompleted(2e-3);
-  const ServiceStatsSnapshot snap = stats.TakeSnapshot();
-  EXPECT_EQ(snap.submitted, 2u);
-  EXPECT_EQ(snap.cache_hits, 1u);
-  EXPECT_EQ(snap.completed, 1u);
-  EXPECT_EQ(snap.latency_count, 1u);
-  EXPECT_GT(snap.latency_p50_ms, 0.0);
 }
 
 }  // namespace
