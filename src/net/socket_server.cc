@@ -23,6 +23,22 @@ bool SetNonBlocking(int fd) {
   return flags >= 0 && fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
+/// Sends `buf` to the non-blocking socket `fd` until it is empty or the
+/// kernel refuses more, erasing what was sent. Returns false when the peer
+/// is gone. MSG_NOSIGNAL: a write to a peer that has closed must fail with
+/// EPIPE, not raise SIGPIPE, whose default action ends the process.
+bool SendBuffered(int fd, std::string& buf) {
+  while (!buf.empty()) {
+    const ssize_t n = send(fd, buf.data(), buf.size(), MSG_NOSIGNAL);
+    if (n > 0) {
+      buf.erase(0, static_cast<size_t>(n));
+      continue;
+    }
+    return n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+  }
+  return true;
+}
+
 }  // namespace
 
 SocketServer::SocketServer(CommandProcessor& processor,
@@ -139,7 +155,8 @@ void SocketServer::IoLoop() {
   constexpr int kMaxEvents = 64;
   epoll_event events[kMaxEvents];
   while (running_.load()) {
-    const int n = epoll_wait(epoll_fd_, events, kMaxEvents, 200);
+    // No timeout: Stop() writes the eventfd, so an idle server sleeps.
+    const int n = epoll_wait(epoll_fd_, events, kMaxEvents, -1);
     if (!running_.load()) break;
     for (int i = 0; i < n; ++i) {
       const int fd = events[i].data.fd;
@@ -302,17 +319,28 @@ void SocketServer::ExecutorLoop() {
     // executor touches conn->session while `executing` is set.
     while (true) {
       std::string line;
+      bool drained = false;
+      bool close_due = false;
       {
         std::lock_guard<std::mutex> lock(conn->mu);
         if (conn->closed || conn->pending.empty()) {
           conn->executing = false;
-          break;
+          drained = true;
+          // The IO thread defers an EOF close while an executor runs; the
+          // close is due now, and closing is the IO thread's job.
+          close_due = conn->want_close && !conn->closed;
+        } else {
+          line = std::move(conn->pending.front());
+          conn->pending.pop_front();
         }
-        line = std::move(conn->pending.front());
-        conn->pending.pop_front();
+      }
+      if (drained) {
+        if (close_due) RequestFlush(conn);
+        break;
       }
       const CommandResult result = processor_.Execute(conn->session, line);
-      bool quit = result.quit;
+      const bool quit = result.quit;
+      bool hand_off = false;
       {
         std::lock_guard<std::mutex> lock(conn->mu);
         conn->write_buf += result.output;
@@ -321,8 +349,9 @@ void SocketServer::ExecutorLoop() {
           conn->pending.clear();
           conn->executing = false;
         }
+        hand_off = !WriteReplyLocked(*conn);
       }
-      RequestFlush(conn);
+      if (hand_off) RequestFlush(conn);
       if (quit) break;
       if (!running_.load()) {
         std::lock_guard<std::mutex> lock(conn->mu);
@@ -333,23 +362,21 @@ void SocketServer::ExecutorLoop() {
   }
 }
 
+bool SocketServer::WriteReplyLocked(Connection& conn) {
+  if (conn.closed) return true;  // the IO thread closed it; nothing to do
+  if (conn.want_close || conn.read_paused || conn.epollout_armed) {
+    return false;
+  }
+  return SendBuffered(conn.fd, conn.write_buf) && conn.write_buf.empty();
+}
+
 void SocketServer::FlushWrites(const std::shared_ptr<Connection>& conn) {
   bool should_close = false;
   {
     std::lock_guard<std::mutex> lock(conn->mu);
     if (conn->closed) return;
-    while (!conn->write_buf.empty()) {
-      const ssize_t n =
-          write(conn->fd, conn->write_buf.data(), conn->write_buf.size());
-      if (n > 0) {
-        conn->write_buf.erase(0, static_cast<size_t>(n));
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      // Peer went away mid-write.
-      should_close = true;
-      break;
-    }
+    // A send failure means the peer went away mid-write.
+    should_close = !SendBuffered(conn->fd, conn->write_buf);
     if (!should_close) {
       if (conn->write_buf.size() > options_.max_write_buffer_bytes) {
         // The client is not draining; cut it loose rather than buffer

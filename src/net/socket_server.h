@@ -7,19 +7,29 @@
 // byte-identical responses over a socket and over stdin.
 //
 // Threading model:
-//  - One IO thread runs the epoll loop (level-triggered): it accepts,
-//    reads into per-connection buffers, splits complete lines, and owns
-//    every socket write. Reads are non-blocking; a partial line simply
-//    stays buffered until more bytes arrive.
+//  - One IO thread runs the epoll loop (level-triggered, no timeout): it
+//    accepts, reads into per-connection buffers, splits complete lines,
+//    and owns every epoll_ctl call and every close. Reads are
+//    non-blocking; a partial line simply stays buffered until more bytes
+//    arrive.
 //  - A small executor pool runs CommandProcessor::Execute(), which blocks
 //    on query completion — blocking there must never stall the IO loop.
 //    Each connection is worked by at most one executor at a time
 //    (`executing` flag), so pipelined commands on one connection execute
 //    and respond strictly in order while distinct connections proceed in
 //    parallel.
-//  - Executors hand finished output back to the IO thread through a flush
-//    queue + eventfd wakeup; the IO thread writes it out and arms
-//    EPOLLOUT for whatever the kernel buffer refuses.
+//  - An executor writes its own reply to the socket, under the
+//    connection's lock, when the IO thread has nothing to change: the
+//    connection is open and not closing, its reads are not paused, and no
+//    EPOLLOUT is armed. Otherwise, or when the kernel refuses some of the
+//    bytes or the peer is gone, it hands the connection to the IO thread
+//    through a flush queue + eventfd wakeup; the IO thread writes what is
+//    left, arms EPOLLOUT, pauses reads or closes. Keeping epoll changes
+//    and closes on one thread means no event can name a closed fd number
+//    that was since reused.
+//  - Every socket write is send(..., MSG_NOSIGNAL): a client that closes
+//    mid-reply makes the write fail with EPIPE instead of raising SIGPIPE,
+//    which would end the process.
 //
 // Backpressure: when a connection's pending write buffer passes
 // `read_pause_bytes` the server stops reading from it (a pipelining
@@ -120,8 +130,15 @@ class SocketServer {
   /// IO-thread-only: writes write_buf to the socket, manages EPOLLOUT and
   /// read-pause state, closes drained want_close connections.
   void FlushWrites(const std::shared_ptr<Connection>& conn);
+  /// Executor-side write of fresh output, with conn.mu held: sends
+  /// write_buf when the IO thread has no state to change (not closing,
+  /// reads not paused, no EPOLLOUT armed). Returns false when the IO
+  /// thread must take over: nothing was sent, the kernel refused some
+  /// bytes, or the peer is gone. A closed connection needs nothing.
+  static bool WriteReplyLocked(Connection& conn);
   void CloseConnection(const std::shared_ptr<Connection>& conn);
-  /// Executor -> IO thread: "this connection has new output to flush".
+  /// Executor -> IO thread: "this connection needs a write, an epoll
+  /// change or a close".
   void RequestFlush(const std::shared_ptr<Connection>& conn);
   void ScheduleLocked(const std::shared_ptr<Connection>& conn);
   void UpdateEpoll(Connection& conn, bool want_in, bool want_out);

@@ -152,8 +152,10 @@ void AsyncQueryService::Shutdown() {
       // Lock/unlock fence: any submitter that passed its in-lock stopping
       // check on this shard has already pushed (a worker will drain it);
       // any submitter arriving later observes stopping_ under the lock and
-      // rejects inline. Notify under no lock is safe — workers recheck
-      // their predicate under the shard lock, and the park has a timeout.
+      // rejects inline. Notify under no lock is safe: a parked worker
+      // re-evaluates its predicate, which reads stopping_, under the shard
+      // lock, so it either saw stopping_ before the fence or is already
+      // waiting when this notify arrives.
       { std::lock_guard<std::mutex> lock(shard->mu); }
       shard->cv.notify_all();
     }
@@ -250,8 +252,32 @@ std::optional<QueryHandle> AsyncQueryService::Enqueue(
   request.query_index = next_query_index_.fetch_add(1);
   request.promise = std::move(promise);
 
-  Shard& shard = *shards_[next_shard_.fetch_add(1, std::memory_order_relaxed) %
-                          shards_.size()];
+  // A completed entry is answered here, on the submitting thread: no shard
+  // hand-off and no worker wakeup. The admission and query-index claims
+  // above are already made, so rejections and every later miss's RNG
+  // index are the same as on the worker path. The waiting slot is
+  // released only after the answer is recorded: workers exit on
+  // pending_ == 0, so Shutdown() still returns only after every admitted
+  // request is in the stats. Misses and in-flight keys go to a worker,
+  // whose LookupOrStartCompute() keeps single-flight.
+  if (cache_ != nullptr) {
+    const Clock::time_point lookup_begin = Clock::now();
+    if (CachedEstimate hit = cache_->FindCompleted(request.key)) {
+      request.trace.dequeue = lookup_begin;
+      request.trace.cache_done = Clock::now();
+      if (!ExpireIfLate(request)) {
+        request.cache_outcome = CacheOutcome::kHit;
+        Fulfill(request, std::move(hit));
+      }
+      pending_.fetch_sub(1);
+      return handle;
+    }
+  }
+
+  const size_t shard_index =
+      next_shard_.fetch_add(1, std::memory_order_relaxed) % shards_.size();
+  Shard& shard = *shards_[shard_index];
+  bool owner_idle = false;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     if (stopping_.load()) {
@@ -265,9 +291,32 @@ std::optional<QueryHandle> AsyncQueryService::Enqueue(
       return handle;
     }
     shard.queue.push_back(std::move(request));
+    owner_idle = shard.idle;
   }
-  shard.cv.notify_one();
+  if (owner_idle) {
+    // The owner's wait predicate reads its queue under the lock just held.
+    shard.cv.notify_one();
+  } else if (idle_workers_.load() > 0) {
+    // The owner is busy and may stay busy for a whole query: hand the
+    // request to an idle worker's steal instead of letting it wait.
+    HintIdleWorker(shard_index);
+  }
   return handle;
+}
+
+void AsyncQueryService::HintIdleWorker(size_t busy_shard) {
+  const size_t num_shards = shards_.size();
+  for (size_t hop = 1; hop < num_shards; ++hop) {
+    Shard& shard = *shards_[(busy_shard + hop) % num_shards];
+    {
+      std::lock_guard<std::mutex> lock(shard.mu);
+      // A worker whose hint is already set will rescan anyway.
+      if (!shard.idle || shard.steal_hint) continue;
+      shard.steal_hint = true;
+    }
+    shard.cv.notify_one();
+    return;
+  }
 }
 
 QueryHandle AsyncQueryService::Submit(NodeId seed,
@@ -320,6 +369,10 @@ void AsyncQueryService::WorkerLoop(uint32_t worker_id) {
   std::vector<Request> batch;
   std::vector<Deferred> deferred;
   batch.reserve(max_batch);
+  // Set when this worker cleared a steal hint and no scan since has found
+  // every other shard empty. A worker that takes other work first passes
+  // the hint on, so the request behind the hint does not wait for it.
+  bool owes_scan = false;
   for (;;) {
     batch.clear();
     deferred.clear();
@@ -335,24 +388,42 @@ void AsyncQueryService::WorkerLoop(uint32_t worker_id) {
         home.queue.pop_front();
       }
     }
-    if (batch.empty() && shards_.size() > 1) {
-      const size_t stolen = StealInto(worker_id, batch, max_batch);
-      if (stolen > 0) stats_.RecordStolen(stolen);
-    }
     if (batch.empty()) {
       // stopping_ is set before the shutdown drain, and pending_ counts
       // every admitted-but-unprocessed request (including ones a raced
       // submitter has claimed but not yet pushed — those resolve under the
       // shard lock), so this exit condition cannot strand a future.
       if (stopping_.load() && pending_.load() == 0) return;
-      std::unique_lock<std::mutex> lock(home.mu);
-      // The timeout doubles as the steal-poll period: a worker whose own
-      // shard stays empty re-scans the victims' shards even though only
-      // its own cv is notified on their submissions.
-      home.cv.wait_for(lock, std::chrono::milliseconds(1), [&] {
-        return stopping_.load() || !home.queue.empty();
-      });
-      continue;
+      // Park. The worker marks itself idle *before* its last scan of the
+      // other shards: a push that the scan misses then sees an idle
+      // worker and hints it (Enqueue), so no wakeup is lost and no timer
+      // is needed for stealing.
+      {
+        std::lock_guard<std::mutex> lock(home.mu);
+        home.idle = true;
+      }
+      idle_workers_.fetch_add(1);
+      const size_t stolen =
+          shards_.size() > 1 ? StealInto(worker_id, batch, max_batch) : 0;
+      if (stolen == 0) owes_scan = false;  // every other shard was empty
+      {
+        std::unique_lock<std::mutex> lock(home.mu);
+        if (stolen == 0) {
+          home.cv.wait(lock, [&] {
+            return stopping_.load() || !home.queue.empty() || home.steal_hint;
+          });
+        }
+        owes_scan = owes_scan || home.steal_hint;
+        home.idle = false;
+        home.steal_hint = false;
+      }
+      idle_workers_.fetch_sub(1);
+      if (stolen == 0) continue;
+      stats_.RecordStolen(stolen);
+    }
+    if (owes_scan) {
+      owes_scan = false;
+      if (idle_workers_.load() > 0) HintIdleWorker(worker_id);
     }
     pending_.fetch_sub(batch.size());
     for (Request& request : batch) Process(executor, request, deferred);
@@ -377,6 +448,18 @@ SparseVector AsyncQueryService::Compute(QueryExecutor& executor,
   return executor.Answer(request.seed, request.query_index, request.plan);
 }
 
+bool AsyncQueryService::ExpireIfLate(Request& request) {
+  if (request.deadline == Clock::time_point::max() ||
+      Clock::now() < request.deadline) {
+    return false;
+  }
+  QueryResult result;
+  result.status = QueryStatus::kExpired;
+  stats_.RecordExpired();
+  request.promise.set_value(std::move(result));
+  return true;
+}
+
 void AsyncQueryService::Process(QueryExecutor& executor, Request& request,
                                 std::vector<Deferred>& deferred) {
   request.trace.dequeue = Clock::now();
@@ -387,14 +470,7 @@ void AsyncQueryService::Process(QueryExecutor& executor, Request& request,
     request.promise.set_value(std::move(result));
     return;
   }
-  if (request.deadline != Clock::time_point::max() &&
-      Clock::now() >= request.deadline) {
-    QueryResult result;
-    result.status = QueryStatus::kExpired;
-    stats_.RecordExpired();
-    request.promise.set_value(std::move(result));
-    return;
-  }
+  if (ExpireIfLate(request)) return;
 
   CachedEstimate estimate;
   if (cache_) {

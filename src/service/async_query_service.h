@@ -18,12 +18,20 @@
 // `max_batch` requests per wakeup (so a loaded service amortizes wakeups
 // the same way the static-shard batch path amortizes dispatch); a worker
 // whose shard is empty *steals* the oldest waiting half of a loaded
-// victim's shard before parking, so one slow query (or an unlucky
-// round-robin burst) cannot strand requests behind a busy worker while
-// others idle. Admission control stays exact and global: one atomic
-// counter of waiting requests backs both `max_queue_depth` and the
-// queue-depth gauge, and the `stolen` counter in ServiceStats makes the
-// rebalancing observable.
+// victim's shard, so one slow query (or an unlucky round-robin burst)
+// cannot strand requests behind a busy worker while others idle.
+//
+// Idle workers park on their shard's condition variable with no timeout,
+// so an idle service makes no wakeups. A worker marks itself idle before
+// its last scan of the other shards; a submission that lands on a busy
+// worker's shard while some worker is idle sets that idle worker's steal
+// hint and wakes it. Because the mark comes before the scan, a push the
+// scan missed always finds the worker idle; a hinted worker that takes
+// other work first passes the hint to another idle worker. So no request
+// waits behind a busy worker while another sleeps. Admission control
+// stays exact and global: one atomic counter of waiting requests backs
+// both `max_queue_depth` and the queue-depth gauge, and the `stolen`
+// counter in ServiceStats makes the rebalancing observable.
 //
 // Every request is resolved into a per-query QueryPlan (hkpr/router.h) at
 // submission time: the service's default backend + params, composed with
@@ -38,7 +46,9 @@
 // In front of the workers sits a sharded single-flight ResultCache: repeat
 // queries for a hot (seed, plan) pair are served from the cache without
 // recomputing, and concurrent requests for the same cold key wait on one
-// in-flight computation. Cache keys embed the *full resolved plan*
+// in-flight computation. A key whose entry is already complete is answered
+// on the submitting thread, before any shard hand-off; misses and
+// in-flight keys go to a worker. Cache keys embed the *full resolved plan*
 // (backend id + every parameter), so two distinct plans can never serve
 // each other's entries — and the same resolved plan reached via routing,
 // an explicit override, or the default shares one entry, which is exactly
@@ -123,7 +133,8 @@ enum class QueryStatus : uint8_t {
   kOk = 0,
   kRejected,   ///< refused at admission (queue full or service stopping)
   kCancelled,  ///< QueryHandle::Cancel() won the race with the worker
-  kExpired,    ///< the deadline passed before a worker picked it up
+  kExpired,    ///< the deadline passed before a worker picked it up, or
+               ///< before a cache hit was answered at submission
   kUnknownGraph,  ///< the named graph is not in the GraphStore
                   ///< (MultiGraphService sharding; never set by a
                   ///< single-graph AsyncQueryService)
@@ -181,8 +192,9 @@ class QueryHandle {
 /// Per-request submission options.
 struct SubmitOptions {
   /// Relative deadline; the zero duration (default) means none. A request
-  /// whose deadline has passed when a worker dequeues it completes with
-  /// kExpired without being computed.
+  /// whose deadline has passed when a worker dequeues it, or when its
+  /// completed cache entry is found at submission, completes with kExpired
+  /// without being computed or served.
   std::chrono::steady_clock::duration timeout{};
   /// Per-request plan overrides: an explicit backend ("auto" to route
   /// adaptively) and/or t / eps_r / delta overrides composed onto the
@@ -336,6 +348,10 @@ class AsyncQueryService {
     std::mutex mu;
     std::condition_variable cv;
     std::deque<Request> queue;
+    /// The owner has found its queue empty and is scanning or parked.
+    bool idle = false;
+    /// A submitter asked the parked owner to rescan the other shards.
+    bool steal_hint = false;
   };
 
   /// Shared enqueue; `stale_if_stopping` selects the TrySubmit contract
@@ -344,6 +360,9 @@ class AsyncQueryService {
                                      const SubmitOptions& submit,
                                      bool stale_if_stopping);
   void WorkerLoop(uint32_t worker_id);
+  /// Sets the steal hint of one idle worker other than `busy_shard`'s
+  /// owner whose hint is clear, and wakes it.
+  void HintIdleWorker(size_t busy_shard);
   /// Moves up to min(max_batch, half) waiting requests from the *front* of
   /// the first non-empty victim shard into `batch` (oldest first, so
   /// stealing preserves rough service order and leaves the victim the
@@ -353,6 +372,9 @@ class AsyncQueryService {
                    uint32_t max_batch);
   void Process(QueryExecutor& executor, Request& request,
                std::vector<Deferred>& deferred);
+  /// Resolves `request` kExpired and returns true when its deadline has
+  /// passed.
+  bool ExpireIfLate(Request& request);
   void Fulfill(Request& request, CachedEstimate estimate);
   SparseVector Compute(QueryExecutor& executor, const Request& request);
   ResultCacheKey MakeKey(const QueryPlan& plan, NodeId seed) const;
@@ -390,6 +412,9 @@ class AsyncQueryService {
   std::atomic<size_t> pending_{0};
   /// Round-robin shard cursor for submissions.
   std::atomic<uint64_t> next_shard_{0};
+  /// Workers whose Shard::idle is set; lets a submission skip the hint
+  /// scan when every worker is busy.
+  std::atomic<uint32_t> idle_workers_{0};
   /// The next accepted query's deterministic RNG index, claimed in
   /// admission order.
   std::atomic<uint64_t> next_query_index_{0};

@@ -107,6 +107,16 @@ ResultCache::Lookup ResultCache::LookupOrStartCompute(
   return result;
 }
 
+CachedEstimate ResultCache::FindCompleted(const ResultCacheKey& key) {
+  Shard& shard = ShardFor(key);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  auto it = shard.map.find(key);
+  if (it == shard.map.end() || !it->second.ready) return nullptr;
+  Entry& entry = it->second;
+  shard.lru.splice(shard.lru.begin(), shard.lru, entry.lru_it);
+  return entry.value;
+}
+
 void ResultCache::Complete(
     const ResultCacheKey& key,
     const std::shared_ptr<std::promise<CachedEstimate>>& leader,

@@ -17,6 +17,10 @@
 // never recomputes, and N simultaneous requests for one cold key cost
 // exactly one computation.
 //
+// FindCompleted() is the read-only half of the lookup: it returns a ready
+// value and registers nothing, so a serving layer can answer hits before
+// queueing and leave misses and in-flight keys to LookupOrStartCompute().
+//
 // Invalidate() bumps the cache's version and drops every entry; serving
 // layers fold the version into the keys they build, so entries created
 // before a graph swap can never satisfy lookups issued after it.
@@ -105,6 +109,13 @@ class ResultCache {
   /// leader and MUST eventually call Complete() with the returned `leader`
   /// promise — followers block on it.
   Lookup LookupOrStartCompute(const ResultCacheKey& key);
+
+  /// The completed value for `key`, moved to the front of the LRU order;
+  /// null on a miss or while the key is in flight, in which case nothing
+  /// is registered (no leader, no follower). This lets a submitter answer
+  /// a hit on its own thread and hand everything else to
+  /// LookupOrStartCompute(), which keeps the single-flight contract.
+  CachedEstimate FindCompleted(const ResultCacheKey& key);
 
   /// Publishes the leader's computed value: fulfills the promise (waking
   /// any coalesced followers) and marks the entry completed in LRU order.

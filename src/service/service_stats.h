@@ -78,7 +78,9 @@ struct QueryTrace {
   using Clock = std::chrono::steady_clock;
   Clock::time_point submit{};         ///< Enqueue() entry
   Clock::time_point plan_resolved{};  ///< plan fixed (router/registry done)
-  Clock::time_point dequeue{};        ///< a worker picked the request up
+  Clock::time_point dequeue{};        ///< a worker picked the request up,
+                                      ///< or a submitter began the lookup
+                                      ///< that answered a cache hit
   Clock::time_point cache_done{};     ///< cache lookup settled (== dequeue
                                       ///< when the cache is disabled)
   Clock::time_point compute_begin{};  ///< estimator invocation start

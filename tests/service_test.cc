@@ -1,13 +1,17 @@
 // Tests for the async serving subsystem: AsyncQueryService determinism
 // against the synchronous batch path, the result cache (hits never
-// recompute, single-flight dedup, LRU bounds, invalidation), admission
+// recompute, hits answered at submission keep the query indices,
+// single-flight dedup, LRU bounds, invalidation), work stealing, admission
 // control, deadlines and cancellation, as the service's counters see them.
 // The stats block itself is tested in service_stats_test.cc.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <future>
+#include <map>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -145,6 +149,171 @@ TEST(AsyncQueryServiceTest, CacheHitsNeverRecompute) {
   EXPECT_EQ(stats.cache_hits + stats.coalesced, 9u);
   EXPECT_EQ(stats.completed, 10u);
   EXPECT_EQ(stats.latency_count, 10u);
+}
+
+TEST(AsyncQueryServiceTest, CachedHitsKeepQueryIndices) {
+  // A completed key is answered on the submitting thread, but it still
+  // claims its query index at admission: every miss after it draws the
+  // randomness of its own stream index, bit-identical to the batch path.
+  // Monte-Carlo is randomized, so a shifted index would change its bits.
+  Graph g = PowerlawCluster(400, 3, 0.3, 7);
+  const ApproxParams params = TestParams(1e-3);
+  const std::vector<NodeId> stream = {1, 5, 1, 9, 5, 22, 1, 60, 9, 120};
+  constexpr size_t kExpiredAt = 6;  // a repeat of seed 1, with a 1 ns timeout
+  BackendSpec spec;
+  spec.name = "monte-carlo";
+  BatchQueryEngine engine(g, params, 77, 2, spec);
+  const auto expected = engine.EstimateBatch(stream);
+
+  ServiceOptions options;
+  options.num_workers = 2;
+  options.backend = spec;
+  AsyncQueryService service(g, params, 77, options);
+  std::map<NodeId, CachedEstimate> first;
+  uint64_t hits = 0;
+  for (size_t i = 0; i < stream.size(); ++i) {
+    SCOPED_TRACE("stream index " + std::to_string(i));
+    SubmitOptions submit;
+    if (i == kExpiredAt) submit.timeout = std::chrono::nanoseconds(1);
+    const QueryResult result = service.Submit(stream[i], submit).result.get();
+    if (i == kExpiredAt) {
+      EXPECT_EQ(result.status, QueryStatus::kExpired);
+      continue;
+    }
+    ASSERT_EQ(result.status, QueryStatus::kOk);
+    const auto it = first.find(stream[i]);
+    if (it == first.end()) {
+      EXPECT_FALSE(result.from_cache);
+      ExpectSameVector(*result.estimate, expected[i]);
+      first.emplace(stream[i], result.estimate);
+    } else {
+      // The first computation's object, not a recomputation.
+      EXPECT_TRUE(result.from_cache);
+      EXPECT_EQ(result.estimate.get(), it->second.get());
+      ++hits;
+    }
+  }
+  ASSERT_EQ(first.size(), 6u);
+  ASSERT_EQ(hits, 3u);
+  EXPECT_EQ(service.queries_accepted(), stream.size());
+  const ServiceStatsSnapshot stats = service.Stats();
+  EXPECT_EQ(stats.submitted, stream.size());
+  EXPECT_EQ(stats.cache_hits, hits);
+  EXPECT_EQ(stats.cache_misses, first.size());
+  EXPECT_EQ(stats.coalesced, 0u);
+  EXPECT_EQ(stats.computed, first.size());
+  EXPECT_EQ(stats.completed, hits + first.size());
+  EXPECT_EQ(stats.latency_count, hits + first.size());
+  EXPECT_EQ(stats.expired, 1u);
+  EXPECT_EQ(stats.queue_depth, 0u);
+}
+
+/// A test backend that answers the seed's indicator vector; while the latch
+/// is held, its answer for kLatchedSeed waits until the test releases it.
+/// The latch is process-wide because registered backends are.
+constexpr NodeId kLatchedSeed = 0;
+
+struct SeedLatch {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool held = false;
+  bool entered = false;  // a worker is waiting inside EstimateInto
+};
+
+SeedLatch& TheSeedLatch() {
+  static SeedLatch latch;
+  return latch;
+}
+
+class LatchedEstimator : public WorkspaceEstimator {
+ public:
+  const SparseVector& EstimateInto(NodeId seed, QueryWorkspace& ws,
+                                   EstimatorStats* stats) override {
+    if (stats != nullptr) stats->Reset();
+    if (seed == kLatchedSeed) {
+      SeedLatch& latch = TheSeedLatch();
+      std::unique_lock<std::mutex> lock(latch.mu);
+      if (latch.held) {
+        latch.entered = true;
+        latch.cv.notify_all();
+        latch.cv.wait(lock, [&] { return !latch.held; });
+      }
+    }
+    ws.result.Clear();
+    ws.result.Add(seed, 1.0);
+    return ws.result;
+  }
+  void Reseed(uint64_t /*seed*/) override {}
+  std::string_view name() const override { return "seed-latch"; }
+};
+
+void RegisterLatchedBackend() {
+  EstimatorRegistry& registry = EstimatorRegistry::Global();
+  if (registry.Contains("seed-latch")) return;
+  BackendInfo info;
+  info.name = "seed-latch";
+  info.algorithm = "indicator vector, held on a latch (test backend)";
+  info.factory = [](const Graph&, const ApproxParams&, uint64_t,
+                    const BackendContext&) {
+    return std::unique_ptr<WorkspaceEstimator>(new LatchedEstimator());
+  };
+  registry.Register(std::move(info));
+}
+
+TEST(AsyncQueryServiceTest, QueuedBehindBusyWorkerIsStolen) {
+  // One worker blocks inside a query; requests that land on its shard can
+  // only be answered by the other worker stealing them. Idle workers park
+  // without a timeout, so a lost wakeup shows here as a request that never
+  // completes.
+  RegisterLatchedBackend();
+  SeedLatch& latch = TheSeedLatch();
+  {
+    std::lock_guard<std::mutex> lock(latch.mu);
+    latch.held = true;
+    latch.entered = false;
+  }
+  const auto release = [&] {
+    {
+      std::lock_guard<std::mutex> lock(latch.mu);
+      latch.held = false;
+    }
+    latch.cv.notify_all();
+  };
+
+  Graph g = testing::MakeComplete(16);
+  ServiceOptions options;
+  options.num_workers = 2;
+  options.backend.name = "seed-latch";
+  AsyncQueryService service(g, TestParams(1e-2), 3, options);
+  QueryHandle blocker = service.Submit(kLatchedSeed);
+  bool entered = false;
+  {
+    std::unique_lock<std::mutex> lock(latch.mu);
+    entered = latch.cv.wait_for(lock, std::chrono::seconds(30),
+                                [&] { return latch.entered; });
+  }
+  if (!entered) release();
+  ASSERT_TRUE(entered) << "no worker picked up the latched query";
+
+  // Submissions alternate between the two shards, so of any two in a row
+  // one lands behind the blocked worker.
+  bool all_answered = true;
+  for (NodeId seed = 1; seed <= 4; ++seed) {
+    QueryHandle handle = service.Submit(seed);
+    if (handle.result.wait_for(std::chrono::seconds(30)) !=
+        std::future_status::ready) {
+      all_answered = false;
+      break;
+    }
+    const QueryResult result = handle.result.get();
+    EXPECT_EQ(result.status, QueryStatus::kOk);
+    EXPECT_DOUBLE_EQ(result.estimate->Get(seed), 1.0);
+  }
+  release();
+  EXPECT_TRUE(all_answered)
+      << "a request queued behind the busy worker was never stolen";
+  EXPECT_EQ(blocker.result.get().status, QueryStatus::kOk);
+  EXPECT_GE(service.Stats().stolen, 1u);
 }
 
 TEST(AsyncQueryServiceTest, SingleFlightCoalescesConcurrentDuplicates) {

@@ -1,19 +1,24 @@
 // Tests for the epoll socket frontend (net/socket_server.h): partial-line
 // reassembly, strict in-order pipelining, concurrent connections, the
-// oversized-line guard, tenant QoS isolation under concurrent load, and
+// oversized-line guard, tenant QoS isolation under concurrent load,
 // byte-for-byte parity between the socket path and direct
-// CommandProcessor execution (the stdin path).
+// CommandProcessor execution (the stdin path), and the faults a client
+// can inject: closing mid-pipeline, half-closing, and never reading. An
+// idle server must make no wakeups.
 
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -35,10 +40,15 @@ bool StartsWith(const std::string& s, const std::string& prefix) {
 /// Blocking loopback client speaking the line protocol.
 class Client {
  public:
-  explicit Client(uint16_t port) {
+  /// `rcvbuf` > 0 shrinks the receive buffer before connecting, so a
+  /// client that never reads stalls the server's writes early.
+  explicit Client(uint16_t port, int rcvbuf = 0) {
     fd_ = socket(AF_INET, SOCK_STREAM, 0);
     const int one = 1;
     setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    if (rcvbuf > 0) {
+      setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+    }
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(port);
@@ -53,9 +63,31 @@ class Client {
 
   bool connected() const { return connected_; }
 
-  void Send(const std::string& bytes) {
-    ASSERT_EQ(write(fd_, bytes.data(), bytes.size()),
-              static_cast<ssize_t>(bytes.size()));
+  void Send(const std::string& bytes) { ASSERT_TRUE(TrySend(bytes)); }
+
+  /// Sends every byte; false once the server has dropped the connection.
+  /// MSG_NOSIGNAL keeps that from raising SIGPIPE in the test process.
+  bool TrySend(const std::string& bytes) {
+    size_t sent = 0;
+    while (sent < bytes.size()) {
+      const ssize_t n = send(fd_, bytes.data() + sent, bytes.size() - sent,
+                             MSG_NOSIGNAL);
+      if (n <= 0) return false;
+      sent += static_cast<size_t>(n);
+    }
+    return true;
+  }
+
+  /// Ends the sending direction; the server sees EOF after the bytes sent.
+  void ShutdownWrite() { shutdown(fd_, SHUT_WR); }
+
+  /// Bounds every later blocking read, so a connection the server never
+  /// closes fails a test instead of hanging it.
+  void SetReadTimeout(std::chrono::milliseconds timeout) {
+    timeval tv{};
+    tv.tv_sec = static_cast<time_t>(timeout.count() / 1000);
+    tv.tv_usec = static_cast<suseconds_t>((timeout.count() % 1000) * 1000);
+    setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
   }
 
   /// Reads one '\n'-terminated line; "" on EOF.
@@ -79,7 +111,7 @@ class Client {
     return ReadLine();
   }
 
-  /// Reads until EOF, returning everything.
+  /// Reads until EOF (or an error or read timeout), returning everything.
   std::string ReadAll() {
     std::string out = buf_;
     buf_.clear();
@@ -88,12 +120,17 @@ class Client {
     while ((n = read(fd_, chunk, sizeof(chunk))) > 0) {
       out.append(chunk, static_cast<size_t>(n));
     }
+    saw_eof_ = n == 0;
     return out;
   }
+
+  /// Whether the last ReadAll() ended at EOF: the server closed.
+  bool saw_eof() const { return saw_eof_; }
 
  private:
   int fd_ = -1;
   bool connected_ = false;
+  bool saw_eof_ = false;
   std::string buf_;
 };
 
@@ -337,6 +374,152 @@ TEST_F(SocketServerTest, SocketMatchesDirectExecutionByteForByte) {
     }
   }
   EXPECT_EQ(socket_bytes, direct_bytes);
+}
+
+std::string Repeated(const std::string& line, int times) {
+  std::string out;
+  for (int i = 0; i < times; ++i) out += line + "\n";
+  return out;
+}
+
+TEST_F(SocketServerTest, ClientClosingMidPipelineLeavesServerUp) {
+  // A client that pipelines many commands and closes without reading makes
+  // the server write replies to a closed peer. That write must fail with
+  // EPIPE, not raise SIGPIPE: its default action would end this process.
+  StartServer();
+  std::string want;
+  {
+    Client probe(server_->port());
+    ASSERT_TRUE(probe.connected());
+    ASSERT_TRUE(StartsWith(probe.Command("topk 7 10"), "ok "));
+    want = probe.Command("topk 7 10");  // a hit: byte-for-byte stable
+    ASSERT_NE(want.find(" cache=hit"), std::string::npos) << want;
+  }
+  constexpr int kBusyClients = 3;
+  constexpr int kBurst = 50;
+  std::atomic<bool> done{false};
+  std::atomic<int> answered{0}, wrong{0};
+  std::vector<std::thread> busy;
+  for (int c = 0; c < kBusyClients; ++c) {
+    busy.emplace_back([&] {
+      Client client(server_->port());
+      client.SetReadTimeout(std::chrono::seconds(30));
+      const std::string burst = Repeated("topk 7 10", kBurst);
+      while (!done.load()) {
+        if (!client.connected() || !client.TrySend(burst)) {
+          wrong.fetch_add(1);
+          return;
+        }
+        for (int i = 0; i < kBurst; ++i) {
+          if (client.ReadLine() == want) {
+            answered.fetch_add(1);
+          } else {
+            wrong.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  // Start closing once every busy client has had a burst answered.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (answered.load() < kBusyClients * kBurst && wrong.load() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const int answered_before = answered.load();
+  const std::string flood = Repeated("topk 5 10", 3000);
+  int closes = 0;
+  for (; closes < 40; ++closes) {
+    Client closer(server_->port());
+    if (!closer.connected()) break;
+    closer.TrySend(flood);  // the server may drop it part-way
+  }  // each closer closes here, its replies unread
+  // The busy clients keep going past the last close.
+  while (answered.load() < answered_before + kBusyClients * kBurst &&
+         wrong.load() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  done.store(true);
+  for (std::thread& t : busy) t.join();
+  EXPECT_EQ(closes, 40);
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_GE(answered.load(), answered_before + kBusyClients * kBurst);
+  Client after(server_->port());
+  ASSERT_TRUE(after.connected());
+  EXPECT_EQ(after.Command("topk 7 10"), want);
+}
+
+TEST_F(SocketServerTest, HalfClosedClientGetsEveryReplyThenEof) {
+  // EOF with commands still queued: the server answers them all, then
+  // closes. The close is due when the executor drains the pipeline.
+  StartServer();
+  for (int round = 0; round < 20; ++round) {
+    Client client(server_->port());
+    ASSERT_TRUE(client.connected());
+    client.SetReadTimeout(std::chrono::seconds(20));
+    client.Send(Repeated("topk 3 5", 10));
+    client.ShutdownWrite();
+    const std::string out = client.ReadAll();
+    EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 10) << out;
+    ASSERT_TRUE(client.saw_eof())
+        << "round " << round << ": the server never closed";
+  }
+}
+
+TEST_F(SocketServerTest, SlowReaderIsDroppedAtTheWriteLimit) {
+  // A client that pipelines large replies and never reads fills its
+  // receive buffer and the server's send buffer; the server then stops
+  // reading it, buffers up to the write limit, and drops it. Another
+  // connection is served correctly throughout.
+  SocketServerOptions net;
+  net.read_pause_bytes = 16 << 10;
+  net.max_write_buffer_bytes = 64 << 10;
+  StartServer(net);
+  Client good(server_->port());
+  ASSERT_TRUE(good.connected());
+  ASSERT_TRUE(StartsWith(good.Command("topk 7 10"), "ok "));
+  const std::string want = good.Command("topk 7 10");
+  ASSERT_NE(want.find(" cache=hit"), std::string::npos) << want;
+
+  Client slow(server_->port(), /*rcvbuf=*/4096);
+  ASSERT_TRUE(slow.connected());
+  // Each reply lists up to 500 nodes (several KB); a few thousand of them
+  // are far more than the socket buffers and the write limit hold.
+  std::string pipeline;
+  for (int i = 0; i < 4000; ++i) {
+    pipeline += "topk " + std::to_string(i % 8) + " 500\n";
+  }
+  slow.TrySend(pipeline);
+  ASSERT_TRUE(StartsWith(good.Command("topk 3 10"), "ok "));
+  EXPECT_EQ(good.Command("topk 7 10"), want);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (server_->connections_active() > 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(server_->connections_active(), 1u)
+      << "the slow reader was not dropped";
+  EXPECT_EQ(good.Command("topk 7 10"), want);
+}
+
+TEST_F(SocketServerTest, IdleServerDoesNotWake) {
+  // Idle service workers park and the IO thread waits without a timeout,
+  // so an idle server makes no wakeups. The count covers every thread of
+  // this process, the test's own sleep included.
+  StartServer();
+  Client client(server_->port());
+  ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(StartsWith(client.Command("topk 3 10"), "ok "));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  rusage before{};
+  rusage after{};
+  getrusage(RUSAGE_SELF, &before);
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  getrusage(RUSAGE_SELF, &after);
+  EXPECT_LT(after.ru_nvcsw - before.ru_nvcsw, 30)
+      << "voluntary context switches in 300 ms of idling";
 }
 
 TEST_F(SocketServerTest, StopUnblocksOpenConnections) {
