@@ -9,11 +9,14 @@
 #ifndef HKPR_BENCH_BENCH_COMMON_H_
 #define HKPR_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <string>
 #include <system_error>
+#include <thread>
 #include <vector>
 
 #include "bench_util/datasets.h"
@@ -193,6 +196,44 @@ inline std::string JsonCommandLine(int argc, char** argv) {
     for (const char* c = argv[i]; *c != '\0'; ++c) {
       if (*c == '"' || *c == '\\') out += '\\';
       out += *c;
+    }
+  }
+  return out;
+}
+
+/// Number of hardware threads (at least 1), recorded in the BENCH_*.json
+/// files so a row says what core count it ran on.
+inline uint32_t HardwareThreads() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1u : static_cast<uint32_t>(hw);
+}
+
+/// Contiguous chunk [begin, end) of [0, total) for part `part` of `parts`;
+/// chunk sizes differ by at most one item. The closed-loop benches split
+/// their seed lists among client threads with it.
+struct ChunkRange {
+  uint64_t begin;
+  uint64_t end;
+};
+
+inline ChunkRange ChunkBounds(uint64_t total, uint32_t parts, uint32_t part) {
+  const uint64_t base = total / parts;
+  const uint64_t remainder = total % parts;
+  const uint64_t begin = part * base + std::min<uint64_t>(part, remainder);
+  return {begin, begin + base + (part < remainder ? 1 : 0)};
+}
+
+/// The non-empty items of a comma-separated flag value ("small,medium").
+inline std::vector<std::string> SplitCsv(const char* value) {
+  std::vector<std::string> out;
+  std::string token;
+  for (const char* p = value;; ++p) {
+    if (*p == ',' || *p == '\0') {
+      if (!token.empty()) out.push_back(token);
+      token.clear();
+      if (*p == '\0') break;
+    } else {
+      token += *p;
     }
   }
   return out;

@@ -2,17 +2,14 @@
 //
 // The historical bench graph (12.5k nodes / 213k edges) fits in L2, so
 // per-query work is too small to amortize cross-thread coordination and the
-// thread sweeps in BENCH_parallel.json / BENCH_service.json *lose*
-// throughput with more threads. This benchmark measures what the paper's
-// production claim actually needs: throughput as a function of thread
-// count on graphs that do not fit in cache (213k -> 1M -> 10M+ edges, the
-// --graph-scale presets), through both execution paths:
-//
-//   executor  BatchQueryEngine::EstimateBatch with N threads — raw
-//             parallel query execution, no queue, no cache
-//   service   AsyncQueryService closed loop (N clients, N workers) with
-//             the cache disabled — the sharded submission queues and
-//             work-stealing path; the "stolen" column shows rebalancing
+// thread sweep in BENCH_service.json *loses* throughput with more threads.
+// This benchmark measures what the paper's production claim actually
+// needs: throughput as a function of thread count on graphs that do not
+// fit in cache (213k -> 1M -> 10M+ edges, the --graph-scale presets),
+// through the one way the library uses more cores, service workers that
+// each run whole queries: an AsyncQueryService closed loop (N clients, N
+// workers) with the cache disabled, over the sharded submission queues and
+// the work-stealing path; the "stolen" column shows rebalancing.
 //
 // Graphs are generated, or mmap'd from a cached binary CSR snapshot
 // (--graph-cache=DIR). Uniform-random seeds keep the cacheless runs
@@ -27,7 +24,7 @@
 // is what turns "parallelism actually helps" into a CI invariant.
 //
 // Flags: --sizes=a,b,c (default small,medium,large; --smoke: small),
-// --queries=N per (graph, threads, path) run, --threads=a,b,c (default
+// --queries=N per (graph, threads) run, --threads=a,b,c (default
 // 1,2,4,8), --floor=F, --graph-cache=DIR, --json=PATH
 // (BENCH_scaling.json), --smoke (CI-sized run).
 
@@ -35,7 +32,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -43,8 +39,6 @@
 #include "bench_common.h"
 #include "common/timer.h"
 #include "graph/graph_io.h"
-#include "hkpr/queries.h"
-#include "parallel/parallel_for.h"
 #include "service/async_query_service.h"
 
 using namespace hkpr;
@@ -56,15 +50,14 @@ struct ScalingRow {
   std::string graph;
   uint32_t nodes = 0;
   uint64_t edges = 0;
-  std::string path;  // "executor" or "service"
   uint32_t threads = 0;
   uint32_t queries = 0;
   double seconds = 0.0;
-  uint64_t stolen = 0;  // service path only
-  double p50_ms = 0.0;  // service path only
-  double p99_ms = 0.0;  // service path only
-  // Per-stage mean latencies (service path only). Stages are disjoint, so
-  // queue+cache+compute <= total.
+  uint64_t stolen = 0;
+  double p50_ms = 0.0;
+  double p99_ms = 0.0;
+  // Per-stage mean latencies. Stages are disjoint, so queue+cache+compute
+  // <= total.
   double queue_ms = 0.0;
   double cache_ms = 0.0;
   double compute_ms = 0.0;
@@ -72,21 +65,8 @@ struct ScalingRow {
   double qps() const { return queries / (seconds + 1e-12); }
 };
 
-/// Executor path: the whole seed list through BatchQueryEngine with
-/// `threads` threads (queries sharded across per-thread executors).
-double RunExecutorPath(const Graph& graph, const ApproxParams& params,
-                       uint64_t seed, uint32_t threads,
-                       const std::vector<NodeId>& seeds) {
-  BackendSpec spec;
-  spec.context.tea_plus.c = 1.0;  // walk phase forced: real per-query work
-  BatchQueryEngine engine(graph, params, seed, threads, spec);
-  WallTimer timer;
-  engine.EstimateBatch(std::span<const NodeId>(seeds.data(), seeds.size()));
-  return timer.ElapsedSeconds();
-}
-
-/// Service path: closed loop, `threads` clients against `threads` workers,
-/// cache disabled so every query is computed through the sharded queues.
+/// Closed loop, `threads` clients against `threads` workers, cache
+/// disabled so every query is computed through the sharded queues.
 double RunServicePath(const Graph& graph, const ApproxParams& params,
                       uint64_t seed, uint32_t threads,
                       const std::vector<NodeId>& seeds,
@@ -96,7 +76,7 @@ double RunServicePath(const Graph& graph, const ApproxParams& params,
   options.num_workers = threads;
   options.cache_capacity = 0;  // measure compute scaling, not caching
   options.max_queue_depth = 1u << 20;
-  options.backend.context.tea_plus.c = 1.0;
+  options.backend.context.tea_plus.c = 1.0;  // walk phase forced: real work
   AsyncQueryService service(graph, params, seed, options);
 
   WallTimer timer;
@@ -139,34 +119,19 @@ void WriteScalingJson(const std::string& path, uint32_t hardware_threads,
     std::fprintf(
         f,
         "    {\"graph\": \"%s\", \"nodes\": %u, \"edges\": %llu, "
-        "\"path\": \"%s\", \"threads\": %u, "
+        "\"path\": \"service\", \"threads\": %u, "
         "\"queries\": %u, \"seconds\": %.6f, \"qps\": %.1f, "
         "\"stolen\": %llu, \"p50_ms\": %.3f, \"p99_ms\": %.3f, "
         "\"queue_ms\": %.4f, \"cache_ms\": %.4f, \"compute_ms\": %.4f, "
         "\"total_ms\": %.4f}%s\n",
         r.graph.c_str(), r.nodes, static_cast<unsigned long long>(r.edges),
-        r.path.c_str(), r.threads, r.queries, r.seconds, r.qps(),
+        r.threads, r.queries, r.seconds, r.qps(),
         static_cast<unsigned long long>(r.stolen), r.p50_ms, r.p99_ms,
         r.queue_ms, r.cache_ms, r.compute_ms, r.total_ms,
         i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   if (f != stdout) std::fclose(f);
-}
-
-std::vector<std::string> SplitCsv(const char* value) {
-  std::vector<std::string> out;
-  std::string token;
-  for (const char* p = value;; ++p) {
-    if (*p == ',' || *p == '\0') {
-      if (!token.empty()) out.push_back(token);
-      token.clear();
-      if (*p == '\0') break;
-    } else {
-      token += *p;
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -207,7 +172,7 @@ int main(int argc, char** argv) {
   if (smoke && !sizes_overridden) sizes = {"small"};
   if (num_queries == 0) num_queries = smoke ? 160 : (config.full ? 1200 : 400);
 
-  const uint32_t hardware = std::max(1u, std::thread::hardware_concurrency());
+  const uint32_t hardware = HardwareThreads();
   std::printf("== Serve scaling: threads x graph size ==\n");
   std::printf("hardware threads available: %u\n", hardware);
   std::printf("preparing graphs:\n");
@@ -215,7 +180,7 @@ int main(int argc, char** argv) {
   bool gate_failed = false;
   bool gate_enforced = false;
   std::vector<ScalingRow> rows;
-  TablePrinter table({"graph", "edges", "path", "threads", "q/s", "speedup",
+  TablePrinter table({"graph", "edges", "threads", "q/s", "speedup",
                       "stolen", "p99 ms"});
   for (const std::string& size_name : sizes) {
     const Graph graph =
@@ -233,50 +198,40 @@ int main(int argc, char** argv) {
     Rng rng(config.rng_seed);
     const std::vector<NodeId> seeds = UniformSeeds(graph, num_queries, rng);
 
-    double base_qps[2] = {0.0, 0.0};  // 1-thread QPS per path
+    double base_qps = 0.0;  // 1-thread QPS
     for (uint32_t threads : thread_counts) {
-      for (int path = 0; path < 2; ++path) {
-        ScalingRow row;
-        row.graph = graph_name;
-        row.nodes = graph.NumNodes();
-        row.edges = graph.NumEdges();
-        row.path = path == 0 ? "executor" : "service";
-        row.threads = threads;
-        row.queries = num_queries;
-        if (path == 0) {
-          row.seconds = RunExecutorPath(graph, params, config.rng_seed,
-                                        threads, seeds);
-        } else {
-          LatencyHistogram latencies;
-          ServiceStatsSnapshot stats;
-          row.seconds = RunServicePath(graph, params, config.rng_seed,
-                                       threads, seeds, latencies, stats);
-          row.stolen = stats.stolen;
-          row.p50_ms = latencies.PercentileMs(0.50);
-          row.p99_ms = latencies.PercentileMs(0.99);
-          // Each service is fresh per run, so its cumulative snapshot is
-          // the per-run total.
-          row.queue_ms = stats.queue_wait.mean_ms();
-          row.cache_ms = stats.cache_lookup.mean_ms();
-          row.compute_ms = stats.compute.mean_ms();
-          if (stats.latency_count > 0) {
-            row.total_ms = static_cast<double>(stats.traced_total_us) /
-                           static_cast<double>(stats.latency_count) / 1000.0;
-          }
-        }
-        if (threads == 1) base_qps[path] = row.qps();
-        const double speedup =
-            base_qps[path] > 0.0 ? row.qps() / base_qps[path] : 1.0;
-        table.AddRow({graph_name, FmtCount(row.edges), row.path,
-                      std::to_string(threads), FmtF(row.qps(), 0),
-                      FmtF(speedup, 2) + "x", std::to_string(row.stolen),
-                      FmtF(row.p99_ms, 2)});
-        rows.push_back(row);
+      ScalingRow row;
+      row.graph = graph_name;
+      row.nodes = graph.NumNodes();
+      row.edges = graph.NumEdges();
+      row.threads = threads;
+      row.queries = num_queries;
+      LatencyHistogram latencies;
+      ServiceStatsSnapshot stats;
+      row.seconds = RunServicePath(graph, params, config.rng_seed, threads,
+                                   seeds, latencies, stats);
+      row.stolen = stats.stolen;
+      row.p50_ms = latencies.PercentileMs(0.50);
+      row.p99_ms = latencies.PercentileMs(0.99);
+      // Each service is fresh per run, so its cumulative snapshot is the
+      // per-run total.
+      row.queue_ms = stats.queue_wait.mean_ms();
+      row.cache_ms = stats.cache_lookup.mean_ms();
+      row.compute_ms = stats.compute.mean_ms();
+      if (stats.latency_count > 0) {
+        row.total_ms = static_cast<double>(stats.traced_total_us) /
+                       static_cast<double>(stats.latency_count) / 1000.0;
       }
+      if (threads == 1) base_qps = row.qps();
+      const double speedup = base_qps > 0.0 ? row.qps() / base_qps : 1.0;
+      table.AddRow({graph_name, FmtCount(row.edges), std::to_string(threads),
+                    FmtF(row.qps(), 0), FmtF(speedup, 2) + "x",
+                    std::to_string(row.stolen), FmtF(row.p99_ms, 2)});
+      rows.push_back(row);
     }
 
-    // Regression gate, per path: largest thread count the hardware can
-    // truly parallelize must beat 1 thread by the (prorated) floor.
+    // Regression gate: the largest thread count the hardware can truly
+    // parallelize must beat 1 thread by the (prorated) floor.
     uint32_t gate_threads = 0;
     for (uint32_t threads : thread_counts) {
       if (threads > 1 && threads <= hardware) {
@@ -293,24 +248,21 @@ int main(int argc, char** argv) {
     // 1.3 at 8 threads, prorated linearly down to 1.0 at 1 thread.
     const double required =
         1.0 + (floor8 - 1.0) * (static_cast<double>(gate_threads) - 1.0) / 7.0;
-    for (int path = 0; path < 2; ++path) {
-      const char* path_name = path == 0 ? "executor" : "service";
-      double one = 0.0, best = 0.0;
-      for (const ScalingRow& r : rows) {
-        if (r.graph != graph_name || r.path != path_name) continue;
-        if (r.threads == 1) one = r.qps();
-        if (r.threads == gate_threads) best = r.qps();
-      }
-      if (one <= 0.0 || best <= 0.0) continue;
-      gate_enforced = true;
-      const double ratio = best / one;
-      const bool ok = ratio > required;
-      std::printf("gate %s for %s/%s: %u-thread %.0f q/s vs 1-thread %.0f "
-                  "q/s = %.2fx (required > %.2fx)\n",
-                  ok ? "PASS" : "FAIL", graph_name.c_str(), path_name,
-                  gate_threads, best, one, ratio, required);
-      if (!ok) gate_failed = true;
+    double one = 0.0, best = 0.0;
+    for (const ScalingRow& r : rows) {
+      if (r.graph != graph_name) continue;
+      if (r.threads == 1) one = r.qps();
+      if (r.threads == gate_threads) best = r.qps();
     }
+    if (one <= 0.0 || best <= 0.0) continue;
+    gate_enforced = true;
+    const double ratio = best / one;
+    const bool ok = ratio > required;
+    std::printf("gate %s for %s: %u-thread %.0f q/s vs 1-thread %.0f q/s = "
+                "%.2fx (required > %.2fx)\n",
+                ok ? "PASS" : "FAIL", graph_name.c_str(), gate_threads, best,
+                one, ratio, required);
+    if (!ok) gate_failed = true;
   }
   table.Print();
 

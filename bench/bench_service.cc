@@ -65,7 +65,6 @@
 #include "bench_common.h"
 #include "common/timer.h"
 #include "hkpr/backend.h"
-#include "parallel/parallel_for.h"
 #include "service/multi_graph_service.h"
 
 using namespace hkpr;

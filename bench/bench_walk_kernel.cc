@@ -38,7 +38,6 @@
 #include "hkpr/heat_kernel.h"
 #include "hkpr/random_walk.h"
 #include "hkpr/walk_kernel.h"
-#include "parallel/parallel_for.h"
 
 using namespace hkpr;
 using namespace hkpr::bench;
@@ -109,21 +108,6 @@ void WriteWalkJson(const std::string& path, const std::string& command,
   }
   std::fprintf(f, "  ]\n}\n");
   if (f != stdout) std::fclose(f);
-}
-
-std::vector<std::string> SplitCsv(const char* value) {
-  std::vector<std::string> out;
-  std::string token;
-  for (const char* p = value;; ++p) {
-    if (*p == ',' || *p == '\0') {
-      if (!token.empty()) out.push_back(token);
-      token.clear();
-      if (*p == '\0') break;
-    } else {
-      token += *p;
-    }
-  }
-  return out;
 }
 
 }  // namespace

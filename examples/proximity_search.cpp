@@ -1,9 +1,8 @@
 // Proximity search: top-k heat-kernel neighbors and seed-set queries.
 //
-// Shows the higher-level query API: single-seed top-k ranking (who is most
-// heat-kernel-similar to this node?), multi-seed set queries (linearity of
-// HKPR), and TEA+ with its walk phase sharded over all hardware threads for
-// latency-sensitive use.
+// Shows the higher-level query API on TEA+: single-seed top-k ranking (who
+// is most heat-kernel-similar to this node?) and multi-seed set queries
+// (linearity of HKPR).
 
 #include <cstdio>
 #include <vector>
@@ -32,8 +31,7 @@ int main() {
   params.eps_r = 0.5;
   params.delta = 0.1 / graph.NumNodes();
   params.p_f = 1e-6;
-  TeaPlusEstimator estimator(graph, params, /*seed=*/31, TeaPlusOptions(),
-                             /*pf_prime=*/-1.0, /*walk_threads=*/0);
+  TeaPlusEstimator estimator(graph, params, /*seed=*/31);
 
   // Single-seed top-k: the nodes "closest" to the query under heat-kernel
   // proximity. The seed's own community should dominate.

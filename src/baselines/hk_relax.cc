@@ -58,6 +58,13 @@ const SparseVector& HkRelaxEstimator::EstimateInto(NodeId seed,
   ResidueTable& residues = ws.residues;
   const size_t n = graph_.NumNodes();
   SparseVector& x = ws.result;
+  if (graph_.Degree(seed) == 0) {
+    // The Taylor series would spread the seed's mass over no neighbors and
+    // keep only its e^{-t} level-0 share; the heat kernel's walks stop in
+    // place at an isolated seed, so its HKPR is exactly e_seed.
+    x.Add(seed, 1.0);
+    return x;
+  }
   std::vector<std::pair<uint32_t, uint32_t>>& queue = ws.starts;
   size_t queue_head = 0;
   std::vector<uint32_t>& position = ws.push_list;

@@ -2,9 +2,9 @@
 //
 // A "backend" is a WorkspaceEstimator (hkpr/estimator.h) registered under a
 // stable string name. The EstimatorRegistry maps names to factories plus
-// metadata, so every serving layer — QueryExecutor, BatchQueryEngine,
-// AsyncQueryService, the benches and the line-protocol server — can select
-// any estimator in the codebase by name instead of hard-coding one.
+// metadata, so every serving layer — QueryExecutor, AsyncQueryService, the
+// benches and the line-protocol server — can select any estimator in the
+// codebase by name instead of hard-coding one.
 //
 // Each backend also carries a *stable 32-bit id* derived from its name
 // (FNV-1a, collision-checked at registration). Result caches persist this id

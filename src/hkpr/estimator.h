@@ -36,7 +36,7 @@ class QueryWorkspace;
 /// An algorithm that estimates the HKPR vector of a seed node, running each
 /// query inside a caller-provided reusable QueryWorkspace. Every estimator
 /// is registered as a named backend (hkpr/backend.h) and served through
-/// QueryExecutor / BatchQueryEngine / AsyncQueryService interchangeably.
+/// QueryExecutor / AsyncQueryService interchangeably.
 ///
 /// Implementations are constructed with a graph reference (which must
 /// outlive the estimator) and their parameters; queries may be run

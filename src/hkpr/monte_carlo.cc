@@ -3,22 +3,17 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "parallel/parallel_for.h"
 
 namespace hkpr {
 
 MonteCarloEstimator::MonteCarloEstimator(const Graph& graph,
                                          const ApproxParams& params,
                                          uint64_t seed, double pf_prime,
-                                         const WalkKernelOptions& walk_kernel,
-                                         uint32_t walk_threads,
-                                         ThreadPool* pool)
+                                         const WalkKernelOptions& walk_kernel)
     : graph_(graph),
       params_(params),
       kernel_(params.t),
       walk_kernel_(walk_kernel),
-      walk_threads_(walk_threads == 0 ? HardwareThreads() : walk_threads),
-      pool_(pool),
       seed_(seed) {
   if (pf_prime < 0.0) pf_prime = ComputePfPrime(graph, params.p_f);
   num_walks_ = static_cast<uint64_t>(std::ceil(OmegaTea(params, pf_prime)));
@@ -36,8 +31,7 @@ const SparseVector& MonteCarloEstimator::EstimateInto(NodeId seed,
   start_set.fixed_node = seed;
   const uint64_t steps = RunWalkPhase(
       graph_, kernel_, start_set, WalkStreamSeed(seed_, epoch), num_walks_,
-      1.0 / static_cast<double>(num_walks_), walk_kernel_, walk_threads_,
-      pool_, ws);
+      1.0 / static_cast<double>(num_walks_), walk_kernel_, ws);
   if (stats != nullptr) {
     stats->num_walks = num_walks_;
     stats->walk_steps = steps;

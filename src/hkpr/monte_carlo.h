@@ -15,26 +15,22 @@ namespace hkpr {
 
 /// Estimates rho_s by running omega = 2(1+eps_r/3) ln(1/p'_f) / (eps_r^2
 /// delta) heat-kernel walks from the seed and recording end-point
-/// frequencies. This is the baseline whose walk count TEA/TEA+ reduce. The
-/// walks may be sharded over threads (`walk_threads` > 1); the estimate is
-/// bit-identical at every thread count (RunWalkPhase).
+/// frequencies. This is the baseline whose walk count TEA/TEA+ reduce.
 class MonteCarloEstimator : public WorkspaceEstimator {
  public:
   /// `graph` must outlive the estimator. `pf_prime` is the precomputed
   /// Equation-(6) value for `params.p_f`; negative (the default) computes
   /// it here — pass it so callers building many estimators over one graph
-  /// scan it once (cf. TeaPlusEstimator). `walk_threads` and `pool` shard
-  /// the walks as in TeaPlusEstimator.
+  /// scan it once (cf. TeaPlusEstimator).
   MonteCarloEstimator(const Graph& graph, const ApproxParams& params,
                       uint64_t seed, double pf_prime = -1.0,
                       const WalkKernelOptions& walk_kernel =
-                          WalkKernelOptions(),
-                      uint32_t walk_threads = 1, ThreadPool* pool = nullptr);
+                          WalkKernelOptions());
 
   /// Runs the query entirely inside `ws` (end-point counts accumulate into
   /// `ws.result`) and returns a reference to `ws.result`, valid until the
   /// next query on that workspace. Allocation-free once the workspace
-  /// capacities have warmed up, unless threads are spawned per query.
+  /// capacities have warmed up.
   const SparseVector& EstimateInto(NodeId seed, QueryWorkspace& ws,
                                    EstimatorStats* stats = nullptr) override;
 
@@ -56,8 +52,6 @@ class MonteCarloEstimator : public WorkspaceEstimator {
   HeatKernel kernel_;
   WalkKernelOptions walk_kernel_;
   uint64_t num_walks_;
-  uint32_t walk_threads_;
-  ThreadPool* pool_;
   uint64_t seed_;       // stream-family seed of the walks
   uint64_t epoch_ = 0;  // advances per query so repeated queries differ
 };

@@ -136,6 +136,17 @@ PushCounters HkPushPlusInto(const Graph& graph, const HeatKernel& kernel,
   HKPR_CHECK(options.hop_cap >= 1);
   const uint32_t cap = std::min(options.hop_cap, kernel.MaxHop());
   ws.PrepareQuery(options.drain_past_hop_cap ? kernel.MaxHop() : cap);
+  if (graph.Degree(seed) == 0) {
+    // Every walk from an isolated seed stops in place, so its HKPR is
+    // exactly e_seed. The seed is the only node that can hold residue at
+    // degree 0, and sealing skips such entries, so the drain would leave
+    // its unit residue behind and the bound would certify that table.
+    // Reserve it instead: no residue is left, and (11) holds.
+    ws.result.Add(seed, 1.0);
+    PushCounters out;
+    out.hit_absolute_target = true;
+    return out;
+  }
   ws.residues.OpenFrontier(0, graph.NumNodes());
   ws.residues.AddToFrontier(seed, 1.0);
   const PushCounters out = DrainPlus(graph, kernel, cap, options, ws);

@@ -91,6 +91,9 @@ struct HkPushPlusOptions {
 /// gets exactly the hard cap's result: the table then only has more
 /// (empty) hops. Extra pushes keep the Lemma 1 invariant, so whatever
 /// residue is left is still a valid input to the walk phase.
+///
+/// An isolated seed (d(s) = 0) gets its exact HKPR, e_s, as the reserve,
+/// with no residue left and hit_absolute_target set.
 PushResult HkPushPlus(const Graph& graph, const HeatKernel& kernel,
                       NodeId seed, const HkPushPlusOptions& options);
 

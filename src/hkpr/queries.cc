@@ -192,75 +192,4 @@ SparseVector QueryExecutor::Answer(NodeId seed, uint64_t query_index,
   return AnswerInto(seed, query_index, plan).CompactCopy();
 }
 
-std::vector<ScoredNode> QueryExecutor::AnswerTopK(NodeId seed,
-                                                  uint64_t query_index,
-                                                  size_t k) {
-  return TopKNormalized(graph_, AnswerInto(seed, query_index), k);
-}
-
-std::vector<ScoredNode> QueryExecutor::AnswerTopK(NodeId seed,
-                                                  uint64_t query_index,
-                                                  size_t k,
-                                                  const QueryPlan& plan) {
-  return TopKNormalized(graph_, AnswerInto(seed, query_index, plan), k);
-}
-
-BatchQueryEngine::BatchQueryEngine(const Graph& graph,
-                                   const ApproxParams& params, uint64_t seed,
-                                   uint32_t num_threads,
-                                   const BackendSpec& backend)
-    : graph_(graph), pool_(num_threads) {
-  // Resolve shared precomputations (p'_f, an O(n) scan) once for all
-  // per-thread estimators.
-  const BackendSpec spec = ResolvedSpec(backend, graph, params);
-  executors_.reserve(pool_.num_threads());
-  for (uint32_t tid = 0; tid < pool_.num_threads(); ++tid) {
-    executors_.emplace_back(graph, params, seed, spec);
-  }
-}
-
-std::vector<SparseVector> BatchQueryEngine::EstimateBatch(
-    std::span<const NodeId> seeds) {
-  return EstimateBatch(seeds, default_plan());
-}
-
-std::vector<SparseVector> BatchQueryEngine::EstimateBatch(
-    std::span<const NodeId> seeds, const QueryPlan& plan) {
-  if (seeds.empty()) return {};
-  for (NodeId seed : seeds) {
-    HKPR_CHECK(seed < graph_.NumNodes()) << "batch seed out of range";
-  }
-  std::vector<SparseVector> out(seeds.size());
-  const uint64_t batch_offset = queries_served_;
-  queries_served_ += seeds.size();
-  pool_.Chunks(seeds.size(), [&](uint32_t tid, uint64_t begin, uint64_t end) {
-    for (uint64_t i = begin; i < end; ++i) {
-      out[i] = executors_[tid].Answer(seeds[i], batch_offset + i, plan);
-    }
-  });
-  return out;
-}
-
-std::vector<std::vector<ScoredNode>> BatchQueryEngine::TopKBatch(
-    std::span<const NodeId> seeds, size_t k) {
-  return TopKBatch(seeds, k, default_plan());
-}
-
-std::vector<std::vector<ScoredNode>> BatchQueryEngine::TopKBatch(
-    std::span<const NodeId> seeds, size_t k, const QueryPlan& plan) {
-  if (seeds.empty()) return {};
-  for (NodeId seed : seeds) {
-    HKPR_CHECK(seed < graph_.NumNodes()) << "batch seed out of range";
-  }
-  std::vector<std::vector<ScoredNode>> out(seeds.size());
-  const uint64_t batch_offset = queries_served_;
-  queries_served_ += seeds.size();
-  pool_.Chunks(seeds.size(), [&](uint32_t tid, uint64_t begin, uint64_t end) {
-    for (uint64_t i = begin; i < end; ++i) {
-      out[i] = executors_[tid].AnswerTopK(seeds[i], batch_offset + i, k, plan);
-    }
-  });
-  return out;
-}
-
 }  // namespace hkpr

@@ -1,15 +1,15 @@
 // Higher-level HKPR query helpers built on the estimator interface:
 // top-k proximity queries, seed-set (multi-seed) estimation, and the
-// pool-backed batch query engine a serving frontend would call.
+// per-worker QueryExecutor a serving frontend runs queries through.
 
 #ifndef HKPR_HKPR_QUERIES_H_
 #define HKPR_HKPR_QUERIES_H_
 
 #include <cstdint>
-#include <span>
-#include <vector>
-
 #include <memory>
+#include <span>
+#include <string_view>
+#include <vector>
 
 #include "common/sparse_vector.h"
 #include "graph/graph.h"
@@ -17,7 +17,6 @@
 #include "hkpr/estimator.h"
 #include "hkpr/router.h"
 #include "hkpr/workspace.h"
-#include "parallel/thread_pool.h"
 
 namespace hkpr {
 
@@ -49,11 +48,10 @@ SparseVector EstimateSeedSet(const Graph& graph,
                              std::span<const double> weights = {});
 
 /// Mixes an engine seed with a query's global index into an independent RNG
-/// stream (SplitMix64-style finalizer). Shared by every serving frontend
-/// (BatchQueryEngine, AsyncQueryService) so that the randomness a query
-/// draws is a function of (engine seed, query index) alone — two frontends
-/// answering "query #i" with the same engine seed produce bit-identical
-/// estimates.
+/// stream (SplitMix64-style finalizer). Every QueryExecutor re-seeds with it,
+/// so the randomness a query draws is a function of (engine seed, query
+/// index) alone: any executor answering "query #i" with the same engine
+/// seed, on any worker, produces bit-identical estimates.
 uint64_t QueryRngSeed(uint64_t base_seed, uint64_t query_index);
 
 /// One serving thread's worth of query state: registry-built backend
@@ -73,9 +71,9 @@ uint64_t QueryRngSeed(uint64_t base_seed, uint64_t query_index);
 /// to a dedicated executor constructed directly on that plan's backend and
 /// params with the same engine seed.
 ///
-/// Factored out of BatchQueryEngine so other frontends (the async query
-/// service in src/service/) run the exact same computation per query and
-/// stay bit-identical to the batch path — per backend.
+/// Each AsyncQueryService worker (src/service/) owns one executor, so a
+/// query answered by the service is bit-identical, per backend, to one
+/// executor answering the same queries in submission order.
 class QueryExecutor {
  public:
   /// Builds `spec`'s backend over `graph` via the global EstimatorRegistry
@@ -100,12 +98,6 @@ class QueryExecutor {
   SparseVector Answer(NodeId seed, uint64_t query_index);
   SparseVector Answer(NodeId seed, uint64_t query_index,
                       const QueryPlan& plan);
-
-  /// AnswerInto() + TopKNormalized().
-  std::vector<ScoredNode> AnswerTopK(NodeId seed, uint64_t query_index,
-                                     size_t k);
-  std::vector<ScoredNode> AnswerTopK(NodeId seed, uint64_t query_index,
-                                     size_t k, const QueryPlan& plan);
 
   /// The fully resolved default plan (spec backend + construction params).
   const QueryPlan& default_plan() const { return default_plan_; }
@@ -172,73 +164,6 @@ class QueryExecutor {
   QueryPlan default_plan_;
   std::vector<PlanEstimator> estimators_;  // [0] = the default plan's
   QueryWorkspace workspace_;
-};
-
-/// The serving-side query engine: a persistent ThreadPool plus one
-/// QueryExecutor (backend estimator + QueryWorkspace) per pool thread. The
-/// backend is any name registered in the EstimatorRegistry; the default
-/// spec serves TEA+.
-///
-/// EstimateBatch() statically shards a batch of seed nodes across the pool;
-/// each worker answers its shard of queries sequentially, reusing its
-/// workspace, so steady-state batches cost no thread spawns and no per-query
-/// scratch allocations (only the returned estimates are fresh memory).
-///
-/// Each query's RNG is re-seeded from (engine seed, batch offset, position
-/// in batch), so results are deterministic AND independent of the pool size
-/// — a batch answered on 1 thread is bit-identical to the same batch on 8.
-class BatchQueryEngine {
- public:
-  /// `num_threads == 0` uses all hardware threads. The graph must outlive
-  /// the engine. Check-fails on unknown backend names.
-  BatchQueryEngine(const Graph& graph, const ApproxParams& params,
-                   uint64_t seed, uint32_t num_threads = 0,
-                   const BackendSpec& backend = {});
-
-  /// Answers one backend query per entry of `seeds`; out[i] is the estimate
-  /// for seeds[i]. Every seed must be a valid node id. An empty span returns
-  /// an empty result without touching the pool.
-  std::vector<SparseVector> EstimateBatch(std::span<const NodeId> seeds);
-
-  /// Answers the whole batch on an explicit plan instead of the engine's
-  /// default (each per-thread executor builds the plan's estimator on
-  /// first use). Per-query RNG derivation is identical to the default
-  /// overload, so a plan naming the engine's own backend and params is
-  /// bit-identical to it.
-  std::vector<SparseVector> EstimateBatch(std::span<const NodeId> seeds,
-                                          const QueryPlan& plan);
-
-  /// Convenience: batch top-k — out[i] is TopKNormalized of seeds[i]'s
-  /// estimate. An empty span returns an empty result without touching the
-  /// pool.
-  std::vector<std::vector<ScoredNode>> TopKBatch(std::span<const NodeId> seeds,
-                                                 size_t k);
-  std::vector<std::vector<ScoredNode>> TopKBatch(std::span<const NodeId> seeds,
-                                                 size_t k,
-                                                 const QueryPlan& plan);
-
-  /// The engine's resolved default plan (backend + construction params).
-  const QueryPlan& default_plan() const {
-    return executors_.front().default_plan();
-  }
-
-  uint32_t num_threads() const { return pool_.num_threads(); }
-  ThreadPool& pool() { return pool_; }
-
-  /// The backend's algorithm name ("TEA+", "HK-Relax", ...).
-  std::string_view backend_name() const {
-    return executors_.front().backend_name();
-  }
-
-  /// Queries answered since construction (advances the per-query RNG
-  /// derivation, so repeated identical batches draw fresh randomness).
-  uint64_t queries_served() const { return queries_served_; }
-
- private:
-  const Graph& graph_;
-  ThreadPool pool_;
-  std::vector<QueryExecutor> executors_;  // one per pool thread
-  uint64_t queries_served_ = 0;
 };
 
 }  // namespace hkpr

@@ -46,8 +46,7 @@ const SparseVector& TeaEstimator::EstimateInto(NodeId seed, QueryWorkspace& ws,
     steps = RunWalkPhase(graph_, kernel_, start_set,
                          WalkStreamSeed(seed_, epoch), num_walks,
                          alpha / static_cast<double>(num_walks),
-                         options_.walk_kernel, /*threads=*/1, /*pool=*/nullptr,
-                         ws);
+                         options_.walk_kernel, ws);
     alias_bytes += ws.walk_ends.capacity() * sizeof(NodeId);
   }
 

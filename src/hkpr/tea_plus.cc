@@ -4,7 +4,6 @@
 
 #include "common/logging.h"
 #include "hkpr/push.h"
-#include "parallel/parallel_for.h"
 
 namespace hkpr {
 
@@ -31,14 +30,11 @@ void ReduceResidues(const Graph& graph, const TeaPlusOptions& options,
 TeaPlusEstimator::TeaPlusEstimator(const Graph& graph,
                                    const ApproxParams& params, uint64_t seed,
                                    const TeaPlusOptions& options,
-                                   double pf_prime, uint32_t walk_threads,
-                                   ThreadPool* pool)
+                                   double pf_prime)
     : graph_(graph),
       params_(params),
       options_(options),
       kernel_(params.t),
-      walk_threads_(walk_threads == 0 ? HardwareThreads() : walk_threads),
-      pool_(pool),
       seed_(seed) {
   if (pf_prime < 0.0) pf_prime = ComputePfPrime(graph, params.p_f);
   omega_ = OmegaTeaPlus(params, pf_prime);
@@ -110,7 +106,7 @@ const SparseVector& TeaPlusEstimator::EstimateInto(NodeId seed,
     steps = RunWalkPhase(graph_, kernel_, start_set,
                          WalkStreamSeed(seed_, epoch), num_walks,
                          alpha / static_cast<double>(num_walks),
-                         options_.walk_kernel, walk_threads_, pool_, ws);
+                         options_.walk_kernel, ws);
     alias_bytes += ws.walk_ends.capacity() * sizeof(NodeId);
   }
 

@@ -51,30 +51,21 @@ struct TeaPlusOptions {
 /// returned immediately, otherwise residues are reduced by
 /// beta_k * eps_r * delta * d(u) before the walk phase and the final vector
 /// gets a +eps_r*delta/2 * d(v) offset (stored as a scalar, O(1)).
-///
-/// The walk phase may be sharded over threads (`walk_threads` > 1); HK-Push+
-/// stays sequential, since its frontier is inherently ordered. The estimate
-/// is bit-identical at every thread count (RunWalkPhase).
 class TeaPlusEstimator : public WorkspaceEstimator {
  public:
   /// `pf_prime` is the precomputed Equation-(6) value for `params.p_f`;
   /// negative (the default) computes it here. ComputePfPrime is an O(n)
   /// scan the paper notes is done once when the graph is loaded; pass it to
   /// avoid re-scanning when constructing many estimators over one graph
-  /// (e.g. one per pool thread in BatchQueryEngine). `walk_threads` shards
-  /// the walk phase (0 = hardware threads); `pool`, when non-null, runs the
-  /// shards on its parked workers and must outlive the estimator, and
-  /// without one threads are spawned per query.
+  /// (e.g. one per service worker).
   TeaPlusEstimator(const Graph& graph, const ApproxParams& params,
                    uint64_t seed,
                    const TeaPlusOptions& options = TeaPlusOptions(),
-                   double pf_prime = -1.0, uint32_t walk_threads = 1,
-                   ThreadPool* pool = nullptr);
+                   double pf_prime = -1.0);
 
   /// Runs the query entirely inside `ws` and returns a reference to
   /// `ws.result` (valid until the next query on that workspace).
-  /// Allocation-free once the workspace capacities have warmed up, unless
-  /// threads are spawned per query.
+  /// Allocation-free once the workspace capacities have warmed up.
   const SparseVector& EstimateInto(NodeId seed, QueryWorkspace& ws,
                                    EstimatorStats* stats = nullptr) override;
 
@@ -100,8 +91,6 @@ class TeaPlusEstimator : public WorkspaceEstimator {
   double omega_;
   uint32_t hop_cap_;
   uint64_t push_budget_;
-  uint32_t walk_threads_;
-  ThreadPool* pool_;
   uint64_t seed_;       // stream-family seed of the walk phase
   uint64_t epoch_ = 0;  // advances per query so repeated queries differ
 };

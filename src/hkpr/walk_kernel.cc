@@ -1,13 +1,10 @@
 #include "hkpr/walk_kernel.h"
 
 #include <algorithm>
-#include <atomic>
 #include <span>
 
 #include "common/logging.h"
 #include "hkpr/workspace.h"
-#include "parallel/parallel_for.h"
-#include "parallel/thread_pool.h"
 
 namespace hkpr {
 
@@ -178,29 +175,11 @@ uint64_t RunInterleavedWalks(const Graph& graph, const HeatKernel& kernel,
 uint64_t RunWalkPhase(const Graph& graph, const HeatKernel& kernel,
                       const WalkStartSet& starts, uint64_t stream_seed,
                       uint64_t num_walks, double increment,
-                      const WalkKernelOptions& options, uint32_t threads,
-                      ThreadPool* pool, QueryWorkspace& ws) {
+                      const WalkKernelOptions& options, QueryWorkspace& ws) {
   ws.walk_ends.resize(num_walks);
-  const uint32_t width = EffectiveWalkWidth(graph, options);
-  uint64_t steps = 0;
-  if (threads <= 1) {
-    steps = RunInterleavedWalks(graph, kernel, starts, stream_seed, 0,
-                                num_walks, ws.walk_ends.data(), width);
-  } else {
-    // Shards write disjoint ranges of the shared end buffer.
-    std::atomic<uint64_t> shard_steps{0};
-    const auto shard = [&](uint32_t /*tid*/, uint64_t begin, uint64_t end) {
-      shard_steps += RunInterleavedWalks(graph, kernel, starts, stream_seed,
-                                         begin, end - begin,
-                                         ws.walk_ends.data() + begin, width);
-    };
-    if (pool != nullptr) {
-      pool->ChunksLimit(num_walks, threads, shard);
-    } else {
-      ParallelChunks(num_walks, threads, shard);
-    }
-    steps = shard_steps;
-  }
+  const uint64_t steps = RunInterleavedWalks(
+      graph, kernel, starts, stream_seed, 0, num_walks, ws.walk_ends.data(),
+      EffectiveWalkWidth(graph, options));
   for (uint64_t i = 0; i < num_walks; ++i) {
     ws.result.Add(ws.walk_ends[i], increment);
   }

@@ -15,9 +15,8 @@
 // canonical per-walk order (alias column UniformInt, alias accept
 // UniformDouble, then per hop: termination UniformDouble, neighbor
 // UniformInt). Because every stream is a pure function of the walk index,
-// the end node of walk i never depends on interleave width, walk-range
-// partitioning, or thread scheduling: results are bit-identical across
-// widths and thread counts.
+// the end node of walk i never depends on interleave width or on how the
+// walk range is split into calls: results are bit-identical across widths.
 //
 // RunWalkPhase wraps the kernel into the one walk phase that TEA, TEA+ and
 // Monte-Carlo share.
@@ -36,7 +35,6 @@
 namespace hkpr {
 
 class QueryWorkspace;
-class ThreadPool;
 
 /// Hard cap on the interleave width. Past ~16 the line-fill buffers are the
 /// bottleneck; 64 bounds the kernel's stack frame.
@@ -92,7 +90,7 @@ struct WalkStartSet {
 ///
 /// Deterministic contract: the value of `ends[i]` depends only on
 /// (stream_seed, first_walk + i, graph, kernel, starts) — never on `width`
-/// or on how the walk range is partitioned across calls or threads.
+/// or on how the walk range is partitioned across calls.
 uint64_t RunInterleavedWalks(const Graph& graph, const HeatKernel& kernel,
                              const WalkStartSet& starts, uint64_t stream_seed,
                              uint64_t first_walk, uint64_t num_walks,
@@ -101,18 +99,13 @@ uint64_t RunInterleavedWalks(const Graph& graph, const HeatKernel& kernel,
 
 /// One query's walk phase: runs walks 0 .. num_walks - 1 of `stream_seed`
 /// into `ws.walk_ends` at EffectiveWalkWidth(graph, options), then adds
-/// `increment` to `ws.result` at each end node in walk-index order. With
-/// `threads` <= 1 the walks run inline; otherwise [0, num_walks) is split
-/// into `threads` contiguous ranges (the ParallelChunks partition) that run
-/// on `pool`, or on threads spawned per call when `pool` is null. Each end
-/// node is a function of its walk index alone, so `ws.result` is
-/// bit-identical for every thread count, pool and width. Returns the total
-/// number of traversed edges.
+/// `increment` to `ws.result` at each end node in walk-index order, so
+/// `ws.result` is bit-identical for every width. Returns the total number
+/// of traversed edges.
 uint64_t RunWalkPhase(const Graph& graph, const HeatKernel& kernel,
                       const WalkStartSet& starts, uint64_t stream_seed,
                       uint64_t num_walks, double increment,
-                      const WalkKernelOptions& options, uint32_t threads,
-                      ThreadPool* pool, QueryWorkspace& ws);
+                      const WalkKernelOptions& options, QueryWorkspace& ws);
 
 }  // namespace hkpr
 

@@ -14,9 +14,7 @@
 // allocates when a larger graph arrives.
 //
 // A workspace is not thread-safe; the intended pattern is one workspace per
-// serving thread (see BatchQueryEngine in hkpr/queries.h). A sharded walk
-// phase hands disjoint ranges of `walk_ends` to distinct threads during a
-// single estimate.
+// serving thread (see QueryExecutor in hkpr/queries.h).
 
 #ifndef HKPR_HKPR_WORKSPACE_H_
 #define HKPR_HKPR_WORKSPACE_H_
@@ -67,8 +65,7 @@ class QueryWorkspace {
   /// Per-walk end nodes, written by the interleaved walk kernel (one entry
   /// per walk, indexed by walk number) and accumulated into `result` in
   /// index order afterwards — which is what makes the accumulated estimate
-  /// independent of interleave width and thread partition. Capacity is
-  /// retained across queries.
+  /// independent of interleave width. Capacity is retained across queries.
   std::vector<NodeId> walk_ends;
 
   /// Clears the single-query state. Capacities are retained.

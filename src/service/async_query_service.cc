@@ -440,10 +440,9 @@ void AsyncQueryService::WorkerLoop(uint32_t worker_id) {
 SparseVector AsyncQueryService::Compute(QueryExecutor& executor,
                                         const Request& request) {
   // The executor re-seeds the plan's backend from (engine seed, query
-  // index) — the exact BatchQueryEngine derivation — so the async and
-  // batch paths are bit-identical per plan, and a routed plan is
-  // bit-identical to directly invoking its chosen backend at the same
-  // index. Deterministic backends ignore the re-seed and the index plays
+  // index), so every worker answers index i bit-identically to a
+  // sequential executor, and a routed plan is bit-identical to directly
+  // invoking its chosen backend at the same index. Deterministic backends ignore the re-seed and the index plays
   // no role.
   return executor.Answer(request.seed, request.query_index, request.plan);
 }

@@ -15,11 +15,11 @@
 // wakeup contends one mutex and bounces one cache line — whereas with
 // shards the expected contention on any lock is constant in the worker
 // count. Workers drain their own shard in micro-batches of up to
-// `max_batch` requests per wakeup (so a loaded service amortizes wakeups
-// the same way the static-shard batch path amortizes dispatch); a worker
-// whose shard is empty *steals* the oldest waiting half of a loaded
-// victim's shard, so one slow query (or an unlucky round-robin burst)
-// cannot strand requests behind a busy worker while others idle.
+// `max_batch` requests per wakeup (so a loaded service amortizes its
+// wakeups over several requests); a worker whose shard is empty *steals*
+// the oldest waiting half of a loaded victim's shard, so one slow query
+// (or an unlucky round-robin burst) cannot strand requests behind a busy
+// worker while others idle.
 //
 // Idle workers park on their shard's condition variable with no timeout,
 // so an idle service makes no wakeups. A worker marks itself idle before
@@ -66,11 +66,11 @@
 //
 // Determinism: every accepted request is assigned a global query index at
 // submission time, and the computation for index i draws its randomness
-// from QueryRngSeed(engine seed, i) — exactly the derivation
-// BatchQueryEngine uses. A cold service (or one with the cache disabled)
-// therefore returns bit-identical estimates to BatchQueryEngine for the
-// same (backend, seed sequence, params, engine seed), regardless of how
-// many workers race over the queue. With the cache enabled, a repeat of an
+// from QueryRngSeed(engine seed, i), the derivation every QueryExecutor
+// uses. A cold service (or one with the cache disabled) therefore returns
+// bit-identical estimates to one QueryExecutor answering the same (backend,
+// seed sequence, params, engine seed) in submission order, regardless of
+// how many workers race over the queue. With the cache enabled, a repeat of an
 // *already answered* key returns the original computation's value instead
 // of drawing fresh randomness — that is the point of the cache.
 

@@ -1,19 +1,20 @@
 // Tests for the pluggable estimator-backend layer (hkpr/backend.h): the
 // registry round-trip (every registered name constructs, reseeds, and
 // answers), stable-id properties, unknown-name handling, runtime
-// registration of custom backends, and the backend-generic QueryExecutor /
-// BatchQueryEngine.
+// registration of custom backends, and the backend-generic QueryExecutor.
 
 #include <gtest/gtest.h>
 
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "baselines/cluster_hkpr.h"
 #include "baselines/hk_relax.h"
 #include "graph/generators.h"
 #include "hkpr/backend.h"
+#include "hkpr/power_method.h"
 #include "hkpr/queries.h"
 #include "test_util.h"
 
@@ -183,6 +184,35 @@ TEST(BackendRegistryTest, ClusterHkprBitIdenticalToEstimatePath) {
   ExpectSameVector(ported->EstimateInto(42, ws), direct.Estimate(42));
 }
 
+TEST(BackendRegistryTest, EveryBackendAnswersAnIsolatedSeedExactly) {
+  // Every walk from an isolated seed stops in place, so its exact HKPR is
+  // e_seed. Every registered backend must answer that, not an empty vector
+  // or the seed's e^-t share of it.
+  const Graph base = PowerlawCluster(300, 3, 0.3, 5);
+  const NodeId isolated = base.NumNodes();
+  GraphBuilder builder(isolated + 1);
+  for (NodeId v = 0; v < base.NumNodes(); ++v) {
+    for (NodeId u : base.Neighbors(v)) {
+      if (v < u) builder.AddEdge(v, u);
+    }
+  }
+  const Graph g = builder.Build();
+  ASSERT_EQ(g.Degree(isolated), 0u);
+  const ApproxParams params = TestParams(1e-3);
+  const std::vector<double> exact = ExactHkpr(g, params.t, isolated);
+  ASSERT_NEAR(exact[isolated], 1.0, 1e-9);  // up to the truncated tail
+  for (const std::string& name : EstimatorRegistry::Global().Names()) {
+    SCOPED_TRACE(name);
+    const SparseVector estimate =
+        EstimatorRegistry::Global().Create(name, g, params, 7)->Estimate(
+            isolated);
+    EXPECT_EQ(estimate.nnz(), 1u);
+    for (NodeId v = 0; v < g.NumNodes(); ++v) {
+      ASSERT_NEAR(estimate.Get(v), exact[v], 1e-9) << "node " << v;
+    }
+  }
+}
+
 TEST(QueryExecutorTest, AnswersAreAFunctionOfSeedAndQueryIndex) {
   // The serving determinism contract, per backend: an executor's answer
   // depends only on (engine seed, query index, query seed) — interleaved
@@ -198,11 +228,15 @@ TEST(QueryExecutorTest, AnswersAreAFunctionOfSeedAndQueryIndex) {
     executor.Answer(11, 4);  // unrelated interleaved work
     const SparseVector b = executor.Answer(7, 3);
     ExpectSameVector(a, b);
+    if (std::string_view(name) == "monte-carlo") {
+      // Another index draws other walks for the same seed.
+      EXPECT_TRUE(testing::AnyEntryDiffers(executor.Answer(7, 5), a));
+    }
   }
 }
 
-TEST(BatchQueryEngineTest, DeterministicBackendMatchesDirectEstimator) {
-  // A backend-generic engine serving a deterministic backend must return
+TEST(QueryExecutorTest, DeterministicBackendMatchesDirectEstimator) {
+  // A backend-generic executor serving a deterministic backend must return
   // exactly the direct estimator's bits (the per-query re-seed is a no-op).
   Graph g = PowerlawCluster(300, 3, 0.3, 8);
   const ApproxParams params = TestParams(1e-4);
@@ -210,38 +244,38 @@ TEST(BatchQueryEngineTest, DeterministicBackendMatchesDirectEstimator) {
 
   BackendSpec spec;
   spec.name = "hk-relax";
-  BatchQueryEngine engine(g, params, 55, 2, spec);
-  EXPECT_EQ(engine.backend_name(), "HK-Relax");
-  const auto batch = engine.EstimateBatch(seeds);
+  EXPECT_EQ(QueryExecutor(g, params, 55, spec).backend_name(), "HK-Relax");
+  const auto answers = testing::AnswerInOrder(g, params, 55, seeds, spec);
 
   HkRelaxOptions relax;
   relax.t = params.t;
   relax.eps_a = params.eps_r * params.delta;
   HkRelaxEstimator direct(g, relax);
-  ASSERT_EQ(batch.size(), seeds.size());
+  ASSERT_EQ(answers.size(), seeds.size());
   for (size_t i = 0; i < seeds.size(); ++i) {
     SCOPED_TRACE(i);
-    ExpectSameVector(batch[i], direct.Estimate(seeds[i]));
+    ExpectSameVector(answers[i], direct.Estimate(seeds[i]));
   }
 }
 
-TEST(BatchQueryEngineTest, MonteCarloBackendIsThreadCountInvariant) {
-  // The batch determinism guarantee holds for non-default backends too: a
-  // Monte-Carlo batch answered on 1 thread is bit-identical to 4 threads.
+TEST(QueryExecutorTest, MonteCarloAnswersDoNotDependOnTheExecutor) {
+  // What lets service workers share a stream of queries: a Monte-Carlo
+  // query answered by any executor, in any order, is bit-identical to the
+  // sequential reference at the same query index. Here three executors
+  // (as three workers would) take the indices round-robin, in reverse.
   Graph g = PowerlawCluster(300, 3, 0.3, 9);
   const ApproxParams params = TestParams(1e-3);
   const std::vector<NodeId> seeds = {1, 5, 9, 14, 22, 60};
 
   BackendSpec spec;
   spec.name = "monte-carlo";
-  BatchQueryEngine narrow(g, params, 77, 1, spec);
-  BatchQueryEngine wide(g, params, 77, 4, spec);
-  const auto expected = narrow.EstimateBatch(seeds);
-  const auto got = wide.EstimateBatch(seeds);
-  ASSERT_EQ(expected.size(), got.size());
-  for (size_t i = 0; i < expected.size(); ++i) {
+  const auto expected = testing::AnswerInOrder(g, params, 77, seeds, spec);
+  std::vector<QueryExecutor> workers;
+  for (int w = 0; w < 3; ++w) workers.emplace_back(g, params, 77, spec);
+  for (size_t i = seeds.size(); i-- > 0;) {
     SCOPED_TRACE(i);
-    ExpectSameVector(got[i], expected[i]);
+    ExpectSameVector(workers[i % workers.size()].Answer(seeds[i], i),
+                     expected[i]);
   }
 }
 

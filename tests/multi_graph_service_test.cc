@@ -1,7 +1,7 @@
 // Tests for the sharded multi-graph frontend: per-graph sharding and lazy
 // construction, the worker budget, the cross-backend determinism matrix
-// (MultiGraphService == BatchQueryEngine bit-for-bit for every registered
-// backend), versioned hot-swap under concurrent queries, cache
+// (MultiGraphService == a sequential QueryExecutor bit-for-bit for every
+// registered backend), versioned hot-swap under concurrent queries, cache
 // invalidation across Publish(), graceful drain on Drop(), and cumulative
 // per-graph stats across swaps.
 
@@ -136,9 +136,10 @@ TEST(MultiGraphServiceTest, WorkerBudgetSplitsAcrossGraphs) {
 TEST(MultiGraphServiceTest, CrossBackendDeterminismMatrix) {
   // The determinism matrix: for EVERY backend registered in the
   // EstimatorRegistry, the sharded multi-graph path must return
-  // bit-identical estimates to a direct BatchQueryEngine run on the same
-  // snapshot — extending the async==batch guarantee to the store-resolved
-  // query path. Cache disabled so every query computes at its index.
+  // bit-identical estimates to one QueryExecutor answering the same seeds
+  // in order on the same snapshot — extending the async == sequential
+  // guarantee to the store-resolved query path. Cache disabled so every
+  // query computes at its index.
   GraphStore store;
   store.Publish("g", PowerlawCluster(300, 3, 0.3, 7));
   const GraphSnapshot snapshot = store.Get("g");
@@ -150,8 +151,8 @@ TEST(MultiGraphServiceTest, CrossBackendDeterminismMatrix) {
     BackendSpec spec;
     spec.name = name;
 
-    BatchQueryEngine engine(*snapshot.graph, params, 77, 2, spec);
-    const auto expected = engine.EstimateBatch(seeds);
+    const auto expected =
+        testing::AnswerInOrder(*snapshot.graph, params, 77, seeds, spec);
 
     MultiGraphOptions options;
     options.worker_budget = 3;

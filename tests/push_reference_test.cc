@@ -414,12 +414,18 @@ TEST(PushReferenceTest, HkPushPlusBoundCertifiesOnlyWhatTheExactTestPasses) {
   // within its own rounding error there (it read -2.25e-18 on the R-MAT
   // seed 0 at t = 5 while its terms summed to 1.17e-18) and certified
   // tables that fail (11). Whatever the bound certifies, at that eps_a or
-  // at an ordinary one, the exact test must pass.
+  // at an ordinary one, the exact test must pass. One more graph holds an
+  // isolated node, seed 2: sealing skips a degree-0 entry, so a unit
+  // residue left there would be certified by a bound of 0.
+  std::vector<NamedGraph> graphs = TestGraphs();
+  GraphBuilder with_isolated(3);
+  with_isolated.AddEdge(0, 1);
+  graphs.push_back({"isolated", with_isolated.Build()});
   QueryWorkspace ws;
   size_t certified = 0;
   for (double t : {5.0, 20.0}) {
     const HeatKernel kernel(t);
-    for (const NamedGraph& g : TestGraphs()) {
+    for (const NamedGraph& g : graphs) {
       for (double delta : {1e-2, 1e-20}) {
         for (NodeId seed : TestSeeds(g.graph)) {
           SCOPED_TRACE(::testing::Message()

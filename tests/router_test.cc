@@ -232,30 +232,28 @@ TEST(RouterTest, ExecutorPlansAreLazyAndBitIdenticalToDedicatedBackends) {
   ExpectSameVector(routed, dedicated.Answer(kHub, 99));
 }
 
-TEST(RouterTest, BatchEngineAnswersExplicitPlans) {
+TEST(RouterTest, ExecutorAnswersExplicitPlans) {
   const Graph g = MakeRoutingGraph();
   const ApproxParams params = TestParams(1e-3);
   const std::vector<NodeId> seeds = {kMid, kHub, kLeaf, 7, 123};
 
-  BatchQueryEngine engine(g, params, 77, 2);
-  EXPECT_EQ(engine.default_plan().backend, "tea+");
+  QueryExecutor executor(g, params, 77);
+  EXPECT_EQ(executor.default_plan().backend, "tea+");
 
   // A plan naming another backend runs that backend, bit-identical to an
-  // engine constructed on it directly (same engine seed and batch offset).
+  // executor constructed on it directly (same engine seed and query
+  // indices, answered in order).
   PlanOverrides pick;
   pick.backend = "hk-relax";
   std::optional<QueryPlan> plan = ResolveQueryPlan(
       g, seeds.front(), "tea+", params, pick, DefaultRouter());
   ASSERT_TRUE(plan.has_value());
-  const std::vector<SparseVector> via_plan = engine.EstimateBatch(seeds, *plan);
-
   BackendSpec spec;
   spec.name = "hk-relax";
-  BatchQueryEngine dedicated(g, params, 77, 2, spec);
-  const std::vector<SparseVector> reference = dedicated.EstimateBatch(seeds);
-  ASSERT_EQ(via_plan.size(), reference.size());
-  for (size_t i = 0; i < via_plan.size(); ++i) {
-    ExpectSameVector(via_plan[i], reference[i]);
+  const std::vector<SparseVector> reference =
+      testing::AnswerInOrder(g, params, 77, seeds, spec);
+  for (size_t i = 0; i < seeds.size(); ++i) {
+    ExpectSameVector(executor.Answer(seeds[i], i, *plan), reference[i]);
   }
 }
 

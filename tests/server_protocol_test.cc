@@ -282,7 +282,9 @@ TEST(ServerProtocolTest, BackendSwitchThenQueryKeepsLoadedGraphs) {
 
 TEST(ServerProtocolTest, EveryBackendAnswersOnAOneNodeGraph) {
   // An edge list holding only a self-loop loads as a one-node graph. Every
-  // backend the server lists must answer a query on it; none may abort.
+  // backend the server lists, and auto, must answer a query on it with the
+  // exact HKPR: every walk from an isolated seed stops in place, so all of
+  // the mass stays on the seed. None may abort.
   ServerProcess server;
   ASSERT_TRUE(server.Start({"--nodes=400", "--workers=2", "--seed=13"}));
   ASSERT_TRUE(StartsWith(server.ReadLine(), "ok hkpr_server"));
@@ -310,6 +312,8 @@ TEST(ServerProtocolTest, EveryBackendAnswersOnAOneNodeGraph) {
   for (const std::string& name : names) {
     reply = server.Command("query 0 backend=" + name);
     EXPECT_TRUE(StartsWith(reply, "ok graph=one")) << name << ": " << reply;
+    EXPECT_TRUE(Contains(reply, " nnz=1 sum=1.000000 "))
+        << name << ": " << reply;
   }
   EXPECT_EQ(server.Quit(), 0);
 }

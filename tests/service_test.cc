@@ -1,5 +1,5 @@
 // Tests for the async serving subsystem: AsyncQueryService determinism
-// against the synchronous batch path, the result cache (hits never
+// against a sequential QueryExecutor, the result cache (hits never
 // recompute, hits answered at submission keep the query indices,
 // single-flight dedup, LRU bounds, invalidation), work stealing, admission
 // control, deadlines and cancellation, as the service's counters see them.
@@ -11,7 +11,9 @@
 #include <condition_variable>
 #include <future>
 #include <map>
+#include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -53,18 +55,17 @@ std::vector<QueryResult> SubmitAllAndWait(AsyncQueryService& service,
   return results;
 }
 
-TEST(AsyncQueryServiceTest, BitIdenticalToBatchQueryEngine) {
-  // The acceptance-criterion test: the async path must return bit-identical
-  // estimates to the synchronous BatchQueryEngine for the same (seed
-  // sequence, params, engine seed) — the query index assigned at submission
-  // drives the RNG in both. Includes a duplicate seed: with the cache
-  // disabled it is recomputed at its own index, exactly like the engine.
+TEST(AsyncQueryServiceTest, BitIdenticalToSequentialExecutor) {
+  // The async path must return bit-identical estimates to one QueryExecutor
+  // answering the same (seed sequence, params, engine seed) in submission
+  // order — the query index assigned at submission drives the RNG in both.
+  // Includes a duplicate seed: with the cache disabled it is recomputed at
+  // its own index, exactly like the sequential reference.
   Graph g = PowerlawCluster(400, 3, 0.3, 7);
   const ApproxParams params = TestParams(1e-5);
   const std::vector<NodeId> seeds = {1, 5, 9, 5, 22, 60, 120, 350};
 
-  BatchQueryEngine engine(g, params, 77, 2);
-  const auto expected = engine.EstimateBatch(seeds);
+  const auto expected = testing::AnswerInOrder(g, params, 77, seeds);
 
   for (uint32_t workers : {1u, 3u}) {
     ServiceOptions options;
@@ -82,13 +83,13 @@ TEST(AsyncQueryServiceTest, BitIdenticalToBatchQueryEngine) {
 
 TEST(AsyncQueryServiceTest, ColdCachedPassMatchesBatchOnDistinctSeeds) {
   // With the cache enabled, a cold pass over distinct seeds still computes
-  // each query at its submission index — same bits as the batch engine.
+  // each query at its submission index — same bits as the sequential
+  // reference answering the batch in order.
   Graph g = PowerlawCluster(300, 3, 0.3, 8);
   const ApproxParams params = TestParams(1e-4);
   const std::vector<NodeId> seeds = {2, 8, 31, 100};
 
-  BatchQueryEngine engine(g, params, 55, 2);
-  const auto expected = engine.EstimateBatch(seeds);
+  const auto expected = testing::AnswerInOrder(g, params, 55, seeds);
 
   ServiceOptions options;
   options.num_workers = 2;
@@ -101,12 +102,17 @@ TEST(AsyncQueryServiceTest, ColdCachedPassMatchesBatchOnDistinctSeeds) {
 }
 
 TEST(AsyncQueryServiceTest, TopKMatchesBatchTopK) {
+  // A top-k submission ranks the estimate its query index draws: the top-k
+  // of the batch answered in order by the sequential reference.
   Graph g = PowerlawCluster(400, 4, 0.3, 10);
   const ApproxParams params = TestParams(1e-5);
   const std::vector<NodeId> seeds = {3, 17, 200};
 
-  BatchQueryEngine engine(g, params, 33, 2);
-  const auto expected = engine.TopKBatch(seeds, 10);
+  std::vector<std::vector<ScoredNode>> expected;
+  for (const SparseVector& estimate :
+       testing::AnswerInOrder(g, params, 33, seeds)) {
+    expected.push_back(TopKNormalized(g, estimate, 10));
+  }
 
   ServiceOptions options;
   options.num_workers = 2;
@@ -154,16 +160,16 @@ TEST(AsyncQueryServiceTest, CacheHitsNeverRecompute) {
 TEST(AsyncQueryServiceTest, CachedHitsKeepQueryIndices) {
   // A completed key is answered on the submitting thread, but it still
   // claims its query index at admission: every miss after it draws the
-  // randomness of its own stream index, bit-identical to the batch path.
-  // Monte-Carlo is randomized, so a shifted index would change its bits.
+  // randomness of its own stream index, bit-identical to the sequential
+  // reference. Monte-Carlo is randomized, so a shifted index would change
+  // its bits.
   Graph g = PowerlawCluster(400, 3, 0.3, 7);
   const ApproxParams params = TestParams(1e-3);
   const std::vector<NodeId> stream = {1, 5, 1, 9, 5, 22, 1, 60, 9, 120};
   constexpr size_t kExpiredAt = 6;  // a repeat of seed 1, with a 1 ns timeout
   BackendSpec spec;
   spec.name = "monte-carlo";
-  BatchQueryEngine engine(g, params, 77, 2, spec);
-  const auto expected = engine.EstimateBatch(stream);
+  const auto expected = testing::AnswerInOrder(g, params, 77, stream, spec);
 
   ServiceOptions options;
   options.num_workers = 2;
@@ -441,34 +447,59 @@ TEST(AsyncQueryServiceTest, HkRelaxBackendMatchesDirectEstimator) {
   EXPECT_EQ(cached.estimate.get(), computed.estimate.get());
 }
 
-TEST(AsyncQueryServiceTest, FourBackendsBitIdenticalToBatchEngine) {
-  // The acceptance criterion of the pluggable-backend refactor: the async
-  // and batch paths answer through the same four registry backends — the
-  // paper's central comparison (TEA+, TEA, HK-Relax, Monte-Carlo) — and per
-  // backend every query is bit-identical between the two frontends for the
-  // same (engine seed, query index), regardless of worker count.
+/// Walks the sequential reference's queries take: the registry estimator
+/// re-seeded per query index, as QueryExecutor re-seeds it.
+uint64_t ReferenceWalks(const Graph& g, const ApproxParams& params,
+                        uint64_t engine_seed, const std::vector<NodeId>& seeds,
+                        const BackendSpec& spec) {
+  const std::unique_ptr<WorkspaceEstimator> estimator =
+      EstimatorRegistry::Global().Create(spec.name, g, params, engine_seed,
+                                         spec.context);
+  QueryWorkspace ws;
+  uint64_t walks = 0;
+  for (size_t i = 0; i < seeds.size(); ++i) {
+    estimator->Reseed(QueryRngSeed(engine_seed, i));
+    EstimatorStats stats;
+    estimator->EstimateInto(seeds[i], ws, &stats);
+    walks += stats.num_walks;
+  }
+  return walks;
+}
+
+TEST(AsyncQueryServiceTest, EveryBackendBitIdenticalToSequentialExecutor) {
+  // Per registry backend, every query the service answers is bit-identical
+  // to one QueryExecutor answering the same seeds in submission order, for
+  // the same (engine seed, query index), at 1 and at 3 workers. TEA+ runs
+  // at c = 1 so that it walks: a randomized backend must walk on some
+  // reference query, or its walk streams would go uncompared.
   Graph g = PowerlawCluster(400, 3, 0.3, 7);
   const ApproxParams params = TestParams(1e-3);
   const std::vector<NodeId> seeds = {1, 5, 9, 22, 120, 350};
 
-  for (const char* name : {"tea+", "tea", "hk-relax", "monte-carlo"}) {
+  for (const std::string& name : EstimatorRegistry::Global().Names()) {
+    SCOPED_TRACE(name);
     BackendSpec spec;
     spec.name = name;
-    BatchQueryEngine engine(g, params, 77, 2, spec);
-    const auto expected = engine.EstimateBatch(seeds);
+    spec.context.tea_plus.c = 1.0;
+    const auto expected = testing::AnswerInOrder(g, params, 77, seeds, spec);
+    if (EstimatorRegistry::Global().Find(name)->randomized) {
+      EXPECT_GT(ReferenceWalks(g, params, 77, seeds, spec), 0u);
+    }
 
-    ServiceOptions options;
-    options.num_workers = 3;
-    options.cache_capacity = 0;  // determinism: every query computes
-    options.backend = spec;
-    AsyncQueryService service(g, params, 77, options);
-    const auto results = SubmitAllAndWait(service, seeds);
-    ASSERT_EQ(results.size(), expected.size());
-    for (size_t i = 0; i < results.size(); ++i) {
-      ASSERT_EQ(results[i].status, QueryStatus::kOk)
-          << name << " query " << i;
-      SCOPED_TRACE(std::string(name) + " query " + std::to_string(i));
-      ExpectSameVector(*results[i].estimate, expected[i]);
+    for (uint32_t workers : {1u, 3u}) {
+      ServiceOptions options;
+      options.num_workers = workers;
+      options.cache_capacity = 0;  // determinism: every query computes
+      options.backend = spec;
+      AsyncQueryService service(g, params, 77, options);
+      const auto results = SubmitAllAndWait(service, seeds);
+      ASSERT_EQ(results.size(), expected.size());
+      for (size_t i = 0; i < results.size(); ++i) {
+        SCOPED_TRACE(std::to_string(workers) + " workers, query " +
+                     std::to_string(i));
+        ASSERT_EQ(results[i].status, QueryStatus::kOk);
+        ExpectSameVector(*results[i].estimate, expected[i]);
+      }
     }
   }
 }

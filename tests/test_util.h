@@ -12,7 +12,9 @@
 #include "common/sparse_vector.h"
 #include "graph/graph.h"
 #include "graph/graph_builder.h"
+#include "hkpr/backend.h"
 #include "hkpr/heat_kernel.h"
+#include "hkpr/queries.h"
 #include "hkpr/residue.h"
 
 namespace hkpr::testing {
@@ -119,6 +121,31 @@ inline void ExpectBitIdentical(const SparseVector& got,
               std::bit_cast<uint64_t>(want.entries()[i].value))
         << "entry " << i << " node " << want.entries()[i].key;
   }
+}
+
+/// True when `a` and `b` differ in some entry: a second draw of the same
+/// randomized query must not repeat the first.
+inline bool AnyEntryDiffers(const SparseVector& a, const SparseVector& b) {
+  if (a.nnz() != b.nnz()) return true;
+  for (const auto& e : a.entries()) {
+    if (b.Get(e.key) != e.value) return true;
+  }
+  return false;
+}
+
+/// The sequential reference of the serving paths: one QueryExecutor
+/// answering seeds[i] as query index i, in submission order. A service
+/// with any number of workers, its cache off, must answer the same bits.
+inline std::vector<SparseVector> AnswerInOrder(
+    const Graph& graph, const ApproxParams& params, uint64_t engine_seed,
+    const std::vector<NodeId>& seeds, const BackendSpec& spec = {}) {
+  QueryExecutor executor(graph, params, engine_seed, spec);
+  std::vector<SparseVector> answers;
+  answers.reserve(seeds.size());
+  for (size_t i = 0; i < seeds.size(); ++i) {
+    answers.push_back(executor.Answer(seeds[i], i));
+  }
+  return answers;
 }
 
 /// r_k[v] of a sealed residue table (0 when hop k has no entry for v).

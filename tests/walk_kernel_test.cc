@@ -1,14 +1,16 @@
 // Tests for the interleaved walk kernel and its counter-based RNG: the
 // determinism contract (results are a pure function of the walk index,
-// independent of interleave width, range partitioning, and thread count),
-// draw-exact agreement with the canonical KRandomWalk semantics, stranded
-// walks, walk-step accounting, and agreement with exact HKPR.
+// independent of interleave width, range partitioning, and of queries
+// running beside them on other threads), draw-exact agreement with the
+// canonical KRandomWalk semantics, stranded walks, walk-step accounting,
+// and agreement with exact HKPR.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <map>
 #include <span>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -250,9 +252,23 @@ ApproxParams TestParams(const Graph& graph) {
   return params;
 }
 
-/// The serving-level guarantee: TEA+ with its walk phase inline or sharded
-/// over any thread count, at any configured width, produces the same
-/// estimate to the last bit. `seq_stats` gets the sequential run's stats.
+/// Runs `query(width)` for each of `widths`, first one after another, then
+/// all at once, one thread each. Parallelism is across queries, so queries
+/// running side by side on one graph must not perturb each other.
+template <typename Query>
+void RunAtEveryWidthAndThreadCount(const std::vector<uint32_t>& widths,
+                                   const Query& query) {
+  for (const uint32_t width : widths) query(width);
+  std::vector<std::thread> threads;
+  for (const uint32_t width : widths) {
+    threads.emplace_back([&query, width] { query(width); });
+  }
+  for (std::thread& thread : threads) thread.join();
+}
+
+/// The serving-level guarantee: TEA+ at any configured width, alone or
+/// beside other queries, produces the same estimate to the last bit.
+/// `seq_stats` gets the width-8 reference run's stats.
 void ExpectTeaPlusBitIdenticalAcrossWidthsAndThreadCounts(
     const TeaPlusOptions& base_options, NodeId query,
     EstimatorStats* seq_stats) {
@@ -265,23 +281,21 @@ void ExpectTeaPlusBitIdenticalAcrossWidthsAndThreadCounts(
   params.p_f = 1e-6;
   const uint64_t seed = 99;
 
-  TeaPlusEstimator sequential(graph, params, seed, base_options);
+  TeaPlusEstimator reference(graph, params, seed, base_options);
   const std::map<NodeId, double> expected =
-      ToMap(sequential.Estimate(query, seq_stats));
+      ToMap(reference.Estimate(query, seq_stats));
   ASSERT_GT(seq_stats->num_walks, 0u) << "walk phase must run for this test";
 
-  for (const uint32_t width : {1u, 4u, 8u, 16u}) {
-    for (const uint32_t threads : {1u, 4u, 8u}) {
-      TeaPlusOptions options = base_options;
-      options.walk_kernel.width = width;
-      TeaPlusEstimator parallel(graph, params, seed, options, -1.0, threads);
-      EstimatorStats stats;
-      EXPECT_EQ(ToMap(parallel.Estimate(query, &stats)), expected)
-          << "width " << width << " threads " << threads;
-      EXPECT_EQ(stats.walk_steps, seq_stats->walk_steps);
-      EXPECT_EQ(stats.num_walks, seq_stats->num_walks);
-    }
-  }
+  RunAtEveryWidthAndThreadCount({1u, 4u, 8u, 16u}, [&](uint32_t width) {
+    TeaPlusOptions options = base_options;
+    options.walk_kernel.width = width;
+    TeaPlusEstimator estimator(graph, params, seed, options);
+    EstimatorStats stats;
+    EXPECT_EQ(ToMap(estimator.Estimate(query, &stats)), expected)
+        << "width " << width;
+    EXPECT_EQ(stats.walk_steps, seq_stats->walk_steps);
+    EXPECT_EQ(stats.num_walks, seq_stats->num_walks);
+  });
 }
 
 TEST(WalkKernelTest, TeaPlusBitIdenticalAcrossWidthsAndThreadCounts) {
@@ -314,19 +328,20 @@ TEST(WalkKernelTest, MonteCarloBitIdenticalAcrossThreadCounts) {
   const uint64_t seed = 7;
   const NodeId query = 42;
 
-  MonteCarloEstimator sequential(graph, params, seed);
-  EstimatorStats seq_stats;
+  MonteCarloEstimator reference(graph, params, seed);
+  EstimatorStats ref_stats;
   const std::map<NodeId, double> expected =
-      ToMap(sequential.Estimate(query, &seq_stats));
+      ToMap(reference.Estimate(query, &ref_stats));
 
-  for (const uint32_t threads : {1u, 4u, 8u}) {
-    MonteCarloEstimator parallel(graph, params, seed, -1.0,
-                                 WalkKernelOptions(), threads);
+  RunAtEveryWidthAndThreadCount({1u, 4u, 8u, 16u}, [&](uint32_t width) {
+    WalkKernelOptions walk_kernel;
+    walk_kernel.width = width;
+    MonteCarloEstimator estimator(graph, params, seed, -1.0, walk_kernel);
     EstimatorStats stats;
-    EXPECT_EQ(ToMap(parallel.Estimate(query, &stats)), expected)
-        << "threads " << threads;
-    EXPECT_EQ(stats.walk_steps, seq_stats.walk_steps);
-  }
+    EXPECT_EQ(ToMap(estimator.Estimate(query, &stats)), expected)
+        << "width " << width;
+    EXPECT_EQ(stats.walk_steps, ref_stats.walk_steps);
+  });
 }
 
 TEST(WalkKernelTest, WalkStepsAccountingMatchesInstrumentedRecount) {
