@@ -20,7 +20,9 @@
 //                           query's plan (backend=auto routes adaptively)
 //   topk <seed> <k> [backend=...] [t=...] [eps=...] [delta=...]
 //                           top-k nodes by normalized HKPR
-//   graph load <name> <path>  load/replace (hot-swap) a graph from disk
+//   graph load <name> <path>  load a graph from disk, or hot-swap a loaded
+//                           one: its service and workers stay and take
+//                           the new snapshot
 //   graph use <name>        switch the current graph (err if not loaded)
 //   graph drop <name>       remove a graph; its service drains gracefully
 //   graph list              loaded graphs with version/size
@@ -29,8 +31,8 @@
 //                           "auto" routes each query by seed degree, t
 //                           and graph scale
 //   params <graph> [backend=NAME|auto] [t=V] [eps=V] [delta=V]
-//                           per-graph default-plan overrides (re-applied
-//                           across hot-swaps); with no tokens, shows the
+//                           per-graph default-plan overrides (kept across
+//                           hot-swaps); with no tokens, shows the
 //                           graph's current overrides; "params <graph>
 //                           clear" restores the template
 //   tenant [<id>]           show / switch the session's tenant (QoS
@@ -78,10 +80,11 @@
 // can sit behind a pipe or a plain TCP client. Query responses carry
 // "backend=<name>" — the plan the query actually ran, which is how a
 // routed (auto) query reports the router's choice. Re-`load`ing a name
-// hot-swaps it: in-flight queries finish on the old snapshot, later
-// queries see the new one, and the version bump makes pre-swap cache
-// entries unreachable (cache keys embed the full resolved plan, so
-// distinct plans never share entries either). Queries against a
+// hot-swaps it inside the graph's running service — no thread is started
+// or joined: in-flight queries finish on the old snapshot, later queries
+// see the new one, and the version bump makes pre-swap cache entries
+// unreachable (cache keys embed the full resolved plan, so distinct plans
+// never share entries either). Queries against a
 // dropped/unknown current graph report an error — the server never
 // silently falls back to another graph.
 

@@ -21,7 +21,8 @@ bool ServableParams(const ApproxParams& params) {
   return std::isfinite(params.t) && params.t > 0.0 && params.t <= 700.0 &&
          std::isfinite(params.eps_r) && params.eps_r > 0.0 &&
          params.eps_r < 1.0 && std::isfinite(params.delta) &&
-         params.delta > 0.0 && std::isfinite(params.p_f) && params.p_f > 0.0 &&
+         params.delta > 0.0 && params.delta <= 1.0 &&
+         std::isfinite(params.p_f) && params.p_f > 0.0 &&
          params.p_f < 1.0;
 }
 

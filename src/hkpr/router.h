@@ -81,7 +81,10 @@ ApproxParams ApplyParamOverrides(const ApproxParams& base,
                                  const PlanOverrides& overrides);
 
 /// True when `params` are servable by every registered estimator: all
-/// fields finite, 0 < t <= 700, eps_r in (0, 1), delta > 0, p_f in (0, 1).
+/// fields finite, 0 < t <= 700, eps_r in (0, 1), delta in (0, 1], p_f in
+/// (0, 1). No normalized HKPR exceeds 1, so a larger delta would certify
+/// nothing; the cap keeps HK-Relax's absolute target eps_r * delta below
+/// 1, which its constructor requires.
 /// The cap on t keeps the heat kernel's first weight e^{-t} a normal
 /// double: it turns subnormal from t ~ 708, and from t ~ 746 it is 0 and
 /// building the kernel's table aborts. Up to the cap (and from t ~ 1e-16

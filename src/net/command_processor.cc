@@ -371,11 +371,9 @@ void CommandProcessor::ExecuteQuery(ClientSession& session,
 
   // Tenant QoS gate, at the same boundary the service's own admission
   // control runs: the current queue depth of the graph's service against
-  // the configured cap.
-  const std::shared_ptr<AsyncQueryService> graph_service =
-      service_.ServiceFor(session.current_graph);
-  const size_t queue_depth =
-      graph_service != nullptr ? graph_service->queue_depth() : 0;
+  // the configured cap. The lookup builds no service, so a throttled or
+  // shed query costs no worker threads.
+  const size_t queue_depth = service_.QueueDepth(session.current_graph);
   const size_t max_depth = service_.options().service.max_queue_depth;
   const TenantAdmission admission =
       tenants_.Admit(tenant, queue_depth, max_depth);
@@ -561,7 +559,7 @@ void CommandProcessor::ExecuteParams(std::istringstream& in,
   if (!clear && !show &&
       !ServableParams(ApplyParamOverrides(params_, overrides))) {
     out += "err params out of range (t in (0,700], eps in (0,1), "
-           "delta > 0)\n";
+           "delta in (0,1])\n";
     return;
   }
   if (show) {
@@ -704,8 +702,8 @@ void CommandProcessor::ExecuteStats(std::istringstream& in, std::string& out) {
   const ServiceStatsSnapshot s =
       name.empty() ? service_.AggregateStats() : service_.StatsFor(name);
   // A named scope is valid while the graph is loaded AND after it was
-  // dropped (StatsFor keeps the retired cumulative counters); only a
-  // name that never served anything is an error.
+  // dropped (StatsFor keeps the graph's stats block); only a name that
+  // never served anything is an error.
   if (!name.empty() && !store_.Contains(name) && s.submitted == 0 &&
       s.completed == 0) {
     Appendf(out, "err unknown graph \"%s\" (loaded: %s)\n", name.c_str(),

@@ -33,21 +33,20 @@ const char* QueryStatusName(QueryStatus status) {
 
 AsyncQueryService::AsyncQueryService(GraphSnapshot snapshot,
                                      const ApproxParams& params, uint64_t seed,
-                                     const ServiceOptions& options)
-    : snapshot_(std::move(snapshot)),
-      params_(params),
-      options_(options) {
-  HKPR_CHECK(snapshot_.graph != nullptr) << "service needs a graph snapshot";
+                                     const ServiceOptions& options,
+                                     std::shared_ptr<ServiceStats> stats)
+    : params_(params),
+      seed_(seed),
+      options_(options),
+      stats_(stats != nullptr ? std::move(stats)
+                              : std::make_shared<ServiceStats>()) {
+  HKPR_CHECK(snapshot.graph != nullptr) << "service needs a graph snapshot";
   // Die at startup on out-of-range defaults, not on whichever request
   // happens to trigger plan resolution first (ResolveQueryPlan reports
   // rather than aborts, relying on this construction-time validation).
   HKPR_CHECK(ServableParams(params))
       << "service ApproxParams out of range (t in (0, 700], eps_r in "
-         "(0, 1), delta > 0, p_f in (0, 1))";
-  const Graph& graph = *snapshot_.graph;
-  // Snapshot-level routing features, computed once: the graph is immutable
-  // for this service's lifetime, so every submission reuses them.
-  scale_features_ = GraphScaleFeatures::Of(graph);
+         "(0, 1), delta in (0, 1], p_f in (0, 1))";
   uint32_t num_workers = options.num_workers;
   if (num_workers == 0) {
     num_workers = std::max(1u, std::thread::hardware_concurrency());
@@ -57,35 +56,26 @@ AsyncQueryService::AsyncQueryService(GraphSnapshot snapshot,
                                            options.cache_shards);
   }
 
-  // An "auto" default means every unpinned request is routed per query;
-  // the executors still need a concrete backend for their eagerly built
-  // default estimator — warm the router's usual winner.
-  BackendSpec exec_spec = options.backend;
-  if (exec_spec.name == kAutoBackend) exec_spec.name = "tea+";
-  // Resolve shared precomputations once for all per-worker executors;
-  // ResolvedSpec check-fails on unknown backend names, so a misconfigured
-  // service dies loudly at construction. p'_f is resolved even for
-  // deterministic defaults (one O(n) scan): a routed or overridden plan
-  // may lazily build a randomized backend on any worker.
-  BackendSpec spec = ResolvedSpec(exec_spec, graph, params);
-  if (spec.context.pf_prime < 0.0) {
-    spec.context.pf_prime = ComputePfPrime(graph, params.p_f);
-  }
-  executors_.reserve(num_workers);
-  for (uint32_t w = 0; w < num_workers; ++w) {
-    executors_.push_back(
-        std::make_unique<QueryExecutor>(graph, params, seed, spec));
+  config_.graph = Serve(std::move(snapshot));
+  const ServedGraph& served = *config_.graph;
+  executors_.resize(num_workers);
+  for (BoundExecutor& bound : executors_) {
+    bound.executor = std::make_unique<QueryExecutor>(
+        *served.snapshot.graph, params, seed, served.spec);
+    bound.version = served.snapshot.version;
   }
   // The registry's collision-checked id (as resolved by the executors),
   // folded into every cache key.
-  backend_id_ = executors_.front()->backend_id();
+  const QueryExecutor& first = *executors_.front().executor;
+  backend_id_ = first.backend_id();
+  backend_name_ = std::string(first.backend_name());
 
-  defaults_.backend = options.backend.name;
-  defaults_.params = params;
-  if (defaults_.backend != kAutoBackend) {
+  config_.backend = options.backend.name;
+  config_.params = params;
+  if (config_.backend != kAutoBackend) {
     // Pre-resolve the fast path: unpinned requests reuse this plan
     // without consulting the registry per submission.
-    defaults_.plan = executors_.front()->default_plan();
+    config_.plan = first.default_plan();
   }
 
   shards_.reserve(num_workers);
@@ -98,6 +88,58 @@ AsyncQueryService::AsyncQueryService(GraphSnapshot snapshot,
   }
 }
 
+std::shared_ptr<const AsyncQueryService::ServedGraph> AsyncQueryService::Serve(
+    GraphSnapshot snapshot) const {
+  auto served = std::make_shared<ServedGraph>();
+  const Graph& graph = *snapshot.graph;
+  served->scale = GraphScaleFeatures::Of(graph);
+  // An "auto" default means every unpinned request is routed per query;
+  // the executors still need a concrete backend for their eagerly built
+  // default estimator — warm the router's usual winner.
+  BackendSpec exec_spec = options_.backend;
+  if (exec_spec.name == kAutoBackend) exec_spec.name = "tea+";
+  // Resolve shared precomputations once for all per-worker executors;
+  // ResolvedSpec check-fails on unknown backend names, so a misconfigured
+  // service dies loudly at construction. p'_f is resolved even for
+  // deterministic defaults (one O(n) scan): a routed or overridden plan
+  // may lazily build a randomized backend on any worker.
+  served->spec = ResolvedSpec(exec_spec, graph, params_);
+  if (served->spec.context.pf_prime < 0.0) {
+    served->spec.context.pf_prime = ComputePfPrime(graph, params_.p_f);
+  }
+  served->snapshot = std::move(snapshot);
+  return served;
+}
+
+bool AsyncQueryService::SetSnapshot(GraphSnapshot snapshot) {
+  HKPR_CHECK(snapshot.graph != nullptr) << "service needs a graph snapshot";
+  // The version check is repeated under the lock; this one only spares a
+  // caller that lost a race the O(n) scan.
+  if (snapshot.version <= graph_version()) return false;
+  std::shared_ptr<const ServedGraph> served = Serve(std::move(snapshot));
+  {
+    std::lock_guard<std::mutex> lock(config_mu_);
+    if (served->snapshot.version <= config_.graph->snapshot.version) {
+      return false;
+    }
+    config_.graph.swap(served);
+  }
+  // `served` now holds the replaced snapshot, released outside the lock.
+  // Its cache entries can never hit again: every key carries its version.
+  InvalidateCache();
+  return true;
+}
+
+GraphSnapshot AsyncQueryService::snapshot() const {
+  std::lock_guard<std::mutex> lock(config_mu_);
+  return config_.graph->snapshot;
+}
+
+uint64_t AsyncQueryService::graph_version() const {
+  std::lock_guard<std::mutex> lock(config_mu_);
+  return config_.graph->snapshot.version;
+}
+
 bool AsyncQueryService::SetDefaultBackend(std::string_view backend) {
   QueryPlan plan;
   if (backend != kAutoBackend) {
@@ -107,10 +149,10 @@ bool AsyncQueryService::SetDefaultBackend(std::string_view backend) {
     plan.backend_id = info->stable_id;
   }
   std::lock_guard<std::mutex> lock(config_mu_);
-  defaults_.backend = std::string(backend);
+  config_.backend = std::string(backend);
   if (backend != kAutoBackend) {
-    plan.params = defaults_.params;
-    defaults_.plan = std::move(plan);
+    plan.params = config_.params;
+    config_.plan = std::move(plan);
   }
   return true;
 }
@@ -118,25 +160,25 @@ bool AsyncQueryService::SetDefaultBackend(std::string_view backend) {
 void AsyncQueryService::SetDefaultParams(const ApproxParams& params) {
   HKPR_CHECK(ServableParams(params))
       << "default ApproxParams out of range (t in (0, 700], eps_r in "
-         "(0, 1), delta > 0, p_f in (0, 1))";
+         "(0, 1), delta in (0, 1], p_f in (0, 1))";
   std::lock_guard<std::mutex> lock(config_mu_);
-  defaults_.params = params;
-  defaults_.plan.params = params;
+  config_.params = params;
+  config_.plan.params = params;
 }
 
 std::string AsyncQueryService::default_backend() const {
   std::lock_guard<std::mutex> lock(config_mu_);
-  return defaults_.backend;
+  return config_.backend;
 }
 
 ApproxParams AsyncQueryService::default_params() const {
   std::lock_guard<std::mutex> lock(config_mu_);
-  return defaults_.params;
+  return config_.params;
 }
 
-AsyncQueryService::PlanDefaults AsyncQueryService::GetDefaults() const {
+AsyncQueryService::Config AsyncQueryService::GetConfig() const {
   std::lock_guard<std::mutex> lock(config_mu_);
-  return defaults_;
+  return config_;
 }
 
 AsyncQueryService::AsyncQueryService(const Graph& graph,
@@ -165,15 +207,15 @@ void AsyncQueryService::Shutdown() {
 
 AsyncQueryService::~AsyncQueryService() { Shutdown(); }
 
-ResultCacheKey AsyncQueryService::MakeKey(const QueryPlan& plan,
-                                          NodeId seed) const {
+namespace {
+
+ResultCacheKey MakeKey(const QueryPlan& plan, NodeId seed,
+                       uint64_t graph_version) {
   ResultCacheKey key;
-  // The snapshot version is fixed for this service's lifetime and the
-  // cache version is bumped by InvalidateCache(), so within one cache the
-  // sum is strictly monotone across invalidations — no two key epochs can
-  // collide. Across hot-swaps the store's version alone separates epochs.
-  key.graph_version =
-      snapshot_.version + (cache_ ? cache_->version() : 0);
+  // The version of the snapshot the request was admitted against. Store
+  // versions are unique per snapshot, and a service only moves to newer
+  // ones, so no two snapshots ever share a key.
+  key.graph_version = graph_version;
   key.seed = seed;
   // The *resolved plan* is the key: backend id plus every effective
   // parameter, so no two distinct plans can ever share an entry — and the
@@ -186,10 +228,18 @@ ResultCacheKey AsyncQueryService::MakeKey(const QueryPlan& plan,
   return key;
 }
 
+}  // namespace
+
 std::optional<QueryHandle> AsyncQueryService::Enqueue(
-    NodeId seed, size_t k, const SubmitOptions& submit,
-    bool stale_if_stopping) {
-  HKPR_CHECK(seed < snapshot_.graph->NumNodes()) << "query seed out of range";
+    NodeId seed, size_t k, const SubmitOptions& submit, bool try_submit) {
+  Config config = GetConfig();
+  const Graph& graph = *config.graph->snapshot.graph;
+  if (seed >= graph.NumNodes()) {
+    // A TrySubmit caller checked the seed on a snapshot that a republish
+    // may since have replaced: it resolves the graph again.
+    HKPR_CHECK(try_submit) << "query seed out of range";
+    return std::nullopt;
+  }
   QueryHandle handle;
   handle.cancel_ = std::make_shared<std::atomic<bool>>(false);
   std::promise<QueryResult> promise;
@@ -208,21 +258,19 @@ std::optional<QueryHandle> AsyncQueryService::Enqueue(
   // later default switches. Unpinned requests under a concrete default
   // take the pre-resolved plan; everything else (overrides, "auto")
   // resolves through the router/registry.
-  const PlanDefaults defaults = GetDefaults();
-  if (submit.plan.empty() && defaults.backend != kAutoBackend) {
-    request.plan = defaults.plan;
+  if (submit.plan.empty() && config.backend != kAutoBackend) {
+    request.plan = std::move(config.plan);
   } else {
     std::optional<QueryPlan> plan =
-        ResolveQueryPlan(*snapshot_.graph, seed, scale_features_,
-                         defaults.backend, defaults.params, submit.plan,
-                         DefaultRouter());
+        ResolveQueryPlan(graph, seed, config.graph->scale, config.backend,
+                         config.params, submit.plan, DefaultRouter());
     if (!plan.has_value()) {
       // The request named an unregistered backend or out-of-range
       // parameter overrides: report, don't abort — and don't consume a
       // query index. Counted as invalid_plans, not rejected: this is
       // malformed input, not admission pressure.
-      stats_.RecordSubmitted();
-      stats_.RecordInvalidPlan();
+      stats_->RecordSubmitted();
+      stats_->RecordInvalidPlan();
       QueryResult result;
       result.status = QueryStatus::kInvalidArgument;
       promise.set_value(std::move(result));
@@ -230,22 +278,23 @@ std::optional<QueryHandle> AsyncQueryService::Enqueue(
     }
     request.plan = *std::move(plan);
   }
-  request.key = MakeKey(request.plan, seed);
+  request.key = MakeKey(request.plan, seed, config.graph->snapshot.version);
+  request.graph = std::move(config.graph);
   request.trace.plan_resolved = Clock::now();
 
   if (stopping_.load()) {
-    if (stale_if_stopping) return std::nullopt;
-    stats_.RecordSubmitted();
-    stats_.RecordRejected();
+    if (try_submit) return std::nullopt;
+    stats_->RecordSubmitted();
+    stats_->RecordRejected();
     promise.set_value(QueryResult{});  // kRejected
     return handle;
   }
-  stats_.RecordSubmitted();
+  stats_->RecordSubmitted();
   // Exact global admission without any shared lock: claim a waiting slot;
   // undo and reject if the claim overshot the bound.
   if (pending_.fetch_add(1) >= options_.max_queue_depth) {
     pending_.fetch_sub(1);
-    stats_.RecordRejected();
+    stats_->RecordRejected();
     promise.set_value(QueryResult{});  // kRejected
     return handle;
   }
@@ -285,8 +334,8 @@ std::optional<QueryHandle> AsyncQueryService::Enqueue(
       // have passed this shard, so resolve the request here instead of
       // stranding the future in a dead queue.
       pending_.fetch_sub(1);
-      stats_.RecordRejected();
-      if (stale_if_stopping) return std::nullopt;
+      stats_->RecordRejected();
+      if (try_submit) return std::nullopt;
       request.promise.set_value(QueryResult{});  // kRejected
       return handle;
     }
@@ -321,24 +370,24 @@ void AsyncQueryService::HintIdleWorker(size_t busy_shard) {
 
 QueryHandle AsyncQueryService::Submit(NodeId seed,
                                       const SubmitOptions& submit) {
-  return *Enqueue(seed, 0, submit, /*stale_if_stopping=*/false);
+  return *Enqueue(seed, 0, submit, /*try_submit=*/false);
 }
 
 QueryHandle AsyncQueryService::SubmitTopK(NodeId seed, size_t k,
                                           const SubmitOptions& submit) {
   HKPR_CHECK(k > 0) << "top-k query needs k >= 1";
-  return *Enqueue(seed, k, submit, /*stale_if_stopping=*/false);
+  return *Enqueue(seed, k, submit, /*try_submit=*/false);
 }
 
 std::optional<QueryHandle> AsyncQueryService::TrySubmit(
     NodeId seed, const SubmitOptions& submit) {
-  return Enqueue(seed, 0, submit, /*stale_if_stopping=*/true);
+  return Enqueue(seed, 0, submit, /*try_submit=*/true);
 }
 
 std::optional<QueryHandle> AsyncQueryService::TrySubmitTopK(
     NodeId seed, size_t k, const SubmitOptions& submit) {
   HKPR_CHECK(k > 0) << "top-k query needs k >= 1";
-  return Enqueue(seed, k, submit, /*stale_if_stopping=*/true);
+  return Enqueue(seed, k, submit, /*try_submit=*/true);
 }
 
 size_t AsyncQueryService::StealInto(uint32_t thief, std::vector<Request>& batch,
@@ -363,7 +412,7 @@ size_t AsyncQueryService::StealInto(uint32_t thief, std::vector<Request>& batch,
 }
 
 void AsyncQueryService::WorkerLoop(uint32_t worker_id) {
-  QueryExecutor& executor = *executors_[worker_id];
+  BoundExecutor& executor = executors_[worker_id];
   Shard& home = *shards_[worker_id];
   const uint32_t max_batch = std::max(1u, options_.max_batch);
   std::vector<Request> batch;
@@ -419,7 +468,7 @@ void AsyncQueryService::WorkerLoop(uint32_t worker_id) {
       }
       idle_workers_.fetch_sub(1);
       if (stolen == 0) continue;
-      stats_.RecordStolen(stolen);
+      stats_->RecordStolen(stolen);
     }
     if (owes_scan) {
       owes_scan = false;
@@ -437,14 +486,23 @@ void AsyncQueryService::WorkerLoop(uint32_t worker_id) {
   }
 }
 
-SparseVector AsyncQueryService::Compute(QueryExecutor& executor,
+SparseVector AsyncQueryService::Compute(BoundExecutor& executor,
                                         const Request& request) {
+  const ServedGraph& served = *request.graph;
+  if (executor.version != served.snapshot.version) {
+    // The first request this worker runs on another snapshot: rebind. The
+    // request holds its snapshot, so the graph outlives this query.
+    executor.executor = std::make_unique<QueryExecutor>(
+        *served.snapshot.graph, params_, seed_, served.spec);
+    executor.version = served.snapshot.version;
+  }
   // The executor re-seeds the plan's backend from (engine seed, query
   // index), so every worker answers index i bit-identically to a
   // sequential executor, and a routed plan is bit-identical to directly
-  // invoking its chosen backend at the same index. Deterministic backends ignore the re-seed and the index plays
-  // no role.
-  return executor.Answer(request.seed, request.query_index, request.plan);
+  // invoking its chosen backend at the same index. Deterministic backends
+  // ignore the re-seed and the index plays no role.
+  return executor.executor->Answer(request.seed, request.query_index,
+                                   request.plan);
 }
 
 bool AsyncQueryService::ExpireIfLate(Request& request) {
@@ -454,18 +512,18 @@ bool AsyncQueryService::ExpireIfLate(Request& request) {
   }
   QueryResult result;
   result.status = QueryStatus::kExpired;
-  stats_.RecordExpired();
+  stats_->RecordExpired();
   request.promise.set_value(std::move(result));
   return true;
 }
 
-void AsyncQueryService::Process(QueryExecutor& executor, Request& request,
+void AsyncQueryService::Process(BoundExecutor& executor, Request& request,
                                 std::vector<Deferred>& deferred) {
   request.trace.dequeue = Clock::now();
   if (request.cancelled->load(std::memory_order_relaxed)) {
     QueryResult result;
     result.status = QueryStatus::kCancelled;
-    stats_.RecordCancelled();
+    stats_->RecordCancelled();
     request.promise.set_value(std::move(result));
     return;
   }
@@ -513,11 +571,12 @@ void AsyncQueryService::Fulfill(Request& request, CachedEstimate estimate) {
   QueryResult result;
   result.from_cache = request.cache_outcome == CacheOutcome::kHit ||
                       request.cache_outcome == CacheOutcome::kCoalesced;
-  result.graph_version = snapshot_.version;
+  result.graph_version = request.graph->snapshot.version;
   result.backend = std::move(request.plan.backend);
   result.backend_id = request.plan.backend_id;
   if (request.k > 0) {
-    result.top_k = TopKNormalized(*snapshot_.graph, *estimate, request.k);
+    result.top_k =
+        TopKNormalized(*request.graph->snapshot.graph, *estimate, request.k);
   }
   result.estimate = std::move(estimate);
   result.status = QueryStatus::kOk;
@@ -525,8 +584,11 @@ void AsyncQueryService::Fulfill(Request& request, CachedEstimate estimate) {
   result.latency_ms = std::chrono::duration<double, std::milli>(
                           request.trace.complete - request.trace.submit)
                           .count();
-  stats_.RecordCompleted(result.backend_id, request.cache_outcome,
-                         request.trace);
+  stats_->RecordCompleted(result.backend_id, request.cache_outcome,
+                          request.trace);
+  // Release the snapshot before the answer is handed over: once the last
+  // query on a replaced snapshot has its answer, nothing here pins it.
+  request.graph.reset();
   request.promise.set_value(std::move(result));
 }
 
@@ -535,7 +597,7 @@ void AsyncQueryService::InvalidateCache() {
 }
 
 ServiceStatsSnapshot AsyncQueryService::Stats() const {
-  ServiceStatsSnapshot snap = stats_.TakeSnapshot();
+  ServiceStatsSnapshot snap = stats_->TakeSnapshot();
   snap.queue_depth = queue_depth();
   return snap;
 }

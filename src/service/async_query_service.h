@@ -56,13 +56,20 @@
 // each completed query's trace once; Stats() returns a snapshot with
 // p50/p95/p99 latencies, the stage breakdown and per-backend rows.
 //
-// The service answers on one immutable GraphSnapshot (service/graph_store.h)
-// which it co-owns for its whole lifetime: hot-swapping a graph means
-// standing up a new service on the new snapshot (MultiGraphService does
-// exactly that) while this one drains and finishes its in-flight queries
-// on the old graph. The snapshot's version is folded into every cache key
-// and stamped on every result, so estimates computed on a replaced
-// snapshot can never serve post-swap lookups.
+// The service answers on an immutable GraphSnapshot (service/graph_store.h)
+// that SetSnapshot() replaces as a live config update, like
+// SetDefaultParams(): no drain, no thread started, no worker rebuilt. The
+// service derives what it needs from a snapshot once (the routing
+// features and p'_f, Equation 6). Each request is admitted against the
+// snapshot current at submission and carries it to completion: its cache
+// key, its top-k ranking and the graph_version on its result all come
+// from that snapshot, which the request co-owns. A worker rebinds its
+// executor on its first request for another snapshot; executors only
+// refer to their graph, so once the last request on a replaced snapshot
+// completes, nothing of the service keeps that graph alive. Cache keys
+// carry the snapshot's version alone, and store versions are unique, so
+// an estimate computed on one snapshot never answers a query on another;
+// SetSnapshot() also drops the cache's entries, which can never hit again.
 //
 // Determinism: every accepted request is assigned a global query index at
 // submission time, and the computation for index i draws its randomness
@@ -70,9 +77,12 @@
 // uses. A cold service (or one with the cache disabled) therefore returns
 // bit-identical estimates to one QueryExecutor answering the same (backend,
 // seed sequence, params, engine seed) in submission order, regardless of
-// how many workers race over the queue. With the cache enabled, a repeat of an
-// *already answered* key returns the original computation's value instead
-// of drawing fresh randomness — that is the point of the cache.
+// how many workers race over the queue. Indices continue across
+// SetSnapshot(): after a republish, query i is answered as one
+// QueryExecutor on the new snapshot answers index i. With the cache
+// enabled, a repeat of an *already answered* key returns the original
+// computation's value instead of drawing fresh randomness — that is the
+// point of the cache.
 
 #ifndef HKPR_SERVICE_ASYNC_QUERY_SERVICE_H_
 #define HKPR_SERVICE_ASYNC_QUERY_SERVICE_H_
@@ -103,7 +113,8 @@ namespace hkpr {
 
 /// Serving configuration. Stats need none: every service stamps each
 /// request's QueryTrace and records each completed query once in its
-/// stats block (service/service_stats.h).
+/// stats block (service/service_stats.h), which the constructor may share
+/// with other services.
 struct ServiceOptions {
   /// Worker threads; 0 uses all hardware threads.
   uint32_t num_workers = 0;
@@ -208,13 +219,17 @@ struct SubmitOptions {
 /// destructor stops admission, drains the queue and joins the workers.
 class AsyncQueryService {
  public:
-  /// Serves queries on one immutable graph snapshot (see GraphStore). The
-  /// service co-owns the graph through the snapshot, so a store-side
-  /// Publish()/Remove() can never free memory under in-flight queries;
-  /// the snapshot's version is folded into every cache key and stamped on
-  /// every result.
+  /// Serves queries on `snapshot` (see GraphStore) until SetSnapshot()
+  /// replaces it. The service and its queued requests co-own the graph
+  /// through the snapshot, so a store-side Publish()/Remove() can never
+  /// free memory under in-flight queries; the snapshot's version is the
+  /// epoch of every cache key and is stamped on every result. Completed
+  /// queries are recorded in `stats` when given (MultiGraphService shares
+  /// one block among the services it builds for a graph name), else in a
+  /// block of the service's own.
   AsyncQueryService(GraphSnapshot snapshot, const ApproxParams& params,
-                    uint64_t seed, const ServiceOptions& options = {});
+                    uint64_t seed, const ServiceOptions& options = {},
+                    std::shared_ptr<ServiceStats> stats = nullptr);
 
   /// Legacy single-graph entry point: borrows `graph` (which must outlive
   /// the service) as a non-owning version-0 snapshot.
@@ -241,20 +256,29 @@ class AsyncQueryService {
                          const SubmitOptions& submit = {});
 
   /// Like Submit()/SubmitTopK(), but returns nullopt instead of a
-  /// kRejected handle when the service has already been shut down — the
-  /// signal a routing layer (MultiGraphService) uses to re-resolve and
-  /// retry on the replacement service after a hot-swap/drop, without
-  /// holding its registry lock across the enqueue. Queue-full rejections
-  /// still resolve kRejected (that is admission control, not staleness).
+  /// kRejected handle when the service has already been shut down, and
+  /// instead of check-failing when `seed` is out of range on the current
+  /// snapshot — the signals a routing layer (MultiGraphService) uses to
+  /// resolve the graph again after a drop or a shrinking republish,
+  /// without holding its registry lock across the enqueue. Queue-full
+  /// rejections still resolve kRejected (that is admission control, not
+  /// staleness).
   std::optional<QueryHandle> TrySubmit(NodeId seed,
                                        const SubmitOptions& submit = {});
   std::optional<QueryHandle> TrySubmitTopK(NodeId seed, size_t k,
                                            const SubmitOptions& submit = {});
 
-  /// Drops every cached estimate and bumps the cache version (call after
-  /// swapping/mutating the graph the estimates were computed on). No-op
-  /// when the cache is disabled.
+  /// Drops every cached estimate. No-op when the cache is disabled.
   void InvalidateCache();
+
+  /// Serves `snapshot` from now on, as a live config update with the same
+  /// no-drain semantics as SetDefaultParams(): queued and in-flight
+  /// requests finish on the snapshot they were admitted against, requests
+  /// submitted after this returns run on `snapshot`, and the cache's
+  /// entries are dropped. p'_f is scanned here, once per snapshot. Returns
+  /// false (and changes nothing) when `snapshot` is not newer than the
+  /// current one, so racing callers can only move the service forward.
+  bool SetSnapshot(GraphSnapshot snapshot);
 
   /// Switches the default backend — any registered name, or "auto" to
   /// route every unpinned request — as a pure config update: no drain, no
@@ -282,6 +306,7 @@ class AsyncQueryService {
   /// The stats block's snapshot (service/service_stats.h) plus the
   /// current queue depth: counters, latency percentiles, the
   /// queue-wait/cache/compute stage breakdown and the per-backend rows.
+  /// A shared block covers every service that records into it.
   ServiceStatsSnapshot Stats() const;
 
   size_t queue_depth() const;
@@ -290,24 +315,43 @@ class AsyncQueryService {
   }
   /// The *construction-time* default backend's algorithm name ("TEA+",
   /// "HK-Relax", ...); per-result backends live on QueryResult::backend.
-  std::string_view backend_name() const {
-    return executors_.front()->backend_name();
-  }
+  std::string_view backend_name() const { return backend_name_; }
   /// The construction-time default backend's stable id.
   uint32_t backend_id() const { return backend_id_; }
   /// Accepted queries so far (== the next query's RNG index).
   uint64_t queries_accepted() const;
-  /// The graph snapshot this service answers on (fixed for its lifetime).
-  const Graph& graph() const { return *snapshot_.graph; }
-  /// The snapshot's store version (0 for borrowed non-store graphs).
-  uint64_t graph_version() const { return snapshot_.version; }
+  /// The snapshot new requests are admitted against. The copy co-owns the
+  /// graph, so it stays valid across a concurrent SetSnapshot().
+  GraphSnapshot snapshot() const;
+  /// That snapshot's store version (0 for borrowed non-store graphs).
+  uint64_t graph_version() const;
   /// True once Shutdown() has begun: admission is closed for good. A
-  /// routing layer treats a stopped-but-installed service as stale and
-  /// rebuilds instead of retrying into it. Lock-free, so resolve paths
-  /// holding their own locks never stall behind this service's mutex.
+  /// routing layer treats a stopped service as gone and builds another
+  /// instead of retrying into it. Lock-free, so paths holding their own
+  /// locks never stall behind this service's mutexes.
   bool stopped() const { return stopping_.load(std::memory_order_acquire); }
 
  private:
+  /// One snapshot as the service serves it: the graph and its version,
+  /// plus what the service derives from it once.
+  struct ServedGraph {
+    GraphSnapshot snapshot;
+    /// Routing features (n, m, average degree), read by every "auto" or
+    /// overridden submission.
+    GraphScaleFeatures scale;
+    /// The executors' backend spec, with p'_f resolved on this graph.
+    BackendSpec spec;
+  };
+
+  /// A worker's executor and the version of the snapshot it is bound to.
+  /// Only the owning worker touches it after construction. The executor
+  /// refers to its graph without owning it: an idle worker never keeps a
+  /// replaced snapshot alive, and it rebinds before its next use.
+  struct BoundExecutor {
+    std::unique_ptr<QueryExecutor> executor;
+    uint64_t version = 0;
+  };
+
   struct Request {
     NodeId seed = 0;
     size_t k = 0;  // 0 = full-vector query
@@ -315,6 +359,9 @@ class AsyncQueryService {
     std::chrono::steady_clock::time_point deadline;  // max() = none
     std::shared_ptr<std::atomic<bool>> cancelled;
     std::promise<QueryResult> promise;
+    /// The snapshot current at admission; the request runs, keys, ranks
+    /// and reports on it whatever SetSnapshot() does meanwhile.
+    std::shared_ptr<const ServedGraph> graph;
     /// The fully resolved plan, fixed at submission time: a later default
     /// switch never retroactively changes what a queued request runs.
     QueryPlan plan;
@@ -325,13 +372,15 @@ class AsyncQueryService {
     CacheOutcome cache_outcome = CacheOutcome::kNone;
   };
 
-  /// The service's mutable serving defaults, read on every submission and
-  /// replaced wholesale by the Set* config updates (under config_mu_).
-  struct PlanDefaults {
+  /// The service's live config, read on every submission and updated by
+  /// the Set* calls (under config_mu_).
+  struct Config {
     std::string backend;  // registry name or kAutoBackend
     ApproxParams params;
     /// Pre-resolved plan for the fast path; valid when backend != "auto".
     QueryPlan plan;
+    /// The snapshot new requests are admitted against; never null.
+    std::shared_ptr<const ServedGraph> graph;
   };
 
   /// A request parked on another worker's in-flight computation (resolved
@@ -354,11 +403,12 @@ class AsyncQueryService {
     bool steal_hint = false;
   };
 
-  /// Shared enqueue; `stale_if_stopping` selects the TrySubmit contract
-  /// (nullopt once shut down) over the kRejected handle.
+  /// Shared enqueue; `try_submit` selects the TrySubmit contract (nullopt
+  /// once shut down or for a seed out of range) over the kRejected handle
+  /// and the seed check-fail.
   std::optional<QueryHandle> Enqueue(NodeId seed, size_t k,
                                      const SubmitOptions& submit,
-                                     bool stale_if_stopping);
+                                     bool try_submit);
   void WorkerLoop(uint32_t worker_id);
   /// Sets the steal hint of one idle worker other than `busy_shard`'s
   /// owner whose hint is clear, and wakes it.
@@ -370,35 +420,35 @@ class AsyncQueryService {
   /// and the stolen counter.
   size_t StealInto(uint32_t thief, std::vector<Request>& batch,
                    uint32_t max_batch);
-  void Process(QueryExecutor& executor, Request& request,
+  void Process(BoundExecutor& executor, Request& request,
                std::vector<Deferred>& deferred);
   /// Resolves `request` kExpired and returns true when its deadline has
   /// passed.
   bool ExpireIfLate(Request& request);
   void Fulfill(Request& request, CachedEstimate estimate);
-  SparseVector Compute(QueryExecutor& executor, const Request& request);
-  ResultCacheKey MakeKey(const QueryPlan& plan, NodeId seed) const;
-  PlanDefaults GetDefaults() const;
+  SparseVector Compute(BoundExecutor& executor, const Request& request);
+  Config GetConfig() const;
+  /// `snapshot` with its routing features and p'_f: the O(n) part of
+  /// serving a snapshot, run before any lock is taken.
+  std::shared_ptr<const ServedGraph> Serve(GraphSnapshot snapshot) const;
 
-  GraphSnapshot snapshot_;
   ApproxParams params_;
+  uint64_t seed_;
   ServiceOptions options_;
-  /// Snapshot-level routing features (n, m, average degree), computed once
-  /// at construction — the graph is immutable for the service's lifetime —
-  /// instead of being re-derived on every submission.
-  GraphScaleFeatures scale_features_;
   uint32_t backend_id_ = 0;
+  std::string backend_name_;
   std::unique_ptr<ResultCache> cache_;  // null when disabled
-  ServiceStats stats_;
+  std::shared_ptr<ServiceStats> stats_;
 
-  /// Guards the serving defaults only (never held with mu_): submissions
-  /// read a copy, config updates replace it — neither path touches the
-  /// queue lock, so a backend switch cannot stall workers and vice versa.
+  /// Guards the live config only (never held with a shard lock):
+  /// submissions read a copy, config updates replace it — neither path
+  /// touches the queues, so a backend switch or a republish cannot stall
+  /// workers and vice versa.
   mutable std::mutex config_mu_;
-  PlanDefaults defaults_;
+  Config config_;
 
   /// One backend executor (estimator + workspace) per worker thread.
-  std::vector<std::unique_ptr<QueryExecutor>> executors_;
+  std::vector<BoundExecutor> executors_;
   std::vector<std::thread> workers_;
 
   /// One submission shard per worker thread (same index). Submissions are

@@ -15,20 +15,20 @@ MultiGraphService::MultiGraphService(GraphStore& store,
   // be validated before any request can reach it.
   HKPR_CHECK(ServableParams(params_))
       << "service ApproxParams out of range (t in (0, 700], eps_r in "
-         "(0, 1), delta > 0, p_f in (0, 1))";
+         "(0, 1), delta in (0, 1], p_f in (0, 1))";
 }
 
 MultiGraphService::~MultiGraphService() {
-  std::map<std::string, std::shared_ptr<AsyncQueryService>, std::less<>>
-      services;
+  std::map<std::string, Served, std::less<>> graphs;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    services.swap(services_);
+    graphs.swap(graphs_);
   }
   // Drain everything before the map releases its references so every
-  // handed-out future resolves. No stats fold here: the accumulators die
-  // with the object, so there is nothing left to read them.
-  for (auto& [name, service] : services) service->Shutdown();
+  // handed-out future resolves.
+  for (auto& [name, served] : graphs) {
+    if (served.service != nullptr) served.service->Shutdown();
+  }
 }
 
 uint32_t MultiGraphService::resolved_worker_budget() const {
@@ -36,53 +36,28 @@ uint32_t MultiGraphService::resolved_worker_budget() const {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
-std::shared_ptr<AsyncQueryService> MultiGraphService::BuildService(
-    std::string_view name, GraphSnapshot snapshot) {
-  ServiceOptions opts;
-  {
-    // The template's backend is mutable config (SetDefaultBackend); copy
-    // it under the lock, build outside it.
-    std::lock_guard<std::mutex> lock(mu_);
-    opts = options_.service;
-  }
-  const uint32_t budget = resolved_worker_budget();
+std::shared_ptr<AsyncQueryService> MultiGraphService::BuildLocked(
+    Served& served, GraphSnapshot snapshot) {
+  ServiceOptions opts = options_.service;
   const size_t graphs = std::max<size_t>(1, store_.Size());
-  opts.num_workers =
-      std::max<uint32_t>(1, static_cast<uint32_t>(budget / graphs));
-  auto service = std::make_shared<AsyncQueryService>(std::move(snapshot),
-                                                     params_, seed_, opts);
-  // Apply the graph's plan defaults on every (re)build, so overrides
-  // survive hot-swaps and lazy rebuilds. Re-applied again post-install
-  // (see ApplyCurrentDefaults) to close the race with concurrent config
-  // updates.
-  ApplyCurrentDefaults(name, *service);
-  return service;
+  opts.num_workers = std::max<uint32_t>(
+      1, static_cast<uint32_t>(resolved_worker_budget() / graphs));
+  if (served.stats == nullptr) served.stats = std::make_shared<ServiceStats>();
+  served.service = std::make_shared<AsyncQueryService>(
+      std::move(snapshot), params_, seed_, opts, served.stats);
+  ApplyDefaultsLocked(served);
+  return served.service;
 }
 
-void MultiGraphService::ApplyCurrentDefaults(std::string_view name,
-                                             AsyncQueryService& service) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ApplyDefaultsLocked(name, service);
-}
-
-void MultiGraphService::ApplyDefaultsLocked(std::string_view name,
-                                            AsyncQueryService& service) {
-  // Read AND apply under one hold of mu_, so an apply can never
-  // interleave with a concurrent SetDefaultBackend/SetGraphDefaults and
-  // revert its newer config: every path that touches a live service's
-  // defaults holds mu_ across both the map read and the apply. The
-  // applies are cheap config stores (the service's own config mutex) —
-  // never drains or builds — and the lock order is uniformly
-  // MultiGraphService::mu_ -> AsyncQueryService::config_mu_.
-  PlanOverrides defaults;
-  auto it = graph_defaults_.find(name);
-  if (it != graph_defaults_.end()) defaults = it->second;
-  const std::string& template_backend = options_.service.backend.name;
+void MultiGraphService::ApplyDefaultsLocked(const Served& served) {
   // Validated at SetGraphDefaults/SetDefaultBackend time, so these always
-  // resolve; both are idempotent no-drain config updates.
-  service.SetDefaultBackend(defaults.backend.empty() ? template_backend
-                                                     : defaults.backend);
-  service.SetDefaultParams(ApplyParamOverrides(params_, defaults));
+  // resolve; both are cheap, idempotent config stores — never drains or
+  // builds.
+  const PlanOverrides& defaults = served.defaults;
+  served.service->SetDefaultBackend(defaults.backend.empty()
+                                        ? options_.service.backend.name
+                                        : defaults.backend);
+  served.service->SetDefaultParams(ApplyParamOverrides(params_, defaults));
 }
 
 bool MultiGraphService::SetDefaultBackend(std::string_view backend) {
@@ -90,17 +65,15 @@ bool MultiGraphService::SetDefaultBackend(std::string_view backend) {
       !EstimatorRegistry::Global().Contains(backend)) {
     return false;
   }
-  // Update the template and every live service under one hold of mu_
-  // (see ApplyDefaultsLocked for why): racing config updates then
-  // serialize cleanly — last writer wins for both the map and the
-  // services. The per-service call is a cheap config store, no drain.
+  // Update the template and every live service under one hold of mu_:
+  // racing config updates serialize — last writer wins for both.
   std::lock_guard<std::mutex> lock(mu_);
   options_.service.backend.name = std::string(backend);
   // A service-wide switch means *every* graph: drop per-graph backend
   // pins (parameter overrides keep applying on top of the new backend).
-  for (auto& [graph, defaults] : graph_defaults_) defaults.backend.clear();
-  for (const auto& [graph, service] : services_) {
-    service->SetDefaultBackend(backend);
+  for (auto& [name, served] : graphs_) {
+    served.defaults.backend.clear();
+    if (served.service != nullptr) served.service->SetDefaultBackend(backend);
   }
   return true;
 }
@@ -117,18 +90,16 @@ bool MultiGraphService::SetGraphDefaults(std::string_view graph,
   if (!ServableParams(ApplyParamOverrides(params_, defaults))) return false;
   std::lock_guard<std::mutex> lock(mu_);
   if (!store_.Contains(graph)) return false;
-  graph_defaults_[std::string(graph)] = defaults;
-  auto it = services_.find(graph);
-  // Live config update, no drain, atomic with the map write (mu_ held
-  // across both — see ApplyDefaultsLocked).
-  if (it != services_.end()) ApplyDefaultsLocked(graph, *it->second);
+  Served& served = graphs_[std::string(graph)];
+  served.defaults = defaults;
+  if (served.service != nullptr) ApplyDefaultsLocked(served);
   return true;
 }
 
 PlanOverrides MultiGraphService::GraphDefaults(std::string_view graph) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = graph_defaults_.find(graph);
-  return it != graph_defaults_.end() ? it->second : PlanOverrides{};
+  auto it = graphs_.find(graph);
+  return it != graphs_.end() ? it->second.defaults : PlanOverrides{};
 }
 
 std::string MultiGraphService::default_backend() const {
@@ -136,140 +107,38 @@ std::string MultiGraphService::default_backend() const {
   return options_.service.backend.name;
 }
 
-void MultiGraphService::RetireLocked(
-    std::string_view name, std::shared_ptr<AsyncQueryService> service) {
-  retiring_[std::string(name)].push_back(std::move(service));
-}
-
-void MultiGraphService::FinishRetire(
-    std::string_view name,
-    const std::shared_ptr<AsyncQueryService>& service) {
-  // Drain outside mu_ (can take a while with a deep queue); the counters
-  // are final once the workers have joined.
-  service->Shutdown();
-  const ServiceStatsSnapshot final_stats = service->Stats();
-  std::lock_guard<std::mutex> lock(mu_);
-  // Fold and unpark in one critical section, so a stats reader sees this
-  // service's history in exactly one of `retiring_` / `retired_stats_`.
-  MergeSnapshot(retired_stats_[std::string(name)], final_stats);
-  auto it = retiring_.find(name);
-  if (it != retiring_.end()) {
-    std::vector<std::shared_ptr<AsyncQueryService>>& draining = it->second;
-    draining.erase(std::remove(draining.begin(), draining.end(), service),
-                   draining.end());
-    if (draining.empty()) retiring_.erase(it);
-  }
-}
-
-MultiGraphService::Resolution MultiGraphService::TryResolveLocked(
-    std::string_view name, std::shared_ptr<AsyncQueryService>* retired) {
-  Resolution resolution;
-  GraphSnapshot snapshot = store_.Get(name);
-  auto it = services_.find(name);
-  if (!snapshot) {
-    // Dropped (or never published): retire any stale service so queries
-    // cannot silently keep answering on a removed graph.
-    if (it != services_.end()) {
-      *retired = it->second;
-      RetireLocked(name, std::move(it->second));
-      services_.erase(it);
-    }
-    resolution.unknown = true;
-    return resolution;
-  }
-  if (it != services_.end() &&
-      it->second->graph_version() == snapshot.version) {
-    if (!it->second->stopped()) {
-      resolution.service = it->second;
-      return resolution;
-    }
-    // Shut down externally (ServiceFor + Shutdown()) while still
-    // installed: retire it and rebuild, or SubmitImpl's retry loop would
-    // re-resolve the same dead service forever.
-    *retired = it->second;
-    RetireLocked(name, std::move(it->second));
-    services_.erase(it);
-  }
-  // First query for this graph, the store moved to a newer snapshot, or
-  // the installed service was stopped: the caller builds on this
-  // snapshot outside the lock.
-  resolution.to_build = std::move(snapshot);
-  return resolution;
-}
-
-std::shared_ptr<AsyncQueryService> MultiGraphService::InstallLocked(
-    std::string_view name, const std::shared_ptr<AsyncQueryService>& fresh,
-    std::shared_ptr<AsyncQueryService>* retired) {
-  const GraphSnapshot current = store_.Get(name);
-  if (!current) {
-    // Removed mid-build; retire any stale service, discard the build.
-    auto it = services_.find(name);
-    if (it != services_.end()) {
-      *retired = it->second;
-      RetireLocked(name, std::move(it->second));
-      services_.erase(it);
-    }
-    return nullptr;
-  }
-  auto it = services_.find(name);
-  if (it != services_.end() &&
-      it->second->graph_version() == current.version &&
-      !it->second->stopped()) {
-    return it->second;  // a racing builder installed this version first
-  }
-  if (fresh->graph_version() != current.version) {
-    return nullptr;  // republished mid-build; caller re-resolves
-  }
-  // Replace whatever is installed: an older version, or a same-version
-  // service that was externally shut down.
-  if (it != services_.end()) {
-    *retired = it->second;
-    RetireLocked(name, std::move(it->second));
-    it->second = fresh;
-  } else {
-    services_.emplace(std::string(name), fresh);
-  }
-  return fresh;
-}
-
 std::shared_ptr<AsyncQueryService> MultiGraphService::ServiceFor(
     std::string_view name) {
-  for (;;) {
-    std::shared_ptr<AsyncQueryService> retired;
-    Resolution resolution;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      resolution = TryResolveLocked(name, &retired);
+  std::shared_ptr<AsyncQueryService> removed;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    GraphSnapshot snapshot = store_.Get(name);
+    auto it = graphs_.find(name);
+    if (snapshot) {
+      Served& served = it != graphs_.end()
+                           ? it->second
+                           : graphs_[std::string(name)];
+      // A service shut down by hand is gone for good: build another,
+      // recording into the same stats block.
+      if (served.service == nullptr || served.service->stopped()) {
+        return BuildLocked(served, std::move(snapshot));
+      }
+      // Published directly on the store; no-op when already current.
+      served.service->SetSnapshot(std::move(snapshot));
+      return served.service;
     }
-    // Drain + fold the swapped-out service with no lock held, so a
-    // hot-swap never stalls submissions to other graphs.
-    if (retired != nullptr) FinishRetire(name, retired);
-    if (resolution.unknown) return nullptr;
-    if (resolution.service != nullptr) return resolution.service;
-
-    // The expensive part — estimator + worker construction — also runs
-    // with no lock held.
-    std::shared_ptr<AsyncQueryService> fresh =
-        BuildService(name, std::move(resolution.to_build));
-    std::shared_ptr<AsyncQueryService> replaced;
-    std::shared_ptr<AsyncQueryService> installed;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      installed = InstallLocked(name, fresh, &replaced);
-    }
-    if (replaced != nullptr) FinishRetire(name, replaced);
-    if (installed != nullptr) {
-      // A SetGraphDefaults/SetDefaultBackend that ran between the
-      // BuildService-time apply and the install would otherwise be lost
-      // (it saw no live service to update). Re-applying after install
-      // reads the map at or after any such update, so the installed
-      // service converges to the latest defaults.
-      ApplyCurrentDefaults(name, *installed);
-      return installed;
-    }
-    // The store moved on mid-build: discard the stale build (it never
-    // served a query) and re-resolve.
+    // Removed directly on the store: release the service as Drop does.
+    if (it != graphs_.end()) removed = std::move(it->second.service);
   }
+  if (removed != nullptr) removed->Shutdown();
+  return nullptr;
+}
+
+size_t MultiGraphService::QueueDepth(std::string_view name) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = graphs_.find(name);
+  if (it == graphs_.end() || it->second.service == nullptr) return 0;
+  return it->second.service->queue_depth();
 }
 
 QueryHandle MultiGraphService::ErrorHandle(QueryStatus status) {
@@ -291,19 +160,16 @@ QueryHandle MultiGraphService::SubmitImpl(
     std::string_view graph, NodeId seed,
     const std::function<std::optional<QueryHandle>(AsyncQueryService&)>&
         enqueue) {
-  // Resolve (short registry lock), then enqueue with no lock held: the
-  // resolved service's snapshot is immutable, so the seed check needs no
-  // lock, and TrySubmit* returns nullopt if a Publish()/Drop() drained
-  // the service between resolve and enqueue — we then re-resolve onto the
-  // replacement. Each retry implies the store moved, so the loop
+  // Resolve (short registry lock), then enqueue with no lock held.
+  // TrySubmit* returns nullopt when a Drop() stopped the service, or a
+  // republish shrank the graph below `seed`, after the resolve: the loop
+  // resolves again. Each retry implies the store moved, so the loop
   // terminates with the publish traffic.
   for (;;) {
     std::shared_ptr<AsyncQueryService> service = ServiceFor(graph);
     if (service == nullptr) return ErrorHandle(QueryStatus::kUnknownGraph);
-    // Validated against the resolved snapshot — out-of-range seeds are
-    // reported, never check-failed. A swap between this check and the
-    // enqueue surfaces as nullopt and re-validates on the new snapshot.
-    if (seed >= service->graph().NumNodes()) {
+    // Out-of-range seeds are reported, never check-failed.
+    if (seed >= service->snapshot().graph->NumNodes()) {
       return ErrorHandle(QueryStatus::kInvalidArgument);
     }
     std::optional<QueryHandle> handle = enqueue(*service);
@@ -332,16 +198,15 @@ QueryHandle MultiGraphService::SubmitTopK(std::string_view graph, NodeId seed,
 
 uint64_t MultiGraphService::Publish(std::string_view name, Graph graph) {
   const uint64_t version = store_.Publish(name, std::move(graph));
-  bool live;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    live = services_.find(name) != services_.end();
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = graphs_.find(name);
+  // A live service takes the store's current snapshot (a racing Publish
+  // may already have moved it further); an unserved graph stays lazy.
+  if (it != graphs_.end() && it->second.service != nullptr) {
+    if (GraphSnapshot snapshot = store_.Get(name)) {
+      it->second.service->SetSnapshot(std::move(snapshot));
+    }
   }
-  // Hot-swap eagerly only if the graph is already being served (the
-  // standard resolve/build/install path, build outside the lock);
-  // otherwise stay lazy and let the first query build on the new
-  // snapshot.
-  if (live) ServiceFor(name);
   return version;
 }
 
@@ -349,85 +214,60 @@ bool MultiGraphService::Drop(std::string_view name) {
   bool existed;
   std::shared_ptr<AsyncQueryService> service;
   {
-    // Remove from store and registry under one lock: a concurrent Submit
-    // (whose resolve also takes mu_) either ran before — its service is
-    // in the map and we drain it below — or runs after and sees the store
-    // miss. The service can therefore never be spirited away into a
-    // submitter's retire path mid-drop, which would let Drop return
-    // before the drain. Lock order is always mu_ -> store lock (Publish
-    // never holds the store lock while taking mu_), so nesting is safe.
+    // Remove from store and registry under one lock: a concurrent
+    // resolution either ran before — its service is drained below — or
+    // runs after and sees the store miss. Lock order is always mu_ ->
+    // store lock (Publish never holds the store lock while taking mu_).
     std::lock_guard<std::mutex> lock(mu_);
     existed = store_.Remove(name);
-    auto it = services_.find(name);
-    if (it != services_.end()) {
-      service = it->second;
-      RetireLocked(name, std::move(it->second));
-      services_.erase(it);
-    }
-    // A dropped graph's plan overrides die with it: a later graph of the
-    // same name starts from the service-wide template.
-    auto defaults_it = graph_defaults_.find(name);
-    if (defaults_it != graph_defaults_.end()) {
-      graph_defaults_.erase(defaults_it);
+    auto it = graphs_.find(name);
+    if (it != graphs_.end()) {
+      service = std::move(it->second.service);
+      // A dropped graph's plan overrides die with it: a later graph of the
+      // same name starts from the service-wide template. Its stats stay.
+      it->second.defaults = {};
+      if (it->second.stats == nullptr) graphs_.erase(it);
     }
   }
   // Graceful drain, synchronously: every future already handed out for
-  // this graph resolves — and the final counters are folded — before
-  // Drop returns.
-  if (service != nullptr) FinishRetire(name, service);
+  // this graph resolves before Drop returns.
+  if (service != nullptr) service->Shutdown();
   return existed;
 }
 
 ServiceStatsSnapshot MultiGraphService::StatsFor(
     std::string_view name) const {
-  std::shared_ptr<AsyncQueryService> live;
-  std::vector<std::shared_ptr<AsyncQueryService>> draining;
-  ServiceStatsSnapshot total;
+  std::shared_ptr<AsyncQueryService> service;
+  std::shared_ptr<ServiceStats> stats;
   {
-    // One critical section snapshots all three homes a service's history
-    // can live in (live map, retiring list, folded totals), so every
-    // query is counted exactly once and counters never dip mid-drain.
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = services_.find(name);
-    if (it != services_.end()) live = it->second;
-    auto retiring_it = retiring_.find(name);
-    if (retiring_it != retiring_.end()) draining = retiring_it->second;
-    auto folded = retired_stats_.find(name);
-    if (folded != retired_stats_.end()) total = folded->second;
+    auto it = graphs_.find(name);
+    if (it == graphs_.end()) return {};
+    service = it->second.service;
+    stats = it->second.stats;
   }
-  // Totals, rows and percentiles over the graph's whole history (live +
-  // draining + every folded incarnation), from the merged snapshots.
-  if (live != nullptr) MergeSnapshot(total, live->Stats());
-  for (const auto& service : draining) MergeSnapshot(total, service->Stats());
-  return total;
+  if (service != nullptr) return service->Stats();
+  return stats != nullptr ? stats->TakeSnapshot() : ServiceStatsSnapshot{};
 }
 
 ServiceStatsSnapshot MultiGraphService::AggregateStats() const {
-  std::vector<std::shared_ptr<AsyncQueryService>> counting;
   ServiceStatsSnapshot total;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    counting.reserve(services_.size());
-    for (const auto& [name, service] : services_) counting.push_back(service);
-    for (const auto& [name, draining] : retiring_) {
-      for (const auto& service : draining) counting.push_back(service);
-    }
-    for (const auto& [name, snap] : retired_stats_) MergeSnapshot(total, snap);
+  for (const std::string& name : StatsScopes()) {
+    MergeSnapshot(total, StatsFor(name));
   }
-  for (const auto& service : counting) MergeSnapshot(total, service->Stats());
   return total;
 }
 
 std::vector<std::string> MultiGraphService::StatsScopes() const {
-  std::vector<std::string> scopes;
-  for (const GraphInfo& info : store_.List()) scopes.push_back(info.name);
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [name, snap] : retired_stats_) {
-    if (std::find(scopes.begin(), scopes.end(), name) == scopes.end()) {
-      scopes.push_back(name);
+  std::vector<std::string> scopes = store_.Names();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& [name, served] : graphs_) {
+      if (served.stats != nullptr) scopes.push_back(name);
     }
   }
   std::sort(scopes.begin(), scopes.end());
+  scopes.erase(std::unique(scopes.begin(), scopes.end()), scopes.end());
   return scopes;
 }
 
@@ -435,8 +275,9 @@ void MultiGraphService::InvalidateCaches() {
   std::vector<std::shared_ptr<AsyncQueryService>> live;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    live.reserve(services_.size());
-    for (const auto& [name, service] : services_) live.push_back(service);
+    for (const auto& [name, served] : graphs_) {
+      if (served.service != nullptr) live.push_back(served.service);
+    }
   }
   for (const auto& service : live) service->InvalidateCache();
 }

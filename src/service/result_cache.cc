@@ -140,8 +140,7 @@ void ResultCache::Complete(
   shard.lru.splice(shard.lru.begin(), shard.lru, entry.lru_it);
 }
 
-uint64_t ResultCache::Invalidate() {
-  const uint64_t next = version_.fetch_add(1, std::memory_order_acq_rel) + 1;
+void ResultCache::Invalidate() {
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     // In-flight promises survive inside their leaders' hands; dropping the
@@ -149,7 +148,6 @@ uint64_t ResultCache::Invalidate() {
     shard->map.clear();
     shard->lru.clear();
   }
-  return next;
 }
 
 size_t ResultCache::size() const {

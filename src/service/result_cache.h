@@ -21,14 +21,15 @@
 // value and registers nothing, so a serving layer can answer hits before
 // queueing and leave misses and in-flight keys to LookupOrStartCompute().
 //
-// Invalidate() bumps the cache's version and drops every entry; serving
-// layers fold the version into the keys they build, so entries created
-// before a graph swap can never satisfy lookups issued after it.
+// Invalidate() drops every entry. It is not what keeps estimates of one
+// graph snapshot from answering queries on another: the key's
+// graph_version does that, since the store gives every snapshot its own
+// version. A serving layer invalidates after a snapshot swap only to free
+// entries that can never hit again.
 
 #ifndef HKPR_SERVICE_RESULT_CACHE_H_
 #define HKPR_SERVICE_RESULT_CACHE_H_
 
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <future>
@@ -43,10 +44,10 @@
 namespace hkpr {
 
 /// Identity of one HKPR computation: the seed node, the resolved plan that
-/// ran it (backend id + heat-kernel/accuracy parameters), and the graph
-/// version at submission time. Two keys are equal only when every field
-/// matches bit-for-bit, so a cached value is only ever returned for the
-/// exact computation that produced it.
+/// ran it (backend id + heat-kernel/accuracy parameters), and the version
+/// of the graph snapshot it ran on. Two keys are equal only when every
+/// field matches bit-for-bit, so a cached value is only ever returned for
+/// the exact computation that produced it.
 struct ResultCacheKey {
   uint64_t graph_version = 0;
   NodeId seed = 0;
@@ -125,14 +126,9 @@ class ResultCache {
                 const std::shared_ptr<std::promise<CachedEstimate>>& leader,
                 CachedEstimate value);
 
-  /// Current cache version (folded into keys by the serving layer).
-  uint64_t version() const {
-    return version_.load(std::memory_order_acquire);
-  }
-
-  /// Drops every entry and bumps the version (graph swap / parameter
-  /// migration). Returns the new version.
-  uint64_t Invalidate();
+  /// Drops every entry. In-flight leaders still wake their followers, but
+  /// their values are not stored.
+  void Invalidate();
 
   /// Completed + in-flight entries across all shards.
   size_t size() const;
@@ -158,7 +154,6 @@ class ResultCache {
 
   std::vector<std::unique_ptr<Shard>> shards_;
   size_t shard_capacity_;
-  std::atomic<uint64_t> version_{0};
 };
 
 }  // namespace hkpr

@@ -1,4 +1,7 @@
-// Serving-side observability: one stats block per service.
+// Serving-side observability: one stats block per service, or per graph
+// name. MultiGraphService owns one block per name and every service it
+// builds for that name records into it, so a graph's stats are cumulative
+// across republishes and drops without any folding.
 //
 // The requests that never complete (rejected, invalid plans, cancelled,
 // expired) bump a lock-free counter as they happen. Every completed query
@@ -20,9 +23,8 @@
 // TakeSnapshot() derives the service-wide completed, cache and latency
 // figures as sums over the slots' rows, so a snapshot's totals and its
 // per-backend rows always agree. MergeSnapshot() folds snapshots across
-// services (hot-swap retirement, multi-graph aggregation), with rows
-// merged by backend id. Everything is relaxed atomics: monitoring never
-// blocks the serving path.
+// graphs (multi-graph aggregation), with rows merged by backend id.
+// Everything is relaxed atomics: monitoring never blocks the serving path.
 
 #ifndef HKPR_SERVICE_SERVICE_STATS_H_
 #define HKPR_SERVICE_SERVICE_STATS_H_
@@ -58,7 +60,7 @@ class LatencyHistogram {
 
   /// A plain copy of the bucket counts — snapshot material, so percentiles
   /// stay computable after summing snapshots from several histograms
-  /// (multi-graph aggregation, retired-service folding).
+  /// (multi-graph aggregation).
   std::array<uint64_t, kBuckets> BucketCounts() const;
 
  private:
@@ -145,8 +147,8 @@ struct BackendStatsSnapshot : CompletionStats {
   std::string backend;
 };
 
-/// Point-in-time copy of a service's stats block. Counters are monotone
-/// over the service's lifetime; `queue_depth` is the only gauge (filled by
+/// Point-in-time copy of a stats block. Counters are monotone over the
+/// block's lifetime; `queue_depth` is the only gauge (filled by
 /// AsyncQueryService::Stats(), not by ServiceStats itself). The
 /// CompletionStats part is the sum of `backends`.
 struct ServiceStatsSnapshot : CompletionStats {
@@ -179,12 +181,12 @@ struct ServiceStatsSnapshot : CompletionStats {
 
 /// Sums every counter, gauge, histogram and stage of `from` into `into`,
 /// folds the backend rows by id, and recomputes the percentiles from the
-/// merged buckets — the aggregation primitive for multi-graph stats and
-/// retired-service folding.
+/// merged buckets — the aggregation primitive for multi-graph stats.
 void MergeSnapshot(ServiceStatsSnapshot& into,
                    const ServiceStatsSnapshot& from);
 
-/// The service's stats block. All methods are thread-safe and wait-free.
+/// A stats block, recorded into by one service or by every service built
+/// for one graph name. All methods are thread-safe and wait-free.
 class ServiceStats {
  public:
   void RecordSubmitted() { Bump(submitted_); }

@@ -11,10 +11,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/parse.h"
+#include "common/random.h"
 #include "graph/generators.h"
 #include "net/command_processor.h"
 #include "service/graph_store.h"
@@ -289,6 +294,174 @@ TEST_F(CommandProcessorTest, GraphAndStatsCommandsStillWork) {
   EXPECT_TRUE(StartsWith(Run(session, "invalidate"), "ok caches"));
   EXPECT_TRUE(StartsWith(Run(session, "params default"),
                          "ok graph=default backend=default"));
+}
+
+// ---------------------------------------------------------------------------
+// Seeded mutation test of the graph lifecycle commands: random scripts of
+// graph load|use|drop|list, query and topk with random plan tokens,
+// params, backend, stats and invalidate over two small edge-list files.
+
+std::string Pick(Rng& rng, const std::vector<std::string>& choices) {
+  return choices[rng.UniformInt(choices.size())];
+}
+
+/// Zero to three plan tokens, keys possibly repeated, values possibly out
+/// of range or malformed. delta stays at 1e-2 or above, so that a
+/// Monte-Carlo query stays test-sized.
+std::string PlanTokens(Rng& rng) {
+  std::string out;
+  const uint64_t count = rng.Bernoulli(0.5) ? 0 : 1 + rng.UniformInt(3);
+  for (uint64_t i = 0; i < count; ++i) {
+    switch (rng.UniformInt(4)) {
+      case 0:
+        out += " backend=" + Pick(rng, {"tea+", "tea", "monte-carlo", "push",
+                                        "hk-relax", "cluster-hkpr", "auto",
+                                        "nosuch", ""});
+        break;
+      case 1:
+        out += " t=" + Pick(rng, {"1", "5", "12.5", "700", "701", "0", "x"});
+        break;
+      case 2:
+        out += " eps=" + Pick(rng, {"0.1", "0.5", "0.9", "1", "-0.5"});
+        break;
+      default:
+        out += " delta=" + Pick(rng, {"0.01", "0.05", "0.5", "2", "0", "-1"});
+        break;
+    }
+  }
+  return out;
+}
+
+/// One random command line. One line in eight then has one of its
+/// space-separated words replaced by junk or removed.
+std::string RandomLine(Rng& rng, const std::vector<std::string>& files) {
+  const std::string name = Pick(rng, {"a", "b", "c"});
+  const std::string seed =
+      rng.UniformInt(8) == 0 ? Pick(rng, {"-1", "x", "99999999999"})
+                             : std::to_string(rng.UniformInt(
+                                   rng.Bernoulli(0.75) ? 12 : 40));
+  std::string line;
+  switch (rng.UniformInt(12)) {
+    case 0:
+    case 1:
+      line = "graph load " + name + " " + Pick(rng, files);
+      break;
+    case 2:
+      line = "graph use " + name;
+      break;
+    case 3:
+      line = "graph drop " + name;
+      break;
+    case 4:
+      line = "graph list";
+      break;
+    case 5:
+    case 6:
+    case 7:
+      line = "query " + seed + PlanTokens(rng);
+      break;
+    case 8:
+    case 9:
+      line = "topk " + seed + " " +
+             (rng.UniformInt(4) == 0 ? Pick(rng, {"0", "-2"})
+                                     : Pick(rng, {"1", "5", "10"})) +
+             PlanTokens(rng);
+      break;
+    case 10:
+      line = rng.Bernoulli(0.5)
+                 ? "params " + name + Pick(rng, {"", " clear"}) +
+                       PlanTokens(rng)
+                 : "backend" + Pick(rng, {"", " auto", " tea+", " push",
+                                          " hk-relax", " nosuch"});
+      break;
+    default:
+      line = Pick(rng, {"stats", "stats " + name, "stats --json",
+                        "stats " + name + " --json", "invalidate"});
+      break;
+  }
+  if (rng.UniformInt(8) != 0) return line;
+  std::vector<std::string> words;
+  std::istringstream in(line);
+  for (std::string word; in >> word;) words.push_back(word);
+  words[rng.UniformInt(words.size())] =
+      Pick(rng, {"", "x", "=", "-7", "99999999999", "t=1e309", "graph"});
+  std::string mutated;
+  for (const std::string& word : words) mutated += word + " ";
+  return mutated;
+}
+
+/// The value of `key=` in a reply (up to the next space), or "".
+std::string Field(const std::string& reply, const std::string& key) {
+  const size_t at = reply.find(" " + key + "=");
+  if (at == std::string::npos) return "";
+  const size_t begin = at + key.size() + 2;
+  return reply.substr(begin, reply.find_first_of(" \n", begin) - begin);
+}
+
+TEST(CommandProcessorFuzzTest, LifecycleScriptsAnswerOneLineOnAHeldVersion) {
+  const std::string path_a = ::testing::TempDir() + "/fuzz_lifecycle_a.txt";
+  const std::string path_b = ::testing::TempDir() + "/fuzz_lifecycle_b.txt";
+  {
+    // A 30-node cycle with chords, and a 12-node graph with an isolated
+    // node (11 has no edge; the file names it with a self-loop).
+    std::ofstream a(path_a);
+    for (int v = 0; v < 30; ++v) a << v << " " << (v + 1) % 30 << "\n";
+    for (int v = 0; v < 30; v += 4) a << v << " " << (v * 7 + 3) % 30 << "\n";
+    std::ofstream b(path_b);
+    b << "# small\n0 1\n1 2\n2 0\n2 3\n3 4\n4 5\n5 6\n6 7\n7 8\n"
+         "8 9\n9 10\n10 4\n11 11\n";
+  }
+  const std::vector<std::string> files = {path_a, path_b,
+                                          path_a + ".missing"};
+
+  GraphStore store;
+  ApproxParams params;
+  params.t = 5.0;
+  params.eps_r = 0.5;
+  params.delta = 1e-2;
+  params.p_f = 1e-6;
+  MultiGraphOptions options;
+  options.worker_budget = 2;
+  MultiGraphService service(store, params, 7, options);
+  TenantRegistry tenants;
+  CommandProcessor processor(store, service, tenants, params, "a");
+  ClientSession session = processor.NewSession();
+
+  // Every version a `graph load` reply reported, per graph name.
+  std::map<std::string, std::set<uint64_t>> held;
+  size_t loads = 0, ok_queries = 0, err_replies = 0;
+  Rng rng(27);
+  for (int i = 0; i < 1200; ++i) {
+    const std::string line = RandomLine(rng, files);
+    SCOPED_TRACE("line " + std::to_string(i) + ": " + line);
+    const std::string reply = processor.Execute(session, line).output;
+    if (line.find_first_not_of(' ') == std::string::npos) {
+      ASSERT_TRUE(reply.empty()) << reply;  // a blank line gets no reply
+      continue;
+    }
+    ASSERT_TRUE(StartsWith(reply, "ok") || StartsWith(reply, "err"))
+        << reply;
+    ASSERT_EQ(reply.find('\n'), reply.size() - 1) << reply;
+    if (StartsWith(reply, "err")) {
+      ++err_replies;
+      continue;
+    }
+    const std::string graph = Field(reply, "graph");
+    if (StartsWith(line, "graph load ")) {
+      held[graph].insert(std::stoull(Field(reply, "version")));
+      ++loads;
+    } else if (StartsWith(line, "query ") || StartsWith(line, "topk ")) {
+      const uint64_t version = std::stoull(Field(reply, "version"));
+      ASSERT_TRUE(held[graph].count(version)) << reply;
+      ASSERT_EQ(version, store.Get(graph).version) << reply;
+      ++ok_queries;
+    }
+  }
+  // Every kind of outcome is exercised: at seed 27, 119 loads, 165 ok
+  // queries and 601 errors.
+  EXPECT_GT(loads, 50u);
+  EXPECT_GT(ok_queries, 100u);
+  EXPECT_GT(err_replies, 200u);
 }
 
 }  // namespace

@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -389,6 +392,267 @@ TEST(MultiGraphServiceTest, DestructorDrainsEveryGraph) {
   for (QueryHandle& handle : handles) {
     EXPECT_EQ(handle.result.get().status, QueryStatus::kOk);
   }
+}
+
+// ---------------------------------------------------------------------------
+// A republish swaps the graph's snapshot inside its live service.
+
+TEST(MultiGraphSwapTest, RepublishKeepsTheServiceAndSwapsItsSnapshot) {
+  GraphStore store;
+  MultiGraphOptions options;
+  options.worker_budget = 2;
+  MultiGraphService service(store, TestParams(1e-3), 5, options);
+  const uint64_t v1 = service.Publish("g", testing::MakeCycle(30));
+  const std::shared_ptr<AsyncQueryService> before = service.ServiceFor("g");
+  ASSERT_NE(before, nullptr);
+  ASSERT_EQ(service.Submit("g", 3).result.get().graph_version, v1);
+
+  // No thread is started, joined or drained: the same object, never
+  // stopped, with the same workers, now on the new snapshot.
+  const uint64_t v2 = service.Publish("g", testing::MakeComplete(12));
+  EXPECT_EQ(service.ServiceFor("g").get(), before.get());
+  EXPECT_FALSE(before->stopped());
+  EXPECT_EQ(before->num_workers(), 2u);
+  EXPECT_EQ(before->graph_version(), v2);
+  EXPECT_EQ(before->snapshot().graph->NumNodes(), 12u);
+  const QueryResult after = service.Submit("g", 3).result.get();
+  ASSERT_EQ(after.status, QueryStatus::kOk);
+  EXPECT_EQ(after.graph_version, v2);
+  EXPECT_FALSE(after.from_cache);
+  EXPECT_EQ(after.estimate->nnz(), 12u);  // K_12: mass on every node
+  // Query indices continue: the second query ran as index 1.
+  EXPECT_EQ(before->queries_accepted(), 2u);
+}
+
+TEST(MultiGraphSwapTest, ReplacedSnapshotIsFreedOnceItsQueriesFinish) {
+  // One of three workers holds a query on the first snapshot while the
+  // graph is republished. The query keeps that snapshot alive; once it
+  // completes nothing does — not the service, and not the idle workers,
+  // whose executors were built on it and never rebound.
+  testing::RegisterLatchedBackend();
+  testing::SeedLatch& latch = testing::TheSeedLatch();
+  latch.Hold();
+  GraphStore store;
+  MultiGraphOptions options;
+  options.worker_budget = 3;
+  options.service.backend.name = "seed-latch";
+  MultiGraphService service(store, TestParams(1e-2), 3, options);
+  const uint64_t v1 = service.Publish("g", testing::MakeComplete(16));
+  std::weak_ptr<const Graph> first = store.Get("g").graph;
+
+  QueryHandle held = service.Submit("g", testing::kLatchedSeed);
+  const bool entered = latch.AwaitEntered();
+  if (!entered) latch.Release();
+  ASSERT_TRUE(entered) << "no worker picked up the latched query";
+  const QueryResult on_first = service.Submit("g", 5).result.get();
+  ASSERT_EQ(on_first.status, QueryStatus::kOk);
+  EXPECT_EQ(on_first.graph_version, v1);
+
+  const uint64_t v2 = service.Publish("g", testing::MakeComplete(16));
+  EXPECT_FALSE(first.expired()) << "the held query's snapshot was freed";
+  const QueryResult on_second = service.Submit("g", 5).result.get();
+  ASSERT_EQ(on_second.status, QueryStatus::kOk);
+  EXPECT_EQ(on_second.graph_version, v2);
+  EXPECT_FALSE(on_second.from_cache);
+  EXPECT_FALSE(first.expired());
+
+  latch.Release();
+  const QueryResult released = held.result.get();
+  ASSERT_EQ(released.status, QueryStatus::kOk);
+  EXPECT_EQ(released.graph_version, v1);
+  EXPECT_TRUE(first.expired()) << "something still pins the old snapshot";
+}
+
+TEST(MultiGraphSwapTest, WalksAfterRepublishMatchAnExecutorAtContinuingIndices) {
+  // A walking backend, cache off: the queries before the republish match
+  // one executor on the first graph at indices 0..3, and those after it
+  // one executor on the second graph at indices 4..9 — the service's
+  // query indices continue across the swap.
+  const Graph first = PowerlawCluster(400, 3, 0.3, 7);
+  const Graph second = PowerlawCluster(420, 3, 0.3, 8);
+  const ApproxParams params = TestParams(5e-3);
+  BackendSpec spec;
+  spec.context.tea_plus.c = 1.0;  // TEA+ walks at these parameters
+  const std::vector<NodeId> before_seeds = {1, 5, 9, 22};
+  const std::vector<NodeId> after_seeds = {1, 5, 9, 22, 60, 410};
+  const auto expected_before =
+      testing::AnswerInOrder(first, params, 77, before_seeds, spec);
+  const auto expected_after = testing::AnswerInOrder(
+      second, params, 77, after_seeds, spec, before_seeds.size());
+  EXPECT_TRUE(testing::EveryQueryWalks(testing::ReferenceWalks(
+      second, params, 77, after_seeds, spec, before_seeds.size())));
+
+  GraphStore store;
+  MultiGraphOptions options;
+  options.worker_budget = 3;
+  options.service.cache_capacity = 0;
+  options.service.backend = spec;
+  MultiGraphService service(store, params, 77, options);
+  const uint64_t v1 = service.Publish("g", first);
+  std::vector<QueryHandle> handles;
+  for (NodeId seed : before_seeds) handles.push_back(service.Submit("g", seed));
+  for (size_t i = 0; i < handles.size(); ++i) {
+    SCOPED_TRACE("before, query " + std::to_string(i));
+    const QueryResult result = handles[i].result.get();
+    ASSERT_EQ(result.status, QueryStatus::kOk);
+    EXPECT_EQ(result.graph_version, v1);
+    ExpectSameVector(*result.estimate, expected_before[i]);
+  }
+
+  const uint64_t v2 = service.Publish("g", second);
+  handles.clear();
+  for (NodeId seed : after_seeds) handles.push_back(service.Submit("g", seed));
+  for (size_t i = 0; i < handles.size(); ++i) {
+    SCOPED_TRACE("after, query " + std::to_string(i));
+    const QueryResult result = handles[i].result.get();
+    ASSERT_EQ(result.status, QueryStatus::kOk);
+    EXPECT_EQ(result.graph_version, v2);
+    ExpectSameVector(*result.estimate, expected_after[i]);
+  }
+}
+
+TEST(MultiGraphSwapTest, QueryRacingDropIsOkOrUnknownGraph) {
+  // Clients query "g" while it is dropped and published again. A query
+  // admitted before the drop completes kOk; one after it reports
+  // kUnknownGraph. None is rejected, and none hangs.
+  constexpr int kRounds = 6;
+  constexpr uint32_t kClients = 3;
+  GraphStore store;
+  MultiGraphOptions options;
+  options.worker_budget = 2;
+  MultiGraphService service(store, TestParams(1e-2), 19, options);
+  std::atomic<uint64_t> ok{0};
+  std::atomic<uint64_t> unknown{0};
+  for (int round = 0; round < kRounds; ++round) {
+    service.Publish("g", PowerlawCluster(150, 3, 0.3, round));
+    std::atomic<bool> dropped{false};
+    std::vector<std::thread> clients;
+    for (uint32_t c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        // Keep querying until a few queries have seen the drop.
+        for (uint32_t i = 0, after_drop = 0; after_drop < 4; ++i) {
+          if (dropped.load()) ++after_drop;
+          QueryHandle handle =
+              service.Submit("g", static_cast<NodeId>((c * 31 + i) % 150));
+          ASSERT_EQ(handle.result.wait_for(std::chrono::seconds(30)),
+                    std::future_status::ready)
+              << "a query racing Drop hung";
+          const QueryStatus status = handle.result.get().status;
+          ASSERT_TRUE(status == QueryStatus::kOk ||
+                      status == QueryStatus::kUnknownGraph)
+              << QueryStatusName(status);
+          (status == QueryStatus::kOk ? ok : unknown).fetch_add(1);
+        }
+      });
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    ASSERT_TRUE(service.Drop("g"));
+    dropped.store(true);
+    for (std::thread& t : clients) t.join();
+  }
+  EXPECT_GT(ok.load(), 0u);
+  EXPECT_GE(unknown.load(), kRounds * kClients * 3u);
+}
+
+TEST(MultiGraphSwapTest, QueuedOldQueryNeverAnswersTheNewSnapshot) {
+  // One worker, held on a latched query. Behind it queue a query admitted
+  // on the first snapshot and then, after an invalidate and a republish,
+  // the same query on the second. The first computes and caches its
+  // answer after the swap; the second must not be answered from it.
+  testing::RegisterLatchedBackend();
+  testing::SeedLatch& latch = testing::TheSeedLatch();
+  latch.Hold();
+  const Graph first = PowerlawCluster(100, 3, 0.3, 1);
+  const Graph second = PowerlawCluster(100, 3, 0.3, 2);
+  const ApproxParams params = TestParams(1e-2);
+  BackendSpec relax;
+  relax.name = "hk-relax";
+  const SparseVector on_first =
+      testing::AnswerInOrder(first, params, 1, {5}, relax)[0];
+  const SparseVector on_second =
+      testing::AnswerInOrder(second, params, 1, {5}, relax)[0];
+
+  GraphStore store;
+  MultiGraphOptions options;
+  options.worker_budget = 1;
+  options.service.backend.name = "seed-latch";
+  MultiGraphService service(store, params, 1, options);
+  const uint64_t v1 = service.Publish("g", first);
+  QueryHandle held = service.Submit("g", testing::kLatchedSeed);
+  const bool entered = latch.AwaitEntered();
+  if (!entered) latch.Release();
+  ASSERT_TRUE(entered) << "no worker picked up the latched query";
+  SubmitOptions submit;
+  submit.plan.backend = "hk-relax";
+  QueryHandle old_query = service.Submit("g", 5, submit);
+  service.InvalidateCaches();
+  const uint64_t v2 = service.Publish("g", second);
+  QueryHandle new_query = service.Submit("g", 5, submit);
+  latch.Release();
+
+  EXPECT_EQ(held.result.get().status, QueryStatus::kOk);
+  const QueryResult old_result = old_query.result.get();
+  ASSERT_EQ(old_result.status, QueryStatus::kOk);
+  EXPECT_EQ(old_result.graph_version, v1);
+  ExpectSameVector(*old_result.estimate, on_first);
+  const QueryResult new_result = new_query.result.get();
+  ASSERT_EQ(new_result.status, QueryStatus::kOk);
+  EXPECT_EQ(new_result.graph_version, v2);
+  EXPECT_FALSE(new_result.from_cache);
+  ExpectSameVector(*new_result.estimate, on_second);
+}
+
+TEST(MultiGraphSwapTest, PublishAndInvalidateNeverCrossSnapshots) {
+  // Clients repeat a few seeds (so most answers are cache hits) while the
+  // graph is republished and every cache invalidated in turn. Publish k
+  // serves a distinct graph, so each answer must equal the deterministic
+  // estimate on the snapshot its version names: no cached entry of one
+  // snapshot may answer a query on another.
+  constexpr uint32_t kPublishes = 6;
+  constexpr uint32_t kClients = 3;
+  const ApproxParams params = TestParams(1e-2);
+  const std::vector<NodeId> seeds = {0, 1, 2, 3};
+  std::vector<Graph> graphs;
+  std::vector<std::vector<SparseVector>> expected;
+  BackendSpec spec;
+  spec.name = "hk-relax";
+  for (uint32_t k = 0; k <= kPublishes; ++k) {
+    graphs.push_back(PowerlawCluster(100, 3, 0.3, k));
+    expected.push_back(
+        testing::AnswerInOrder(graphs.back(), params, 1, seeds, spec));
+  }
+
+  GraphStore store;
+  MultiGraphOptions options;
+  options.worker_budget = 2;
+  options.service.backend = spec;
+  MultiGraphService service(store, params, 1, options);
+  const uint64_t v_first = service.Publish("g", graphs[0]);
+  std::atomic<bool> done{false};
+  std::vector<std::thread> clients;
+  for (uint32_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (uint32_t i = 0; !done.load() || i < 40; ++i) {
+        const size_t s = (c + i) % seeds.size();
+        const QueryResult result = service.Submit("g", seeds[s]).result.get();
+        ASSERT_EQ(result.status, QueryStatus::kOk);
+        ASSERT_GE(result.graph_version, v_first);
+        ASSERT_LE(result.graph_version, v_first + kPublishes);
+        SCOPED_TRACE("version " + std::to_string(result.graph_version) +
+                     (result.from_cache ? ", cached" : ", computed"));
+        ExpectSameVector(*result.estimate,
+                         expected[result.graph_version - v_first][s]);
+      }
+    });
+  }
+  for (uint32_t k = 1; k <= kPublishes; ++k) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(service.Publish("g", graphs[k]), v_first + k);
+    service.InvalidateCaches();
+  }
+  done.store(true);
+  for (std::thread& t : clients) t.join();
+  EXPECT_GT(service.StatsFor("g").cache_hits, 0u);
 }
 
 }  // namespace

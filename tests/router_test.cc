@@ -127,12 +127,16 @@ TEST(QueryPlanTest, ResolvePicksBackendAndValidatesNames) {
   // input must never reach an estimator constructor's check-fail.
   for (auto&& broken : {PlanOverrides{.t = -1.0}, PlanOverrides{.t = 1e9},
                         PlanOverrides{.eps_r = 1.5},
-                        PlanOverrides{.delta = 0.0}}) {
+                        PlanOverrides{.delta = 0.0},
+                        PlanOverrides{.delta = 2.0}}) {
     EXPECT_FALSE(
         ResolveQueryPlan(g, kMid, "tea+", params, broken, policy).has_value());
   }
   EXPECT_FALSE(ServableParams(ApplyParamOverrides(params, {.eps_r = 0.0})));
   EXPECT_TRUE(ServableParams(params));
+  // delta = 1 is the largest: with eps_r < 1, HK-Relax's eps_r * delta
+  // stays below 1 (delta = 2 at eps_r = 0.9 aborted the server).
+  EXPECT_TRUE(ServableParams(ApplyParamOverrides(params, {.delta = 1.0})));
 }
 
 TEST(RouterTest, RuleBasedRoutesOnDegreeTAndScale) {

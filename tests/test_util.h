@@ -6,7 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <memory>
+#include <mutex>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/sparse_vector.h"
@@ -134,18 +140,123 @@ inline bool AnyEntryDiffers(const SparseVector& a, const SparseVector& b) {
 }
 
 /// The sequential reference of the serving paths: one QueryExecutor
-/// answering seeds[i] as query index i, in submission order. A service
-/// with any number of workers, its cache off, must answer the same bits.
+/// answering seeds[i] as query index first_index + i, in submission order.
+/// A service with any number of workers, its cache off, must answer the
+/// same bits.
 inline std::vector<SparseVector> AnswerInOrder(
     const Graph& graph, const ApproxParams& params, uint64_t engine_seed,
-    const std::vector<NodeId>& seeds, const BackendSpec& spec = {}) {
+    const std::vector<NodeId>& seeds, const BackendSpec& spec = {},
+    uint64_t first_index = 0) {
   QueryExecutor executor(graph, params, engine_seed, spec);
   std::vector<SparseVector> answers;
   answers.reserve(seeds.size());
   for (size_t i = 0; i < seeds.size(); ++i) {
-    answers.push_back(executor.Answer(seeds[i], i));
+    answers.push_back(executor.Answer(seeds[i], first_index + i));
   }
   return answers;
+}
+
+/// The walks each query of AnswerInOrder takes: the registry estimator
+/// re-seeded per query index, as QueryExecutor re-seeds it.
+inline std::vector<uint64_t> ReferenceWalks(const Graph& graph,
+                                            const ApproxParams& params,
+                                            uint64_t engine_seed,
+                                            const std::vector<NodeId>& seeds,
+                                            const BackendSpec& spec = {},
+                                            uint64_t first_index = 0) {
+  const std::unique_ptr<WorkspaceEstimator> estimator =
+      EstimatorRegistry::Global().Create(spec.name, graph, params, engine_seed,
+                                         spec.context);
+  QueryWorkspace ws;
+  std::vector<uint64_t> walks;
+  for (size_t i = 0; i < seeds.size(); ++i) {
+    estimator->Reseed(QueryRngSeed(engine_seed, first_index + i));
+    EstimatorStats stats;
+    estimator->EstimateInto(seeds[i], ws, &stats);
+    walks.push_back(stats.num_walks);
+  }
+  return walks;
+}
+
+/// True when every query of AnswerInOrder walks, so that each one's
+/// answer depends on its query index.
+inline bool EveryQueryWalks(const std::vector<uint64_t>& walks) {
+  for (uint64_t w : walks) {
+    if (w == 0) return false;
+  }
+  return true;
+}
+
+/// A test backend, "seed-latch", that answers the seed's indicator
+/// vector; while the latch is held, its answer for kLatchedSeed waits until
+/// the test releases it. The latch is process-wide because registered
+/// backends are.
+inline constexpr NodeId kLatchedSeed = 0;
+
+struct SeedLatch {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool held = false;
+  bool entered = false;  // a worker is waiting inside EstimateInto
+
+  void Hold() {
+    std::lock_guard<std::mutex> lock(mu);
+    held = true;
+    entered = false;
+  }
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      held = false;
+    }
+    cv.notify_all();
+  }
+  /// Waits up to 30 s for a worker to enter the latched query.
+  bool AwaitEntered() {
+    std::unique_lock<std::mutex> lock(mu);
+    return cv.wait_for(lock, std::chrono::seconds(30),
+                       [&] { return entered; });
+  }
+};
+
+inline SeedLatch& TheSeedLatch() {
+  static SeedLatch latch;
+  return latch;
+}
+
+class LatchedEstimator : public WorkspaceEstimator {
+ public:
+  const SparseVector& EstimateInto(NodeId seed, QueryWorkspace& ws,
+                                   EstimatorStats* stats) override {
+    if (stats != nullptr) stats->Reset();
+    if (seed == kLatchedSeed) {
+      SeedLatch& latch = TheSeedLatch();
+      std::unique_lock<std::mutex> lock(latch.mu);
+      if (latch.held) {
+        latch.entered = true;
+        latch.cv.notify_all();
+        latch.cv.wait(lock, [&] { return !latch.held; });
+      }
+    }
+    ws.result.Clear();
+    ws.result.Add(seed, 1.0);
+    return ws.result;
+  }
+  void Reseed(uint64_t /*seed*/) override {}
+  std::string_view name() const override { return "seed-latch"; }
+};
+
+inline void RegisterLatchedBackend() {
+  EstimatorRegistry& registry = EstimatorRegistry::Global();
+  if (registry.Contains("seed-latch")) return;
+  BackendInfo info;
+  info.name = "seed-latch";
+  info.algorithm = "indicator vector, held on a latch (test backend)";
+  info.factory = [](const Graph&, const ApproxParams&, uint64_t,
+                    const BackendContext&) {
+    return std::unique_ptr<WorkspaceEstimator>(new LatchedEstimator());
+  };
+  registry.Register(std::move(info));
 }
 
 /// r_k[v] of a sealed residue table (0 when hop k has no entry for v).

@@ -266,18 +266,26 @@ void RunAtEveryWidthAndThreadCount(const std::vector<uint32_t>& widths,
   for (std::thread& thread : threads) thread.join();
 }
 
+/// A 120,000-node graph (4.6 MiB of CSR), above kInterleaveMinGraphBytes:
+/// EffectiveWalkWidth runs every configured width as itself on it, so the
+/// width loops below compare interleaved walks with scalar ones.
+const Graph& WideGraph() {
+  static const Graph graph = PowerlawCluster(120000, 4, 0.3, 4);
+  return graph;
+}
+
 /// The serving-level guarantee: TEA+ at any configured width, alone or
 /// beside other queries, produces the same estimate to the last bit.
 /// `seq_stats` gets the width-8 reference run's stats.
 void ExpectTeaPlusBitIdenticalAcrossWidthsAndThreadCounts(
     const TeaPlusOptions& base_options, NodeId query,
     EstimatorStats* seq_stats) {
-  const Graph graph = PowerlawCluster(1500, 4, 0.3, 4);
+  const Graph& graph = WideGraph();
   // Serving-grade coarse accuracy with a tight hop cap (as in
   // bench_service): the push phase leaves residue mass behind, so the walk
-  // phase actually runs.
+  // phase actually runs, about 10,000 walks per query.
   ApproxParams params = TestParams(graph);
-  params.delta = 20.0 / static_cast<double>(graph.NumNodes());
+  params.delta = 200.0 / static_cast<double>(graph.NumNodes());
   params.p_f = 1e-6;
   const uint64_t seed = 99;
 
@@ -289,6 +297,7 @@ void ExpectTeaPlusBitIdenticalAcrossWidthsAndThreadCounts(
   RunAtEveryWidthAndThreadCount({1u, 4u, 8u, 16u}, [&](uint32_t width) {
     TeaPlusOptions options = base_options;
     options.walk_kernel.width = width;
+    EXPECT_EQ(EffectiveWalkWidth(graph, options.walk_kernel), width);
     TeaPlusEstimator estimator(graph, params, seed, options);
     EstimatorStats stats;
     EXPECT_EQ(ToMap(estimator.Estimate(query, &stats)), expected)
@@ -309,7 +318,8 @@ TEST(WalkKernelTest, DrainedTeaPlusBitIdenticalAcrossWidthsAndThreadCounts) {
   // The server's configuration, draining past the hop cap. With c = 1 the
   // cap is K = 3 and the push threshold eps_r*delta/K is coarse: on seed
   // 41 the drain runs out of entries above it while Inequality (11) still
-  // fails, so the query still walks.
+  // fails, so the query still walks (about 10,000 walks, after 60 more
+  // pushes than under the hard cap).
   TeaPlusOptions hard_cap;
   hard_cap.c = 1.0;
   TeaPlusOptions drained = hard_cap;
@@ -322,9 +332,11 @@ TEST(WalkKernelTest, DrainedTeaPlusBitIdenticalAcrossWidthsAndThreadCounts) {
 }
 
 TEST(WalkKernelTest, MonteCarloBitIdenticalAcrossThreadCounts) {
-  const Graph graph = PowerlawCluster(800, 3, 0.2, 12);
+  const Graph& graph = WideGraph();
   ApproxParams params = TestParams(graph);
-  params.p_f = 1e-2;  // keep the walk count test-sized
+  // Keep the walk count test-sized: about 4,300 walks.
+  params.delta = 1e-2;
+  params.p_f = 1e-2;
   const uint64_t seed = 7;
   const NodeId query = 42;
 
@@ -336,6 +348,7 @@ TEST(WalkKernelTest, MonteCarloBitIdenticalAcrossThreadCounts) {
   RunAtEveryWidthAndThreadCount({1u, 4u, 8u, 16u}, [&](uint32_t width) {
     WalkKernelOptions walk_kernel;
     walk_kernel.width = width;
+    EXPECT_EQ(EffectiveWalkWidth(graph, walk_kernel), width);
     MonteCarloEstimator estimator(graph, params, seed, -1.0, walk_kernel);
     EstimatorStats stats;
     EXPECT_EQ(ToMap(estimator.Estimate(query, &stats)), expected)
