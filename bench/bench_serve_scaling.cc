@@ -8,8 +8,8 @@
 // fit in cache (213k -> 1M -> 10M+ edges, the --graph-scale presets),
 // through the one way the library uses more cores, service workers that
 // each run whole queries: an AsyncQueryService closed loop (N clients, N
-// workers) with the cache disabled, over the sharded submission queues and
-// the work-stealing path; the "stolen" column shows rebalancing.
+// workers) with the cache disabled, so every query passes through the
+// service's one submission queue to a worker.
 //
 // Graphs are generated, or mmap'd from a cached binary CSR snapshot
 // (--graph-cache=DIR). Uniform-random seeds keep the cacheless runs
@@ -53,7 +53,6 @@ struct ScalingRow {
   uint32_t threads = 0;
   uint32_t queries = 0;
   double seconds = 0.0;
-  uint64_t stolen = 0;
   double p50_ms = 0.0;
   double p99_ms = 0.0;
   // Per-stage mean latencies. Stages are disjoint, so queue+cache+compute
@@ -66,7 +65,7 @@ struct ScalingRow {
 };
 
 /// Closed loop, `threads` clients against `threads` workers, cache
-/// disabled so every query is computed through the sharded queues.
+/// disabled so every query is queued and computed by a worker.
 double RunServicePath(const Graph& graph, const ApproxParams& params,
                       uint64_t seed, uint32_t threads,
                       const std::vector<NodeId>& seeds,
@@ -121,12 +120,12 @@ void WriteScalingJson(const std::string& path, uint32_t hardware_threads,
         "    {\"graph\": \"%s\", \"nodes\": %u, \"edges\": %llu, "
         "\"path\": \"service\", \"threads\": %u, "
         "\"queries\": %u, \"seconds\": %.6f, \"qps\": %.1f, "
-        "\"stolen\": %llu, \"p50_ms\": %.3f, \"p99_ms\": %.3f, "
+        "\"p50_ms\": %.3f, \"p99_ms\": %.3f, "
         "\"queue_ms\": %.4f, \"cache_ms\": %.4f, \"compute_ms\": %.4f, "
         "\"total_ms\": %.4f}%s\n",
         r.graph.c_str(), r.nodes, static_cast<unsigned long long>(r.edges),
         r.threads, r.queries, r.seconds, r.qps(),
-        static_cast<unsigned long long>(r.stolen), r.p50_ms, r.p99_ms,
+        r.p50_ms, r.p99_ms,
         r.queue_ms, r.cache_ms, r.compute_ms, r.total_ms,
         i + 1 < rows.size() ? "," : "");
   }
@@ -180,8 +179,8 @@ int main(int argc, char** argv) {
   bool gate_failed = false;
   bool gate_enforced = false;
   std::vector<ScalingRow> rows;
-  TablePrinter table({"graph", "edges", "threads", "q/s", "speedup",
-                      "stolen", "p99 ms"});
+  TablePrinter table(
+      {"graph", "edges", "threads", "q/s", "speedup", "p99 ms"});
   for (const std::string& size_name : sizes) {
     const Graph graph =
         PrepareScaledGraph(size_name, cache_dir, config.rng_seed);
@@ -210,7 +209,6 @@ int main(int argc, char** argv) {
       ServiceStatsSnapshot stats;
       row.seconds = RunServicePath(graph, params, config.rng_seed, threads,
                                    seeds, latencies, stats);
-      row.stolen = stats.stolen;
       row.p50_ms = latencies.PercentileMs(0.50);
       row.p99_ms = latencies.PercentileMs(0.99);
       // Each service is fresh per run, so its cumulative snapshot is the
@@ -226,7 +224,7 @@ int main(int argc, char** argv) {
       const double speedup = base_qps > 0.0 ? row.qps() / base_qps : 1.0;
       table.AddRow({graph_name, FmtCount(row.edges), std::to_string(threads),
                     FmtF(row.qps(), 0), FmtF(speedup, 2) + "x",
-                    std::to_string(row.stolen), FmtF(row.p99_ms, 2)});
+                    FmtF(row.p99_ms, 2)});
       rows.push_back(row);
     }
 

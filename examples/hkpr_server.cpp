@@ -76,6 +76,11 @@
 // keeps in flight per worker in every randomized backend. It changes speed
 // only, never results.
 //
+// Graph names (graph load, --graphs=) and tenant ids (tenant, tenant set,
+// tenant=) are 1-64 characters of [A-Za-z0-9_.-]; any other name gets an
+// "err invalid name ..." reply (exit 1 for the flag), because names are
+// printed unescaped into graph list, stats --json and metrics.
+//
 // Responses are single lines starting with "ok" or "err", so the server
 // can sit behind a pipe or a plain TCP client. Query responses carry
 // "backend=<name>" — the plan the query actually ran, which is how a
@@ -246,6 +251,12 @@ int main(int argc, char** argv) {
     if (!ParseGraphList(graphs_flag, &to_load)) {
       std::fprintf(stderr, "err --graphs expects name=path[,name=path...]\n");
       return 1;
+    }
+    for (const auto& entry : to_load) {
+      if (!ValidName(entry.first)) {
+        std::fprintf(stderr, "err %s\n", InvalidNameError(entry.first).c_str());
+        return 1;
+      }
     }
   } else if (!graph_path.empty()) {
     to_load.emplace_back("default", graph_path);

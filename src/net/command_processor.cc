@@ -71,7 +71,10 @@ std::string FmtOverride(const std::optional<double>& value) {
 /// ServiceStatsSnapshot counter (the operator view must never silently
 /// lose a field — asserted by the protocol test), the stage breakdown,
 /// and the service-wide reject counters for the aggregate scope
-/// (`service` non-null).
+/// (`service` non-null). `stolen` always reads 0, here, in `stats --json`
+/// and in `metrics`: a service has one submission queue, so no worker
+/// takes a request queued for another. The key stays for the tools that
+/// read it.
 void AppendStatsLine(std::string& out, const std::string& scope,
                      const ServiceStatsSnapshot& s,
                      const MultiGraphService* service) {
@@ -79,7 +82,7 @@ void AppendStatsLine(std::string& out, const std::string& scope,
           "ok scope=%s submitted=%llu completed=%llu rejected=%llu "
           "invalid_plans=%llu cancelled=%llu expired=%llu "
           "cache_hits=%llu cache_misses=%llu coalesced=%llu computed=%llu "
-          "stolen=%llu queue=%zu "
+          "stolen=0 queue=%zu "
           "latency_count=%llu",
           scope.c_str(), static_cast<unsigned long long>(s.submitted),
           static_cast<unsigned long long>(s.completed),
@@ -91,7 +94,7 @@ void AppendStatsLine(std::string& out, const std::string& scope,
           static_cast<unsigned long long>(s.cache_misses),
           static_cast<unsigned long long>(s.coalesced),
           static_cast<unsigned long long>(s.computed),
-          static_cast<unsigned long long>(s.stolen), s.queue_depth,
+          s.queue_depth,
           static_cast<unsigned long long>(s.latency_count));
   if (service != nullptr) {
     // Service-wide, not attributable to any one graph.
@@ -162,7 +165,7 @@ std::string StatsJson(const std::string& scope, const ServiceStatsSnapshot& s,
   AppendJsonField(out, "cache_misses", u64(s.cache_misses));
   AppendJsonField(out, "coalesced", u64(s.coalesced));
   AppendJsonField(out, "computed", u64(s.computed));
-  AppendJsonField(out, "stolen", u64(s.stolen));
+  AppendJsonField(out, "stolen", u64(0));
   AppendJsonField(out, "queue_depth", u64(s.queue_depth));
   AppendJsonField(out, "latency_count", u64(s.latency_count));
   if (service != nullptr) {
@@ -211,6 +214,22 @@ void AppendMetricLine(std::string& out, const char* name, const char* label,
 }
 
 }  // namespace
+
+bool ValidName(std::string_view name) {
+  if (name.empty() || name.size() > 64) return false;
+  for (const char c : name) {
+    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                    (c >= '0' && c <= '9') || c == '_' || c == '.' ||
+                    c == '-';
+    if (!ok) return false;
+  }
+  return true;
+}
+
+std::string InvalidNameError(std::string_view name) {
+  return "invalid name \"" + std::string(name) +
+         "\" (expected 1-64 characters of [A-Za-z0-9_.-])";
+}
 
 bool ParsePlanTokens(std::istringstream& in, PlanOverrides* plan,
                      std::string* tenant, std::string* error) {
@@ -263,6 +282,10 @@ bool ParsePlanTokens(std::istringstream& in, PlanOverrides* plan,
         return false;
       }
     } else if (key == "tenant") {
+      if (!ValidName(value)) {
+        *error = InvalidNameError(value);
+        return false;
+      }
       *tenant = value;
     } else {
       const std::optional<double> parsed = ParseDouble(value);
@@ -443,6 +466,8 @@ void CommandProcessor::ExecuteGraph(ClientSession& session,
     in >> name >> path;
     if (name.empty() || path.empty()) {
       out += "err usage: graph load <name> <path>\n";
+    } else if (!ValidName(name)) {
+      Appendf(out, "err %s\n", InvalidNameError(name).c_str());
     } else {
       Result<Graph> loaded = LoadEdgeList(path);
       if (!loaded.ok()) {
@@ -614,6 +639,10 @@ void CommandProcessor::ExecuteTenant(ClientSession& session,
              "[priority=low|normal|high]\n";
       return;
     }
+    if (!ValidName(name)) {
+      Appendf(out, "err %s\n", InvalidNameError(name).c_str());
+      return;
+    }
     TenantQosConfig config = tenants_.ConfigFor(name);
     std::string token;
     bool any = false;
@@ -684,6 +713,10 @@ void CommandProcessor::ExecuteTenant(ClientSession& session,
   }
   // `tenant <id>`: the session handshake. The id is created lazily with
   // the default (unlimited) config on first admission.
+  if (!ValidName(sub)) {
+    Appendf(out, "err %s\n", InvalidNameError(sub).c_str());
+    return;
+  }
   session.tenant = sub;
   Appendf(out, "ok tenant=%s\n", session.tenant.c_str());
 }
@@ -737,7 +770,7 @@ size_t CommandProcessor::AppendMetricsForScope(const std::string& scope,
   flat("hkpr_cache_misses_total", s.cache_misses);
   flat("hkpr_coalesced_total", s.coalesced);
   flat("hkpr_computed_total", s.computed);
-  flat("hkpr_stolen_total", s.stolen);
+  flat("hkpr_stolen_total", 0);
   flat("hkpr_queue_depth", static_cast<uint64_t>(s.queue_depth));
   const auto quantile = [&](const char* name, const char* q, double value,
                             const char* stage) {

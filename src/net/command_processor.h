@@ -65,13 +65,24 @@ struct CommandResult {
   bool quit = false;
 };
 
+/// True when `name` may name a graph or a tenant: 1 to 64 characters of
+/// [A-Za-z0-9_.-]. Names are printed unescaped into `graph list` fields,
+/// `stats --json` strings and `metrics` label values, so every entry
+/// point that introduces one (graph load, the server's --graphs=,
+/// tenant <id>, tenant set <id>, tenant=) refuses any other name.
+bool ValidName(std::string_view name);
+
+/// The reply for a name ValidName() refuses, without the "err " prefix:
+/// `invalid name "NAME" (...)`.
+std::string InvalidNameError(std::string_view name);
+
 /// Parses the trailing key=value plan tokens of a query/params line
 /// (backend=NAME|auto, t=V, eps=V, delta=V, and — when `tenant` is
 /// non-null — tenant=ID) into `plan`. Returns false — and fills `error` —
 /// on an unknown key, a token without '=', an empty value ("t="), a
-/// duplicated key ("t=1 t=2"), a malformed number, or an unregistered
-/// backend name. Exposed for the regression tests of exactly those edge
-/// cases.
+/// duplicated key ("t=1 t=2"), a malformed number, an unregistered
+/// backend name, or a tenant id ValidName() refuses. Exposed for the
+/// regression tests of exactly those edge cases.
 bool ParsePlanTokens(std::istringstream& in, PlanOverrides* plan,
                      std::string* tenant, std::string* error);
 

@@ -78,10 +78,6 @@ AsyncQueryService::AsyncQueryService(GraphSnapshot snapshot,
     config_.plan = first.default_plan();
   }
 
-  shards_.reserve(num_workers);
-  for (uint32_t w = 0; w < num_workers; ++w) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
   workers_.reserve(num_workers);
   for (uint32_t w = 0; w < num_workers; ++w) {
     workers_.emplace_back([this, w] { WorkerLoop(w); });
@@ -189,19 +185,18 @@ AsyncQueryService::AsyncQueryService(const Graph& graph,
 
 void AsyncQueryService::Shutdown() {
   std::call_once(shutdown_once_, [this] {
-    stopping_.store(true);  // seq_cst, paired with Enqueue's in-lock check
-    for (std::unique_ptr<Shard>& shard : shards_) {
-      // Lock/unlock fence: any submitter that passed its in-lock stopping
-      // check on this shard has already pushed (a worker will drain it);
-      // any submitter arriving later observes stopping_ under the lock and
-      // rejects inline. Notify under no lock is safe: a parked worker
-      // re-evaluates its predicate, which reads stopping_, under the shard
-      // lock, so it either saw stopping_ before the fence or is already
-      // waiting when this notify arrives.
-      { std::lock_guard<std::mutex> lock(shard->mu); }
-      shard->cv.notify_all();
+    {
+      // Under the queue lock: a submitter either pushed before this (a
+      // worker takes the request) or sees stopping_ and rejects inline.
+      std::lock_guard<std::mutex> lock(queue_mu_);
+      stopping_.store(true);
     }
+    queue_cv_.notify_all();
     for (std::thread& worker : workers_) worker.join();
+    // The queue is empty and stays so. A submitter still answering a cache
+    // hit, or rejecting a request that raced this shutdown, releases its
+    // waiting slot once the future is resolved and the outcome recorded.
+    while (pending_.load() != 0) std::this_thread::yield();
   });
 }
 
@@ -301,14 +296,14 @@ std::optional<QueryHandle> AsyncQueryService::Enqueue(
   request.query_index = next_query_index_.fetch_add(1);
   request.promise = std::move(promise);
 
-  // A completed entry is answered here, on the submitting thread: no shard
+  // A completed entry is answered here, on the submitting thread: no
   // hand-off and no worker wakeup. The admission and query-index claims
   // above are already made, so rejections and every later miss's RNG
   // index are the same as on the worker path. The waiting slot is
-  // released only after the answer is recorded: workers exit on
-  // pending_ == 0, so Shutdown() still returns only after every admitted
-  // request is in the stats. Misses and in-flight keys go to a worker,
-  // whose LookupOrStartCompute() keeps single-flight.
+  // released only after the answer is recorded: Shutdown() waits for
+  // pending_ == 0, so it still returns only after every admitted request
+  // is in the stats. Misses and in-flight keys go to a worker, whose
+  // LookupOrStartCompute() keeps single-flight.
   if (cache_ != nullptr) {
     const Clock::time_point lookup_begin = Clock::now();
     if (CachedEstimate hit = cache_->FindCompleted(request.key)) {
@@ -323,49 +318,23 @@ std::optional<QueryHandle> AsyncQueryService::Enqueue(
     }
   }
 
-  const size_t shard_index =
-      next_shard_.fetch_add(1, std::memory_order_relaxed) % shards_.size();
-  Shard& shard = *shards_[shard_index];
-  bool owner_idle = false;
   {
-    std::lock_guard<std::mutex> lock(shard.mu);
+    std::lock_guard<std::mutex> lock(queue_mu_);
     if (stopping_.load()) {
-      // Shutdown began after the admission check; its drain may already
-      // have passed this shard, so resolve the request here instead of
-      // stranding the future in a dead queue.
-      pending_.fetch_sub(1);
+      // Shutdown began after the admission check and its workers may have
+      // left: resolve the request here instead of stranding the future in
+      // a dead queue.
       stats_->RecordRejected();
+      if (!try_submit) request.promise.set_value(QueryResult{});  // kRejected
+      pending_.fetch_sub(1);
       if (try_submit) return std::nullopt;
-      request.promise.set_value(QueryResult{});  // kRejected
       return handle;
     }
-    shard.queue.push_back(std::move(request));
-    owner_idle = shard.idle;
+    queue_.push_back(std::move(request));
   }
-  if (owner_idle) {
-    // The owner's wait predicate reads its queue under the lock just held.
-    shard.cv.notify_one();
-  } else if (idle_workers_.load() > 0) {
-    // The owner is busy and may stay busy for a whole query: hand the
-    // request to an idle worker's steal instead of letting it wait.
-    HintIdleWorker(shard_index);
-  }
+  // The worker's wait predicate reads the queue under the lock just held.
+  queue_cv_.notify_one();
   return handle;
-}
-
-void AsyncQueryService::HintIdleWorker(size_t busy_shard) {
-  const size_t num_shards = shards_.size();
-  for (size_t hop = 1; hop < num_shards; ++hop) {
-    Shard& shard = *shards_[(busy_shard + hop) % num_shards];
-    {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      // A worker whose hint is already set will rescan anyway.
-      if (!shard.idle || shard.steal_hint) continue;
-      shard.steal_hint = true;
-    }
-    shard.cv.notify_one();
-    return;
-  }
 }
 
 QueryHandle AsyncQueryService::Submit(NodeId seed,
@@ -390,99 +359,19 @@ std::optional<QueryHandle> AsyncQueryService::TrySubmitTopK(
   return Enqueue(seed, k, submit, /*try_submit=*/true);
 }
 
-size_t AsyncQueryService::StealInto(uint32_t thief, std::vector<Request>& batch,
-                                    uint32_t max_batch) {
-  const size_t num_shards = shards_.size();
-  for (size_t hop = 1; hop < num_shards; ++hop) {
-    Shard& victim = *shards_[(thief + hop) % num_shards];
-    std::lock_guard<std::mutex> lock(victim.mu);
-    if (victim.queue.empty()) continue;
-    // Take the *older* half from the front: the thief serves the requests
-    // that have waited longest, and the victim keeps the newer half (it
-    // is presumably busy, or its own drain would have taken them).
-    const size_t take =
-        std::min<size_t>(max_batch, (victim.queue.size() + 1) / 2);
-    for (size_t i = 0; i < take; ++i) {
-      batch.push_back(std::move(victim.queue.front()));
-      victim.queue.pop_front();
-    }
-    return take;
-  }
-  return 0;
-}
-
 void AsyncQueryService::WorkerLoop(uint32_t worker_id) {
   BoundExecutor& executor = executors_[worker_id];
-  Shard& home = *shards_[worker_id];
-  const uint32_t max_batch = std::max(1u, options_.max_batch);
-  std::vector<Request> batch;
-  std::vector<Deferred> deferred;
-  batch.reserve(max_batch);
-  // Set when this worker cleared a steal hint and no scan since has found
-  // every other shard empty. A worker that takes other work first passes
-  // the hint on, so the request behind the hint does not wait for it.
-  bool owes_scan = false;
   for (;;) {
-    batch.clear();
-    deferred.clear();
-    {
-      // Opportunistic micro-batching: drain up to max_batch waiting
-      // requests in one wakeup so a loaded worker answers them in a tight
-      // loop on its warmed executor (the async analogue of the static
-      // batch shard).
-      std::lock_guard<std::mutex> lock(home.mu);
-      const size_t take = std::min<size_t>(max_batch, home.queue.size());
-      for (size_t i = 0; i < take; ++i) {
-        batch.push_back(std::move(home.queue.front()));
-        home.queue.pop_front();
-      }
-    }
-    if (batch.empty()) {
-      // stopping_ is set before the shutdown drain, and pending_ counts
-      // every admitted-but-unprocessed request (including ones a raced
-      // submitter has claimed but not yet pushed — those resolve under the
-      // shard lock), so this exit condition cannot strand a future.
-      if (stopping_.load() && pending_.load() == 0) return;
-      // Park. The worker marks itself idle *before* its last scan of the
-      // other shards: a push that the scan misses then sees an idle
-      // worker and hints it (Enqueue), so no wakeup is lost and no timer
-      // is needed for stealing.
-      {
-        std::lock_guard<std::mutex> lock(home.mu);
-        home.idle = true;
-      }
-      idle_workers_.fetch_add(1);
-      const size_t stolen =
-          shards_.size() > 1 ? StealInto(worker_id, batch, max_batch) : 0;
-      if (stolen == 0) owes_scan = false;  // every other shard was empty
-      {
-        std::unique_lock<std::mutex> lock(home.mu);
-        if (stolen == 0) {
-          home.cv.wait(lock, [&] {
-            return stopping_.load() || !home.queue.empty() || home.steal_hint;
-          });
-        }
-        owes_scan = owes_scan || home.steal_hint;
-        home.idle = false;
-        home.steal_hint = false;
-      }
-      idle_workers_.fetch_sub(1);
-      if (stolen == 0) continue;
-      stats_->RecordStolen(stolen);
-    }
-    if (owes_scan) {
-      owes_scan = false;
-      if (idle_workers_.load() > 0) HintIdleWorker(worker_id);
-    }
-    pending_.fetch_sub(batch.size());
-    for (Request& request : batch) Process(executor, request, deferred);
-    // Requests coalesced onto another worker's in-flight computation are
-    // resolved last: the drained batch is this worker's private backlog,
-    // so blocking on a leader mid-batch would stall unrelated requests
-    // that no idle worker can steal back.
-    for (Deferred& wait : deferred) {
-      Fulfill(wait.request, wait.pending.get());
-    }
+    std::unique_lock<std::mutex> lock(queue_mu_);
+    queue_cv_.wait(lock, [&] { return stopping_.load() || !queue_.empty(); });
+    // stopping_ is set under this lock and a submitter pushes only while it
+    // is clear, so once stopping, an empty queue stays empty.
+    if (queue_.empty()) return;
+    Request request = std::move(queue_.front());
+    queue_.pop_front();
+    lock.unlock();
+    pending_.fetch_sub(1);
+    Process(executor, request);
   }
 }
 
@@ -517,8 +406,7 @@ bool AsyncQueryService::ExpireIfLate(Request& request) {
   return true;
 }
 
-void AsyncQueryService::Process(BoundExecutor& executor, Request& request,
-                                std::vector<Deferred>& deferred) {
+void AsyncQueryService::Process(BoundExecutor& executor, Request& request) {
   request.trace.dequeue = Clock::now();
   if (request.cancelled->load(std::memory_order_relaxed)) {
     QueryResult result;
@@ -539,13 +427,12 @@ void AsyncQueryService::Process(BoundExecutor& executor, Request& request,
         estimate = std::move(lookup.value);
         break;
       case ResultCache::Outcome::kInFlight:
-        // Single-flight: another worker is computing this key. Park the
-        // request for resolution after the rest of the batch; the leader
-        // never waits on this key, so the eventual get() cannot deadlock.
+        // Single-flight: another worker is computing this key. Wait for it
+        // here; this worker holds no other request, and the leader never
+        // waits on a follower, so the wait cannot deadlock.
         request.cache_outcome = CacheOutcome::kCoalesced;
-        deferred.push_back(
-            Deferred{std::move(request), std::move(lookup.pending)});
-        return;
+        estimate = lookup.pending.get();
+        break;
       case ResultCache::Outcome::kMiss:
         request.cache_outcome = CacheOutcome::kMiss;
         request.trace.compute_begin = Clock::now();

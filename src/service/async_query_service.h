@@ -8,30 +8,16 @@
 // run is any backend registered in the EstimatorRegistry (hkpr/backend.h),
 // selected by name via ServiceOptions::backend.
 //
-// Submission is sharded: each worker owns a private FIFO shard (lock +
-// condition variable + deque), and submitters spread requests round-robin
-// across the shards. At high worker counts a single shared MPMC queue
-// becomes the serialization point — every submitter and every worker
-// wakeup contends one mutex and bounces one cache line — whereas with
-// shards the expected contention on any lock is constant in the worker
-// count. Workers drain their own shard in micro-batches of up to
-// `max_batch` requests per wakeup (so a loaded service amortizes its
-// wakeups over several requests); a worker whose shard is empty *steals*
-// the oldest waiting half of a loaded victim's shard, so one slow query
-// (or an unlucky round-robin burst) cannot strand requests behind a busy
-// worker while others idle.
-//
-// Idle workers park on their shard's condition variable with no timeout,
-// so an idle service makes no wakeups. A worker marks itself idle before
-// its last scan of the other shards; a submission that lands on a busy
-// worker's shard while some worker is idle sets that idle worker's steal
-// hint and wakes it. Because the mark comes before the scan, a push the
-// scan missed always finds the worker idle; a hinted worker that takes
-// other work first passes the hint to another idle worker. So no request
-// waits behind a busy worker while another sleeps. Admission control
-// stays exact and global: one atomic counter of waiting requests backs
-// both `max_queue_depth` and the queue-depth gauge, and the `stolen`
-// counter in ServiceStats makes the rebalancing observable.
+// Submission is one FIFO queue under one mutex and one condition
+// variable. A query runs whole on one worker (more workers are the one way
+// the service uses more cores), so the queue is the only place the workers
+// meet: each queued request takes the lock once to be pushed and once to
+// be taken. A submission pushes and wakes one parked worker; a worker
+// takes one request at a time, so no request waits behind a busy worker
+// while another is free. Idle workers wait with no timeout, so an idle
+// service makes no wakeups. Admission control is exact and needs no lock:
+// one atomic counter of waiting requests backs both `max_queue_depth` and
+// the queue-depth gauge.
 //
 // Every request is resolved into a per-query QueryPlan (hkpr/router.h) at
 // submission time: the service's default backend + params, composed with
@@ -47,8 +33,10 @@
 // queries for a hot (seed, plan) pair are served from the cache without
 // recomputing, and concurrent requests for the same cold key wait on one
 // in-flight computation. A key whose entry is already complete is answered
-// on the submitting thread, before any shard hand-off; misses and
-// in-flight keys go to a worker. Cache keys embed the *full resolved plan*
+// on the submitting thread, before any hand-off; misses and in-flight
+// keys go to a worker. A worker whose key is in flight on another worker
+// waits on that computation in place: it holds no other request, so
+// nothing queued waits behind it. Cache keys embed the *full resolved plan*
 // (backend id + every parameter), so two distinct plans can never serve
 // each other's entries — and the same resolved plan reached via routing,
 // an explicit override, or the default shares one entry, which is exactly
@@ -119,14 +107,9 @@ struct ServiceOptions {
   /// Worker threads; 0 uses all hardware threads.
   uint32_t num_workers = 0;
   /// Admission control: Submit() fails fast with QueryStatus::kRejected
-  /// once this many requests are waiting across all submission shards
-  /// (0 rejects everything — useful to drain a service without stopping
-  /// it).
+  /// once this many admitted requests are waiting for a worker (0 rejects
+  /// everything — useful to drain a service without stopping it).
   size_t max_queue_depth = 1024;
-  /// Micro-batch: requests drained per worker wakeup (and the cap on one
-  /// steal). Larger batches amortize lock/wakeup costs under load at a
-  /// small latency cost.
-  uint32_t max_batch = 8;
   /// Completed estimates retained across queries; 0 disables the cache.
   size_t cache_capacity = 4096;
   uint32_t cache_shards = 8;
@@ -383,26 +366,6 @@ class AsyncQueryService {
     std::shared_ptr<const ServedGraph> graph;
   };
 
-  /// A request parked on another worker's in-flight computation (resolved
-  /// after the rest of the micro-batch, so one hot-key wait never delays
-  /// unrelated drained requests).
-  struct Deferred {
-    Request request;
-    std::shared_future<CachedEstimate> pending;
-  };
-
-  /// One per-worker submission shard. Cache-line aligned so two shards'
-  /// hot state never false-shares.
-  struct alignas(64) Shard {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::deque<Request> queue;
-    /// The owner has found its queue empty and is scanning or parked.
-    bool idle = false;
-    /// A submitter asked the parked owner to rescan the other shards.
-    bool steal_hint = false;
-  };
-
   /// Shared enqueue; `try_submit` selects the TrySubmit contract (nullopt
   /// once shut down or for a seed out of range) over the kRejected handle
   /// and the seed check-fail.
@@ -410,18 +373,7 @@ class AsyncQueryService {
                                      const SubmitOptions& submit,
                                      bool try_submit);
   void WorkerLoop(uint32_t worker_id);
-  /// Sets the steal hint of one idle worker other than `busy_shard`'s
-  /// owner whose hint is clear, and wakes it.
-  void HintIdleWorker(size_t busy_shard);
-  /// Moves up to min(max_batch, half) waiting requests from the *front* of
-  /// the first non-empty victim shard into `batch` (oldest first, so
-  /// stealing preserves rough service order and leaves the victim the
-  /// newer half). Returns the number taken; the caller settles pending_
-  /// and the stolen counter.
-  size_t StealInto(uint32_t thief, std::vector<Request>& batch,
-                   uint32_t max_batch);
-  void Process(BoundExecutor& executor, Request& request,
-               std::vector<Deferred>& deferred);
+  void Process(BoundExecutor& executor, Request& request);
   /// Resolves `request` kExpired and returns true when its deadline has
   /// passed.
   bool ExpireIfLate(Request& request);
@@ -440,40 +392,38 @@ class AsyncQueryService {
   std::unique_ptr<ResultCache> cache_;  // null when disabled
   std::shared_ptr<ServiceStats> stats_;
 
-  /// Guards the live config only (never held with a shard lock):
-  /// submissions read a copy, config updates replace it — neither path
-  /// touches the queues, so a backend switch or a republish cannot stall
-  /// workers and vice versa.
+  /// Guards the live config only (never held with queue_mu_): submissions
+  /// read a copy, config updates replace it — neither path touches the
+  /// queue, so a backend switch or a republish cannot stall workers and
+  /// vice versa.
   mutable std::mutex config_mu_;
   Config config_;
 
   /// One backend executor (estimator + workspace) per worker thread.
   std::vector<BoundExecutor> executors_;
-  std::vector<std::thread> workers_;
 
-  /// One submission shard per worker thread (same index). Submissions are
-  /// spread round-robin via next_shard_; see the header comment for the
-  /// stealing discipline.
-  std::vector<std::unique_ptr<Shard>> shards_;
-  /// Admitted-and-waiting requests across all shards: the exact
-  /// admission-control count (claimed with fetch_add before the shard
-  /// push, released when a worker drains or a raced shutdown rejects) and
-  /// the queue-depth gauge.
+  /// The submission queue: submitters push at the back, workers take from
+  /// the front and park on queue_cv_ while it is empty.
+  std::mutex queue_mu_;
+  std::condition_variable queue_cv_;
+  std::deque<Request> queue_;
+  /// Admitted requests no worker has taken yet: the exact admission count
+  /// (claimed with fetch_add before the push; released when a worker takes
+  /// the request, or once a submitter has answered a cache hit or rejected
+  /// a request that raced Shutdown()) and the queue-depth gauge.
   std::atomic<size_t> pending_{0};
-  /// Round-robin shard cursor for submissions.
-  std::atomic<uint64_t> next_shard_{0};
-  /// Workers whose Shard::idle is set; lets a submission skip the hint
-  /// scan when every worker is busy.
-  std::atomic<uint32_t> idle_workers_{0};
   /// The next accepted query's deterministic RNG index, claimed in
   /// admission order.
   std::atomic<uint64_t> next_query_index_{0};
-  /// Set once by Shutdown() (seq_cst, paired with a per-shard lock fence):
-  /// a submitter that already passed admission either lands its request in
-  /// a shard before the drain, or observes stopping_ under the shard lock
-  /// and rejects inline — no future is ever stranded.
+  /// Set once by Shutdown(), under queue_mu_: a submitter that already
+  /// passed admission either pushed its request before it was set (a
+  /// worker takes it) or sees it under the lock and rejects inline — no
+  /// future is ever stranded.
   std::atomic<bool> stopping_{false};
   std::once_flag shutdown_once_;
+
+  /// Declared last: the workers use every member above.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace hkpr

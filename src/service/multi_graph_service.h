@@ -64,9 +64,9 @@ struct MultiGraphOptions {
   /// the budget approximately, not as a hard cap. 0 uses all hardware
   /// threads.
   uint32_t worker_budget = 0;
-  /// Template for every per-graph service (cache, queue depth, backend,
-  /// micro-batching). `service.num_workers` is ignored — the budget above
-  /// decides worker counts.
+  /// Template for every per-graph service (cache, queue depth, backend).
+  /// `service.num_workers` is ignored — the budget above decides worker
+  /// counts.
   ServiceOptions service;
 };
 

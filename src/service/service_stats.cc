@@ -118,7 +118,6 @@ void MergeSnapshot(ServiceStatsSnapshot& into,
   into.invalid_plans += from.invalid_plans;
   into.cancelled += from.cancelled;
   into.expired += from.expired;
-  into.stolen += from.stolen;
   into.queue_depth += from.queue_depth;
   AddCompletions(into, from);
   FillPercentiles(into);
@@ -212,7 +211,6 @@ ServiceStatsSnapshot ServiceStats::TakeSnapshot() const {
   snap.invalid_plans = invalid_plans_.load(std::memory_order_relaxed);
   snap.cancelled = cancelled_.load(std::memory_order_relaxed);
   snap.expired = expired_.load(std::memory_order_relaxed);
-  snap.stolen = stolen_.load(std::memory_order_relaxed);
 
   const auto fill_stage = [](const LatencyHistogram& hist,
                              const std::atomic<uint64_t>& sum_us,

@@ -159,8 +159,6 @@ struct ServiceStatsSnapshot : CompletionStats {
                                ///< malformed input, not admission pressure
   uint64_t cancelled = 0;    ///< cancelled before computation started
   uint64_t expired = 0;      ///< deadline passed before computation started
-  uint64_t stolen = 0;       ///< requests executed by a worker other than the
-                             ///< submission shard's owner (work stealing)
   size_t queue_depth = 0;    ///< requests waiting at snapshot time
 
   /// Per-stage breakdown of the completed-query latency. The three stages
@@ -194,11 +192,6 @@ class ServiceStats {
   void RecordInvalidPlan() { Bump(invalid_plans_); }
   void RecordCancelled() { Bump(cancelled_); }
   void RecordExpired() { Bump(expired_); }
-
-  /// `count` requests were stolen from another worker's submission shard.
-  void RecordStolen(uint64_t count) {
-    if (count > 0) stolen_.fetch_add(count, std::memory_order_relaxed);
-  }
 
   /// Folds one query that finished with kOk into the stage histograms,
   /// the exact stage sums and `backend_id`'s slot. Each stamp of `trace`
@@ -237,7 +230,6 @@ class ServiceStats {
   std::atomic<uint64_t> invalid_plans_{0};
   std::atomic<uint64_t> cancelled_{0};
   std::atomic<uint64_t> expired_{0};
-  std::atomic<uint64_t> stolen_{0};
 
   // Stage histograms (log2 buckets, for percentiles) and exact
   // microsecond sums (for means and the sums<=total CI invariant).

@@ -21,6 +21,7 @@
 #include "common/parse.h"
 #include "common/random.h"
 #include "graph/generators.h"
+#include "graph/graph_io.h"
 #include "net/command_processor.h"
 #include "service/graph_store.h"
 #include "service/multi_graph_service.h"
@@ -283,6 +284,64 @@ TEST_F(CommandProcessorTest, MetricsIncludeTenantRows) {
   EXPECT_TRUE(Contains(metrics, "ok metrics graphs=1 lines="));
 }
 
+// Names are printed unescaped into `graph list` fields, `stats --json`
+// strings and metrics label values, so each entry point that introduces a
+// graph name or a tenant id refuses one outside [A-Za-z0-9_.-]{1,64}.
+const std::vector<std::string> kUnsafeNames = {
+    "a\"b", "c:d,e", "x\\y", "{q}", "a=b", "n\xc3\xa9", std::string(65, 'n')};
+
+TEST_F(CommandProcessorTest, GraphLoadRefusesAnUnsafeName) {
+  const std::string path = ::testing::TempDir() + "/unsafe_name_graph.txt";
+  {
+    std::ofstream file(path);
+    file << "0 1\n1 2\n2 3\n3 0\n";
+  }
+  ClientSession session = processor_->NewSession();
+  for (const std::string& name : kUnsafeNames) {
+    SCOPED_TRACE(name);
+    EXPECT_TRUE(StartsWith(Run(session, "graph load " + name + " " + path),
+                           "err invalid name"));
+  }
+  EXPECT_TRUE(StartsWith(Run(session, "graph list"), "ok graphs=1 default"));
+  const std::string longest(64, 'n');
+  EXPECT_TRUE(StartsWith(Run(session, "graph load " + longest + " " + path),
+                         "ok graph=" + longest));
+  EXPECT_TRUE(StartsWith(Run(session, "graph load g.1-x_Y " + path),
+                         "ok graph=g.1-x_Y"));
+}
+
+TEST_F(CommandProcessorTest, TenantHandshakeRefusesAnUnsafeName) {
+  ClientSession session = processor_->NewSession();
+  for (const std::string& name : kUnsafeNames) {
+    SCOPED_TRACE(name);
+    EXPECT_TRUE(StartsWith(Run(session, "tenant " + name), "err invalid name"));
+    EXPECT_EQ(session.tenant, "default");
+  }
+  EXPECT_TRUE(StartsWith(Run(session, "tenant t.1-x_Y"), "ok tenant=t.1-x_Y"));
+}
+
+TEST_F(CommandProcessorTest, TenantSetRefusesAnUnsafeName) {
+  ClientSession session = processor_->NewSession();
+  for (const std::string& name : kUnsafeNames) {
+    SCOPED_TRACE(name);
+    EXPECT_TRUE(StartsWith(Run(session, "tenant set " + name + " rate=5"),
+                           "err invalid name"));
+  }
+  // None of them reached the registry.
+  EXPECT_TRUE(StartsWith(Run(session, "tenant list"), "ok tenants=0"));
+}
+
+TEST_F(CommandProcessorTest, TenantTokenRefusesAnUnsafeName) {
+  ClientSession session = processor_->NewSession();
+  for (const std::string& name : kUnsafeNames) {
+    SCOPED_TRACE(name);
+    EXPECT_TRUE(StartsWith(Run(session, "query 3 tenant=" + name),
+                           "err invalid name"));
+  }
+  EXPECT_TRUE(StartsWith(Run(session, "tenant list"), "ok tenants=0"));
+  EXPECT_TRUE(StartsWith(Run(session, "query 3 tenant=ok_1"), "ok graph="));
+}
+
 TEST_F(CommandProcessorTest, GraphAndStatsCommandsStillWork) {
   ClientSession session = processor_->NewSession();
   EXPECT_TRUE(StartsWith(Run(session, "graph list"), "ok graphs=1"));
@@ -462,6 +521,183 @@ TEST(CommandProcessorFuzzTest, LifecycleScriptsAnswerOneLineOnAHeldVersion) {
   EXPECT_GT(loads, 50u);
   EXPECT_GT(ok_queries, 100u);
   EXPECT_GT(err_replies, 200u);
+}
+
+// ---------------------------------------------------------------------------
+// Seeded mutation test of the tenant and exposition commands: random
+// scripts of tenant, tenant set with random and malformed limits, tenant
+// list, query with tenant=, graph load, stats and metrics, naming graphs
+// and tenants inside and outside the safe set.
+
+/// True when `row` reads `name{label="value",...} number`, with no '"' or
+/// '\' inside a value.
+bool IsMetricRow(const std::string& row) {
+  size_t i = 0;
+  const auto ident = [&] {
+    const size_t begin = i;
+    while (i < row.size() && ((row[i] >= 'a' && row[i] <= 'z') ||
+                              (row[i] >= '0' && row[i] <= '9') ||
+                              row[i] == '_')) {
+      ++i;
+    }
+    return i > begin;
+  };
+  if (!ident() || i == row.size() || row[i++] != '{') return false;
+  for (;;) {
+    if (!ident() || row.compare(i, 2, "=\"") != 0) return false;
+    i += 2;
+    while (i < row.size() && row[i] != '"' && row[i] != '\\') ++i;
+    if (i == row.size() || row[i++] != '"') return false;
+    if (i == row.size() || row[i] != ',') break;
+    ++i;
+  }
+  if (row.compare(i, 2, "} ") != 0) return false;
+  return ParseDouble(row.substr(i + 2)).has_value();
+}
+
+/// The reply's lines, without their '\n'; an unterminated tail is kept as
+/// a last line, so a reply that does not end in '\n' fails the callers.
+std::vector<std::string> Lines(const std::string& reply) {
+  std::vector<std::string> lines;
+  size_t begin = 0;
+  while (begin < reply.size()) {
+    const size_t end = reply.find('\n', begin);
+    if (end == std::string::npos) {
+      lines.push_back(reply.substr(begin) + "<no newline>");
+      break;
+    }
+    lines.push_back(reply.substr(begin, end - begin));
+    begin = end + 1;
+  }
+  return lines;
+}
+
+/// One random tenant-or-exposition line; `*unsafe` is set when it names a
+/// graph or tenant outside the safe set.
+std::string RandomExpositionLine(Rng& rng, const std::string& file,
+                                 bool* unsafe) {
+  *unsafe = rng.UniformInt(4) == 0;
+  const std::string name =
+      *unsafe ? Pick(rng, kUnsafeNames)
+              : Pick(rng, {"alice", "bob", "t-1", "x.y_z", "default",
+                           std::string(64, 'n')});
+  switch (rng.UniformInt(9)) {
+    case 0:
+      *unsafe = false;
+      return "tenant";
+    case 1:
+      return "tenant " + name;
+    case 2: {
+      std::string line = "tenant set " + name;
+      const uint64_t count = rng.UniformInt(4);  // 0 tokens is a usage err
+      for (uint64_t i = 0; i < count; ++i) {
+        switch (rng.UniformInt(5)) {
+          case 0:
+            line += " rate=" + Pick(rng, {"1000", "0.5", "0", "-1", "abc", ""});
+            break;
+          case 1:
+            line += " burst=" + Pick(rng, {"1", "10", "0.5", "x", "1e309"});
+            break;
+          case 2:
+            line += " quota=" + Pick(rng, {"0", "8", "-1",
+                                           "99999999999999999999"});
+            break;
+          case 3:
+            line += " priority=" + Pick(rng, {"low", "normal", "high",
+                                              "urgent", ""});
+            break;
+          default:
+            line += " " + Pick(rng, {"bogus=1", "rate", "="});
+            break;
+        }
+      }
+      return line;
+    }
+    case 3:
+      *unsafe = false;
+      return "tenant list";
+    case 4:
+    case 5:
+      return "query " + std::to_string(rng.UniformInt(12)) + " tenant=" + name;
+    case 6:
+      return "graph load " + name + " " + file;
+    case 7: {
+      const bool named = rng.Bernoulli(0.5);
+      *unsafe = *unsafe && named;
+      return "stats" + (named ? " " + name : "") +
+             Pick(rng, {"", " --json"});
+    }
+    default:
+      *unsafe = false;
+      return "metrics";
+  }
+}
+
+TEST(CommandProcessorFuzzTest, TenantAndMetricsRepliesStayParseable) {
+  const std::string path = ::testing::TempDir() + "/fuzz_exposition.txt";
+  {
+    std::ofstream file(path);
+    for (int v = 0; v < 20; ++v) file << v << " " << (v + 1) % 20 << "\n";
+  }
+  GraphStore store;
+  ApproxParams params;
+  params.t = 5.0;
+  params.eps_r = 0.5;
+  params.delta = 1e-2;
+  params.p_f = 1e-6;
+  MultiGraphOptions options;
+  options.worker_budget = 2;
+  MultiGraphService service(store, params, 7, options);
+  service.Publish("default", LoadEdgeList(path).value());
+  TenantRegistry tenants;
+  CommandProcessor processor(store, service, tenants, params, "default");
+  ClientSession session = processor.NewSession();
+
+  size_t metric_rows = 0, tenant_rows = 0, refused_names = 0, ok_replies = 0;
+  Rng rng(28);
+  for (int i = 0; i < 800; ++i) {
+    bool unsafe = false;
+    const std::string line = RandomExpositionLine(rng, path, &unsafe);
+    SCOPED_TRACE("line " + std::to_string(i) + ": " + line);
+    const std::string reply = processor.Execute(session, line).output;
+    const std::vector<std::string> lines = Lines(reply);
+    ASSERT_FALSE(lines.empty());
+    const std::string& last = lines.back();
+    ASSERT_TRUE(StartsWith(last, "ok") || StartsWith(last, "err")) << reply;
+    if (StartsWith(last, "ok")) ++ok_replies;
+    if (line == "metrics") {
+      ASSERT_TRUE(StartsWith(last, "ok metrics ")) << reply;
+      for (size_t r = 0; r + 1 < lines.size(); ++r) {
+        ASSERT_TRUE(IsMetricRow(lines[r])) << lines[r];
+      }
+      metric_rows += lines.size() - 1;
+    } else if (line == "tenant list") {
+      ASSERT_TRUE(StartsWith(last, "ok tenants=")) << reply;
+      for (size_t r = 0; r + 1 < lines.size(); ++r) {
+        ASSERT_TRUE(StartsWith(lines[r], "tenant=")) << lines[r];
+      }
+      tenant_rows += lines.size() - 1;
+    } else {
+      ASSERT_EQ(lines.size(), 1u) << reply;
+    }
+    if (unsafe) {
+      ASSERT_TRUE(StartsWith(reply, "err ")) << reply;
+      if (StartsWith(reply, "err invalid name")) ++refused_names;
+    }
+    if (StartsWith(reply, "ok {")) {
+      // stats --json: the scope string ends where the object says it does.
+      const std::string prefix = "ok {\"scope\":\"";
+      ASSERT_TRUE(StartsWith(reply, prefix)) << reply;
+      const size_t end = reply.find('"', prefix.size());
+      ASSERT_EQ(reply.compare(end, 2, "\","), 0) << reply;
+    }
+  }
+  // Every kind of outcome is exercised: at seed 28, 16,506 metric rows,
+  // 523 tenant rows, 113 refused names and 578 ok replies.
+  EXPECT_GT(metric_rows, 5000u);
+  EXPECT_GT(tenant_rows, 200u);
+  EXPECT_GT(refused_names, 50u);
+  EXPECT_GT(ok_replies, 300u);
 }
 
 }  // namespace

@@ -602,6 +602,69 @@ TEST(MultiGraphSwapTest, QueuedOldQueryNeverAnswersTheNewSnapshot) {
   ExpectSameVector(*new_result.estimate, on_second);
 }
 
+TEST(MultiGraphSwapTest, RepublishWhileTheQueueIsFull) {
+  // Overload and a hot swap at once: the one worker is held on a latched
+  // query, its queue is full, and the graph is republished. Every admitted
+  // query finishes on the snapshot it was admitted on, every other one was
+  // refused at admission, and the counters account for each exactly once.
+  testing::RegisterLatchedBackend();
+  testing::SeedLatch& latch = testing::TheSeedLatch();
+  latch.Hold();
+  GraphStore store;
+  MultiGraphOptions options;
+  options.worker_budget = 1;
+  options.service.max_queue_depth = 4;
+  options.service.backend.name = "seed-latch";
+  MultiGraphService service(store, TestParams(1e-2), 3, options);
+  const uint64_t v1 = service.Publish("g", testing::MakeComplete(16));
+  QueryHandle held = service.Submit("g", testing::kLatchedSeed);
+  const bool entered = latch.AwaitEntered();
+  if (!entered) latch.Release();
+  ASSERT_TRUE(entered) << "no worker picked up the latched query";
+
+  // Seeds 1..4 fill the queue; 5 and 6 are refused.
+  std::vector<QueryHandle> before;
+  for (NodeId seed = 1; seed <= 6; ++seed) {
+    before.push_back(service.Submit("g", seed));
+  }
+  EXPECT_EQ(service.StatsFor("g").queue_depth, 4u);
+  const uint64_t v2 = service.Publish("g", testing::MakeComplete(16));
+  ASSERT_GT(v2, v1);
+  // The queue is still full: queries on the new snapshot are refused too.
+  std::vector<QueryHandle> after;
+  for (NodeId seed = 7; seed <= 8; ++seed) {
+    after.push_back(service.Submit("g", seed));
+  }
+  latch.Release();
+
+  const QueryResult released = held.result.get();
+  ASSERT_EQ(released.status, QueryStatus::kOk);
+  EXPECT_EQ(released.graph_version, v1);
+  for (size_t i = 0; i < before.size(); ++i) {
+    SCOPED_TRACE("seed " + std::to_string(i + 1));
+    const QueryResult result = before[i].result.get();
+    if (i < 4) {
+      ASSERT_EQ(result.status, QueryStatus::kOk);
+      EXPECT_EQ(result.graph_version, v1);
+      EXPECT_DOUBLE_EQ(result.estimate->Get(static_cast<NodeId>(i + 1)), 1.0);
+    } else {
+      EXPECT_EQ(result.status, QueryStatus::kRejected);
+    }
+  }
+  for (QueryHandle& handle : after) {
+    EXPECT_EQ(handle.result.get().status, QueryStatus::kRejected);
+  }
+  const QueryResult next = service.Submit("g", 9).result.get();
+  ASSERT_EQ(next.status, QueryStatus::kOk);
+  EXPECT_EQ(next.graph_version, v2);
+
+  const ServiceStatsSnapshot stats = service.StatsFor("g");
+  EXPECT_EQ(stats.submitted, stats.completed + stats.rejected);
+  EXPECT_EQ(stats.submitted, 10u);
+  EXPECT_EQ(stats.rejected, 4u);
+  EXPECT_EQ(stats.queue_depth, 0u);
+}
+
 TEST(MultiGraphSwapTest, PublishAndInvalidateNeverCrossSnapshots) {
   // Clients repeat a few seeds (so most answers are cache hits) while the
   // graph is republished and every cache invalidated in turn. Publish k

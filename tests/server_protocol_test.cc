@@ -621,6 +621,19 @@ TEST(ServerProtocolTest, UnknownFlagsAreRejectedNotIgnored) {
   EXPECT_EQ(RunServerExpectExit({"--nodes=400", "--workers=2"}), 0);
 }
 
+TEST(ServerProtocolTest, GraphsFlagRefusesAnUnsafeName) {
+  // Graph names are printed unescaped into graph list, stats --json and
+  // metrics, so --graphs= refuses a name outside [A-Za-z0-9_.-]{1,64},
+  // as graph load does.
+  const std::string path = WriteTempFile("names", "0 1\n1 2\n2 0\n");
+  EXPECT_EQ(RunServerExpectExit({"--graphs=a\"b=" + path}), 1);
+  EXPECT_EQ(RunServerExpectExit({"--graphs=ok=" + path + ",c:d=" + path}), 1);
+  EXPECT_EQ(
+      RunServerExpectExit({"--graphs=" + std::string(65, 'n') + "=" + path}),
+      1);
+  EXPECT_EQ(RunServerExpectExit({"--graphs=g.1-x_Y=" + path}), 0);
+}
+
 /// Loopback client for the --listen frontend.
 class TcpClient {
  public:

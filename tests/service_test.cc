@@ -1,8 +1,10 @@
 // Tests for the async serving subsystem: AsyncQueryService determinism
 // against a sequential QueryExecutor, the result cache (hits never
 // recompute, hits answered at submission keep the query indices,
-// single-flight dedup, LRU bounds, invalidation), work stealing, admission
-// control, deadlines and cancellation, as the service's counters see them.
+// single-flight dedup, LRU bounds, invalidation), the one submission queue
+// (an idle worker serves what a busy one cannot, a coalesced wait strands
+// nothing), admission control, deadlines and cancellation, as the
+// service's counters see them.
 // The stats block itself is tested in service_stats_test.cc.
 
 #include <gtest/gtest.h>
@@ -235,11 +237,10 @@ TEST(AsyncQueryServiceTest, CachedHitsKeepQueryIndices) {
   EXPECT_EQ(stats.queue_depth, 0u);
 }
 
-TEST(AsyncQueryServiceTest, QueuedBehindBusyWorkerIsStolen) {
-  // One worker blocks inside a query; requests that land on its shard can
-  // only be answered by the other worker stealing them. Idle workers park
-  // without a timeout, so a lost wakeup shows here as a request that never
-  // completes.
+TEST(AsyncQueryServiceTest, QueuedBehindBusyWorkerIsServedByAnIdleOne) {
+  // One worker blocks inside a query; requests submitted meanwhile can only
+  // be answered by the other worker. Idle workers park without a timeout,
+  // so a lost wakeup shows here as a request that never completes.
   testing::RegisterLatchedBackend();
   testing::SeedLatch& latch = testing::TheSeedLatch();
   latch.Hold();
@@ -254,8 +255,6 @@ TEST(AsyncQueryServiceTest, QueuedBehindBusyWorkerIsStolen) {
   if (!entered) latch.Release();
   ASSERT_TRUE(entered) << "no worker picked up the latched query";
 
-  // Submissions alternate between the two shards, so of any two in a row
-  // one lands behind the blocked worker.
   bool all_answered = true;
   for (NodeId seed = 1; seed <= 4; ++seed) {
     QueryHandle handle = service.Submit(seed);
@@ -270,9 +269,55 @@ TEST(AsyncQueryServiceTest, QueuedBehindBusyWorkerIsStolen) {
   }
   latch.Release();
   EXPECT_TRUE(all_answered)
-      << "a request queued behind the busy worker was never stolen";
+      << "a request submitted while a worker was busy was never answered";
   EXPECT_EQ(blocker.result.get().status, QueryStatus::kOk);
-  EXPECT_GE(service.Stats().stolen, 1u);
+}
+
+TEST(AsyncQueryServiceTest, CoalescedWaitDoesNotStrandOtherRequests) {
+  // A worker whose key is in flight on another worker waits on that
+  // computation in place. It holds no other request, so a query submitted
+  // behind it is answered by the third worker while the first two wait.
+  testing::RegisterLatchedBackend();
+  testing::SeedLatch& latch = testing::TheSeedLatch();
+  latch.Hold();
+
+  Graph g = testing::MakeComplete(16);
+  ServiceOptions options;
+  options.num_workers = 3;
+  options.backend.name = "seed-latch";
+  AsyncQueryService service(g, TestParams(1e-2), 3, options);
+  QueryHandle leader = service.Submit(testing::kLatchedSeed);
+  const bool entered = latch.AwaitEntered();
+  if (!entered) latch.Release();
+  ASSERT_TRUE(entered) << "no worker picked up the latched query";
+  QueryHandle follower = service.Submit(testing::kLatchedSeed);
+
+  QueryHandle other = service.Submit(5);
+  const bool answered = other.result.wait_for(std::chrono::seconds(30)) ==
+                        std::future_status::ready;
+  if (answered) {
+    const QueryResult result = other.result.get();
+    EXPECT_EQ(result.status, QueryStatus::kOk);
+    EXPECT_DOUBLE_EQ(result.estimate->Get(5), 1.0);
+    // The queue is FIFO, so the follower left it before seed 5 did. Give
+    // its worker time to reach its cache lookup before the leader
+    // completes, so that the follower coalesces rather than hits.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  latch.Release();
+  EXPECT_TRUE(answered)
+      << "a request behind a coalesced wait was not answered while the "
+         "leader was held";
+  const QueryResult first = leader.result.get();
+  const QueryResult second = follower.result.get();
+  ASSERT_EQ(first.status, QueryStatus::kOk);
+  ASSERT_EQ(second.status, QueryStatus::kOk);
+  EXPECT_EQ(first.estimate.get(), second.estimate.get());
+  EXPECT_FALSE(first.from_cache);
+  EXPECT_TRUE(second.from_cache);
+  const ServiceStatsSnapshot stats = service.Stats();
+  EXPECT_EQ(stats.coalesced, 1u);
+  EXPECT_EQ(stats.computed, 2u);  // the leader and seed 5
 }
 
 TEST(AsyncQueryServiceTest, SingleFlightCoalescesConcurrentDuplicates) {
