@@ -78,6 +78,8 @@ AsyncQueryService::AsyncQueryService(GraphSnapshot snapshot,
     config_.plan = first.default_plan();
   }
 
+  parking_ = std::vector<ParkingSpot>(num_workers);
+  parked_.reserve(num_workers);  // never reallocated under queue_mu_
   workers_.reserve(num_workers);
   for (uint32_t w = 0; w < num_workers; ++w) {
     workers_.emplace_back([this, w] { WorkerLoop(w); });
@@ -190,8 +192,10 @@ void AsyncQueryService::Shutdown() {
       // worker takes the request) or sees stopping_ and rejects inline.
       std::lock_guard<std::mutex> lock(queue_mu_);
       stopping_.store(true);
+      for (const uint32_t worker : parked_) parking_[worker].woken = true;
+      parked_.clear();
     }
-    queue_cv_.notify_all();
+    for (ParkingSpot& spot : parking_) spot.cv.notify_one();
     for (std::thread& worker : workers_) worker.join();
     // The queue is empty and stays so. A submitter still answering a cache
     // hit, or rejecting a request that raced this shutdown, releases its
@@ -318,6 +322,7 @@ std::optional<QueryHandle> AsyncQueryService::Enqueue(
     }
   }
 
+  ParkingSpot* wake = nullptr;
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
     if (stopping_.load()) {
@@ -325,15 +330,20 @@ std::optional<QueryHandle> AsyncQueryService::Enqueue(
       // left: resolve the request here instead of stranding the future in
       // a dead queue.
       stats_->RecordRejected();
-      if (!try_submit) request.promise.set_value(QueryResult{});  // kRejected
+      request.promise.set_value(QueryResult{});  // kRejected
       pending_.fetch_sub(1);
       if (try_submit) return std::nullopt;
       return handle;
     }
     queue_.push_back(std::move(request));
+    if (!parked_.empty()) {
+      wake = &parking_[parked_.back()];
+      parked_.pop_back();
+      wake->woken = true;
+    }
   }
-  // The worker's wait predicate reads the queue under the lock just held.
-  queue_cv_.notify_one();
+  // Notified after the unlock, so the worker does not wake to a held lock.
+  if (wake != nullptr) wake->cv.notify_one();
   return handle;
 }
 
@@ -361,12 +371,19 @@ std::optional<QueryHandle> AsyncQueryService::TrySubmitTopK(
 
 void AsyncQueryService::WorkerLoop(uint32_t worker_id) {
   BoundExecutor& executor = executors_[worker_id];
+  ParkingSpot& spot = parking_[worker_id];
   for (;;) {
     std::unique_lock<std::mutex> lock(queue_mu_);
-    queue_cv_.wait(lock, [&] { return stopping_.load() || !queue_.empty(); });
-    // stopping_ is set under this lock and a submitter pushes only while it
-    // is clear, so once stopping, an empty queue stays empty.
-    if (queue_.empty()) return;
+    while (queue_.empty()) {
+      // stopping_ is set under this lock and a submitter pushes only while
+      // it is clear, so once stopping, an empty queue stays empty.
+      if (stopping_.load()) return;
+      // Woken by a submission that another worker may have taken first;
+      // then this one parks again.
+      spot.woken = false;
+      parked_.push_back(worker_id);
+      spot.cv.wait(lock, [&] { return spot.woken; });
+    }
     Request request = std::move(queue_.front());
     queue_.pop_front();
     lock.unlock();

@@ -555,17 +555,12 @@ bool IsMetricRow(const std::string& row) {
   return ParseDouble(row.substr(i + 2)).has_value();
 }
 
-/// The reply's lines, without their '\n'; an unterminated tail is kept as
-/// a last line, so a reply that does not end in '\n' fails the callers.
+/// The lines of a '\n'-terminated reply, without their '\n'.
 std::vector<std::string> Lines(const std::string& reply) {
   std::vector<std::string> lines;
   size_t begin = 0;
   while (begin < reply.size()) {
     const size_t end = reply.find('\n', begin);
-    if (end == std::string::npos) {
-      lines.push_back(reply.substr(begin) + "<no newline>");
-      break;
-    }
     lines.push_back(reply.substr(begin, end - begin));
     begin = end + 1;
   }
@@ -660,8 +655,9 @@ TEST(CommandProcessorFuzzTest, TenantAndMetricsRepliesStayParseable) {
     const std::string line = RandomExpositionLine(rng, path, &unsafe);
     SCOPED_TRACE("line " + std::to_string(i) + ": " + line);
     const std::string reply = processor.Execute(session, line).output;
+    ASSERT_FALSE(reply.empty());
+    ASSERT_EQ(reply.back(), '\n') << reply;
     const std::vector<std::string> lines = Lines(reply);
-    ASSERT_FALSE(lines.empty());
     const std::string& last = lines.back();
     ASSERT_TRUE(StartsWith(last, "ok") || StartsWith(last, "err")) << reply;
     if (StartsWith(last, "ok")) ++ok_replies;
